@@ -187,12 +187,12 @@ def criterion_diagnostics(cfg_a: ExperimentConfig,
     for label, cfg, trace in (("A", cfg_a, trace_a), ("B", cfg_b, trace_b)):
         ctx = derive_constants(cfg.moduli)
         rec = recurrence_check(trace, trace.s, ctx.M1)
-        if rec > INEQ_TOL:
+        if not rec <= INEQ_TOL:     # NaN fails too
             return CriterionResult(
                 "diagnostics", False,
                 f"recurrence violated on {label} by {rec:.3g}")
         drift = resolvent_drift_check(trace, cfg.moduli.c, ctx.N0)
-        if drift > INEQ_TOL:
+        if not drift <= INEQ_TOL:
             return CriterionResult(
                 "diagnostics", False,
                 f"resolvent drift (ineqJc) violated on {label} by {drift:.3g}")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .countfn import Budget, BudgetExceededError, CountFn, evaluate
-from .operators import ResolventOperator, as_point
+from .operators import ResolventOperator, as_point, row_dot, row_norm
 
 # Floating-point slack for the diagnostic inequalities; the recurrence is
 # exact algebra over the iterates, so only rounding noise accumulates.
@@ -86,14 +86,6 @@ class Trace:
         return np.linalg.norm(self.z - self.target, axis=1)
 
 
-def step(op: ResolventOperator, schedule, u: np.ndarray, z: np.ndarray,
-         n: int) -> tuple:
-    """One update; returns (z_next, J_(c_n)(z))."""
-    lam, gam, delta, c, e = schedule.at(n)
-    jz = op.resolvent(c, z)
-    return lam * u + gam * z + delta * jz + e, jz
-
-
 def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
         c: int = 1, s=None, target=None) -> Trace:
     """Run the iteration for `horizon` steps, recording iterates 0..horizon.
@@ -101,6 +93,8 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     `c` is the integer reciprocal floor of the parameter sequence; the fixed
     residual column uses the resolvent at 1/c.  `s` defaults to the
     operator's zero-set witness and is only used for distance reporting.
+    Raises ValueError at the first n < horizon with delta_n <= 0 or any
+    n <= horizon with c_n <= 0, and when an iterate is not finite.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
@@ -114,18 +108,31 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     t_pt = None if target is None else as_point(target)
 
     lam, gam, delta, cs, errs = schedule.snapshot(horizon)
+    bad = ~(cs > 0)
+    bad[:horizon] |= ~(delta[:horizon] > 0)
+    if bad.any():
+        raise ValueError(f"invalid schedule at n={int(np.argmax(bad))}")
+
+    # The inputs were checked above, so the loop calls the unchecked
+    # resolvent.  A diverging iterate is caught once, after the loop, and
+    # its overflow on the way raises no numpy warning.
     zs = np.empty((horizon + 1, op.dim))
     jn = np.empty_like(zs)
-    jfix = np.empty_like(zs)
     zs[0] = z0
-    fixed = 1.0 / c
-    for n in range(horizon + 1):
-        if n < horizon and (delta[n] <= 0 or cs[n] <= 0):
-            raise ValueError(f"invalid schedule at n={n}")
-        jn[n] = op.resolvent(cs[n], zs[n])
-        jfix[n] = op.resolvent(fixed, zs[n])
-        if n < horizon:
-            zs[n + 1] = lam[n] * u + gam[n] * zs[n] + delta[n] * jn[n] + errs[n]
+    anchor = lam[:horizon, None] * u
+    gam_n, delta_n, c_n = gam.tolist(), delta.tolist(), cs.tolist()
+    resolve = op._resolve
+    z = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(horizon):
+            jz = resolve(c_n[n], z)
+            jn[n] = jz
+            z = anchor[n] + gam_n[n] * z + delta_n[n] * jz + errs[n]
+            zs[n + 1] = z
+        jn[horizon] = resolve(c_n[horizon], z)
+    if not np.isfinite(zs).all():
+        raise ValueError("point has non-finite coordinates")
+    jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)
     return Trace(op=op, z=zs, jn=jn, jfix=jfix, lam=lam, gam=gam, delta=delta,
                  cs=cs, errs=errs, u=u, s=s_pt, target=t_pt, c_denom=c)
 
@@ -224,24 +231,33 @@ def recurrence_check(trace: Trace, p, m1: int) -> float:
 
     with s_m = |z_m - p|^2, v_m = |J_m(p) - p| (|J_m(p) - p| + 2 |z_m - p|),
     r_m = 2 <u - p, z_(m+1) - p> and eps_m = |e_m| (M1 + 2 lambda_m |u - p|).
-    Nonpositive up to rounding when p lies in the zero set.
+    Nonpositive up to rounding when p lies in the zero set; NaN when a row
+    is NaN.
     """
     p = as_point(p)
+    op = trace.op
+    if p.size != op.dim:
+        raise ValueError(f"dimension mismatch: operator is {op.dim}-dimensional")
     h = trace.horizon
-    worst = -np.inf
-    for m in range(h):
-        jp = trace.op.resolvent(trace.cs[m], p)
-        dzp = float(np.linalg.norm(trace.z[m] - p))
-        s_m = dzp * dzp
-        s_m1 = float(np.linalg.norm(trace.z[m + 1] - p) ** 2)
-        jgap = float(np.linalg.norm(jp - p))
-        v_m = jgap * (jgap + 2.0 * dzp)
-        r_m = 2.0 * float(np.dot(trace.u - p, trace.z[m + 1] - p))
-        en = float(np.linalg.norm(trace.errs[m]))
-        eps = en * (m1 + 2.0 * trace.lam[m] * float(np.linalg.norm(trace.u - p)))
-        rhs = (1.0 - trace.lam[m]) * (s_m + v_m) + trace.lam[m] * r_m + eps
-        worst = max(worst, s_m1 - rhs)
-    return float(worst)
+    cs = trace.cs[:h]
+    if not np.all(cs > 0):
+        raise ValueError("resolvent parameter must be positive")
+    lam = trace.lam[:h]
+    jgap = row_norm(op._resolve_rows(cs, np.broadcast_to(p, (h, p.size))) - p)
+    dist = row_norm(trace.z - p)
+    dzp = dist[:-1]
+    s_m = dzp * dzp
+    # float_power squares through pow(), which in rare cases rounds unlike
+    # x * x; the recurrence values in checks.csv are pinned to pow().
+    s_m1 = np.float_power(dist[1:], 2)
+    v_m = jgap * (jgap + 2.0 * dzp)
+    u_p = trace.u - p
+    r_m = 2.0 * row_dot(np.broadcast_to(u_p, (h, p.size)), trace.z[1:] - p)
+    en = row_norm(trace.errs)
+    eps = en * (m1 + 2.0 * lam * float(np.linalg.norm(u_p)))
+    rhs = (1.0 - lam) * (s_m + v_m) + lam * r_m + eps
+    # np.max propagates NaN, so a NaN row reports a NaN violation
+    return float(np.max(s_m1 - rhs, initial=-np.inf))
 
 
 def resolvent_drift_check(trace: Trace, c: int, n0: int) -> float:
@@ -249,15 +265,12 @@ def resolvent_drift_check(trace: Trace, c: int, n0: int) -> float:
 
         |J_(m+1)(z_(m+1)) - J_m(z_m)| <= |z_(m+1) - z_m| + 2 c N0 |c_(m+1) - c_m|
 
-    which is what makes the running residual inherit the step-size rate."""
-    h = trace.horizon
+    which is what makes the running residual inherit the step-size rate.
+    A NaN row makes the result NaN."""
     lhs = np.linalg.norm(np.diff(trace.jn, axis=0), axis=1)
-    dz = trace.dz
     cdiff = np.abs(np.diff(trace.cs))
-    worst = -np.inf
-    for m in range(h):
-        worst = max(worst, float(lhs[m] - dz[m] - 2.0 * c * n0 * cdiff[m]))
-    return float(worst)
+    return float(np.max(lhs - trace.dz - 2.0 * c * n0 * cdiff,
+                        initial=-np.inf))
 
 
 def boundedness_check(trace: Trace, n0: int) -> float:
@@ -281,18 +294,20 @@ def gap_decrease_check(trace: Trace, nu_values: dict) -> list:
 
         |w_(n+1) - z_(n+1)| <= |w_n - z_n| + 1/(k+1)  for nu(k) <= n <= H-2.
 
-    `nu_values` maps k to the evaluated index.  Returns located violations.
+    `nu_values` maps k to the evaluated index.  Returns located violations;
+    a NaN gap inside the range counts as one.
     """
     g = trace.gap
     problems = []
     for k, start in sorted(nu_values.items()):
         tau = 1.0 / (k + 1)
-        for n in range(start, trace.horizon - 1):
-            if g[n + 1] > g[n] + tau + DIAG_TOL:
-                problems.append(
-                    f"gap rose by more than 1/{k + 1} at n={n} "
-                    f"(nu({k})={start})")
-                break
+        # ~(a <= b) rather than a > b, so that a NaN comparison is caught
+        rose = ~(g[start + 1:] <= g[start:-1] + tau + DIAG_TOL)
+        if rose.any():
+            n = start + int(np.argmax(rose))
+            what = ("is NaN" if np.isnan(g[n:n + 2]).any()
+                    else f"rose by more than 1/{k + 1}")
+            problems.append(f"gap {what} at n={n} (nu({k})={start})")
     return problems
 
 

@@ -3,6 +3,11 @@
 Every operator here answers resolvent queries J_c = (I + cT)^(-1) exactly
 (up to floating point), with no inner iterative solver, and carries a known
 zero of T so traces can be measured against the solution set.
+
+`resolvent` is the checked entry point for one point.  Callers that have
+already validated their inputs use the unchecked `_resolve(c, x)` and its
+row-batched form `_resolve_rows(cs, xs)`, whose row i equals
+`_resolve(cs[i], xs[i])` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ IDENTITY_TOL = 1e-8
 SLACK = 1e-9
 
 _WITNESS_CS = (0.1, 1.0, 10.0)
+
+# Rows per stacked LinearPSD solve: bounds the (rows, dim, dim) systems array.
+_SOLVE_CHUNK = 256
 
 
 def as_point(coords) -> np.ndarray:
@@ -42,11 +50,32 @@ def norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (rows, dim) arrays.
+
+    A stack of 1 x dim by dim x 1 products sums each row in the same order
+    as np.dot, so entry i equals np.dot(x[i], y[i]) bit for bit;
+    np.linalg.norm(axis=1), einsum and (x * y).sum(1) sum in other orders.
+    In one dimension np.dot returns the bare product, whose zero may be
+    negative, where the stacked sum starts from +0.
+    """
+    if x.shape[1] == 1:
+        return x[:, 0] * y[:, 0]
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows, each equal to np.linalg.norm(x[i])."""
+    return np.sqrt(row_dot(x, x))
+
+
 class ResolventOperator:
     """Base class: a maximal monotone operator presented through resolvents.
 
-    Subclasses implement _resolve(c, x) for c > 0 and come with a
-    zero_set_witness, a known point s with 0 in T(s).
+    Subclasses implement _resolve(c, x) for c > 0, its row-batched form
+    _resolve_rows(cs, xs) for a (rows,) parameter array and a (rows, dim)
+    point array, and come with a zero_set_witness, a known point s with
+    0 in T(s).
     """
 
     kind = "abstract"
@@ -74,6 +103,9 @@ class ResolventOperator:
     def _resolve(self, c: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _resolve_rows(self, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def describe(self) -> str:
         return self.kind
 
@@ -98,6 +130,10 @@ class QuadraticProx(ResolventOperator):
     def _resolve(self, c, x):
         cw = c * self.weight
         return (x + cw * self.center) / (1.0 + cw)
+
+    def _resolve_rows(self, cs, xs):
+        cw = (cs * self.weight)[:, None]
+        return (xs + cw * self.center) / (1.0 + cw)
 
     def describe(self):
         return f"{self.kind}(center={self.center.tolist()}, weight={self.weight})"
@@ -124,6 +160,14 @@ class BallProjection(ResolventOperator):
             return x.copy()
         return self.center + d * (self.radius / dist)
 
+    def _resolve_rows(self, cs, xs):
+        d = xs - self.center
+        dist = row_norm(d)
+        out = xs.copy()
+        far = ~(dist <= self.radius)
+        out[far] = self.center + d[far] * (self.radius / dist[far])[:, None]
+        return out
+
     def describe(self):
         return f"{self.kind}(center={self.center.tolist()}, radius={self.radius})"
 
@@ -146,6 +190,9 @@ class BoxProjection(ResolventOperator):
 
     def _resolve(self, c, x):
         return np.clip(x, self.lo, self.hi)
+
+    def _resolve_rows(self, cs, xs):
+        return np.clip(xs, self.lo, self.hi)
 
     def describe(self):
         return f"{self.kind}(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -184,6 +231,18 @@ class LinearPSD(ResolventOperator):
         system = np.eye(self.dim) + c * self.matrix
         return np.linalg.solve(system, x)
 
+    def _resolve_rows(self, cs, xs):
+        # One system and one LAPACK solve per row, as in _resolve: solving
+        # many right-hand sides against one factorization rounds otherwise.
+        # Chunks keep the stack of systems small whatever the row count.
+        out = np.empty_like(xs)
+        eye = np.eye(self.dim)
+        for lo in range(0, cs.shape[0], _SOLVE_CHUNK):
+            hi = lo + _SOLVE_CHUNK
+            systems = eye + cs[lo:hi, None, None] * self.matrix
+            out[lo:hi] = np.linalg.solve(systems, xs[lo:hi, :, None])[:, :, 0]
+        return out
+
     def describe(self):
         return f"{self.kind}(dim={self.dim})"
 
@@ -203,6 +262,11 @@ class Rotation2D(ResolventOperator):
     def _resolve(self, c, x):
         det = 1.0 + c * c
         return np.array([(x[0] + c * x[1]) / det, (x[1] - c * x[0]) / det])
+
+    def _resolve_rows(self, cs, xs):
+        det = 1.0 + cs * cs
+        x0, x1 = xs[:, 0], xs[:, 1]
+        return np.stack([(x0 + cs * x1) / det, (x1 - cs * x0) / det], axis=1)
 
 
 def check_resolvent_identity(op: ResolventOperator, a: float, b: float, x) -> float:

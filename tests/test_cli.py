@@ -1,8 +1,13 @@
 """End-to-end CLI behaviour: exit codes, CSV schemas, determinism."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from mppa.cli import main
+from mppa.cli import _check_rows, main
+from mppa.iteration import run
+from mppa.schedules import derive_constants
 
 HEADERS = {
     "trace.csv": "n,znorm_dist_s,dz,res_Jn,res_J,dist_target",
@@ -54,6 +59,25 @@ def test_run_experiment_a(tmp_path, config_a_text):
         ("anchors", "boundedness", "wbound", "recurrence", "resolvent_drift",
          "resolvent_identity", "gap_decrease"))
     assert all(row.rsplit(",", 1)[1] == "PASS" for row in checks)
+
+
+def test_nan_row_fails_its_checks(cfg_a):
+    # nu(0) = 208 on experiment A, so a NaN at n = 250 lies inside the gap
+    # range, and away from the points the identity check visits (0, 150, 300)
+    schedule = cfg_a.iteration.build()
+    trace = run(cfg_a.problem.build(), schedule, cfg_a.iteration.u,
+                cfg_a.iteration.z0, 300, c=cfg_a.moduli.c, s=cfg_a.problem.s)
+    ctx = derive_constants(cfg_a.moduli)
+    rows = _check_rows(trace, cfg_a, ctx, schedule, cfg_a.budget())
+    assert all(status == "PASS" for _, _, status in rows)
+
+    z = trace.z.copy()
+    z[250, 1] = np.nan
+    rows = _check_rows(dataclasses.replace(trace, z=z), cfg_a, ctx, schedule,
+                       cfg_a.budget())
+    status = {name: status for name, _, status in rows}
+    for name in ("recurrence", "resolvent_drift", "gap_decrease"):
+        assert status[name] == "FAIL"
 
 
 def test_run_is_deterministic(tmp_path, config_b_text):

@@ -1,16 +1,25 @@
 """Running traces, the empirical searches and the diagnostic inequalities."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mppa.countfn import Budget, BudgetExceededError, Const, Identity
-from mppa.iteration import (Trace, asymptotic_residuals, boundedness_check,
-                            empirical_metastability, empirical_window_index,
-                            gap_decrease_check, recurrence_check,
-                            resolvent_drift_check, run, stabilization_index,
-                            trace_csv_lines, wbound_check)
-from mppa.operators import QuadraticProx
-from mppa.schedules import ConstantSeq, HarmonicSeq, Schedule, ZeroError
+from mppa.iteration import (DIAG_TOL, Trace, asymptotic_residuals,
+                            boundedness_check, empirical_metastability,
+                            empirical_window_index, gap_decrease_check,
+                            recurrence_check, resolvent_drift_check, run,
+                            stabilization_index, trace_csv_lines,
+                            wbound_check)
+from mppa.operators import (BallProjection, BoxProjection, LinearPSD,
+                            QuadraticProx, Rotation2D)
+from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq,
+                            Schedule, ZeroError, derive_constants, nu)
 
 
 def quadratic_trace(horizon=200) -> Trace:
@@ -31,6 +40,52 @@ def test_run_validation():
         run(op, sched, u=(1.0,), z0=(0.0,), horizon=5, c=0)
     with pytest.raises(ValueError):
         run(op, sched, u=(1.0, 2.0), z0=(0.0,), horizon=5)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(op, sched, u=(float("nan"),), z0=(0.0,), horizon=5)
+
+
+@dataclasses.dataclass(frozen=True)
+class Listed:
+    """A parameter family given by its first values."""
+
+    vals: tuple
+
+    def at(self, n):
+        return self.vals[n]
+
+    def values(self, count):
+        return np.array(self.vals[:count], dtype=float)
+
+
+def test_run_reports_first_invalid_step():
+    op = QuadraticProx(center=(0.0,))
+    lam = Listed((0.2, 0.2, 0.2, 0.6, 0.2, 0.7))      # delta < 0 at n = 3, 5
+    sched = Schedule(lam=lam, gamma=ConstantSeq(0.5), c=ConstantSeq(1.0),
+                     error=ZeroError(dim=1))
+    with pytest.raises(ValueError, match=r"^invalid schedule at n=3$"):
+        run(op, sched, u=(1.0,), z0=(0.0,), horizon=5)
+    # delta at the final index is never used, so it is not checked
+    assert run(op, sched, u=(1.0,), z0=(0.0,), horizon=3).horizon == 3
+
+    c = Listed((1.0, 1.0, 0.0, 1.0, 1.0, 1.0))         # c = 0 at n = 2
+    sched = Schedule(lam=lam, gamma=ConstantSeq(0.5), c=c,
+                     error=ZeroError(dim=1))
+    with pytest.raises(ValueError, match=r"^invalid schedule at n=2$"):
+        run(op, sched, u=(1.0,), z0=(0.0,), horizon=5)
+    with pytest.raises(ValueError, match=r"^invalid schedule at n=2$"):
+        run(op, sched, u=(1.0,), z0=(0.0,), horizon=2)
+
+
+def test_run_diverging_iterate_raises_without_warnings(capfd):
+    # lambda < 0 makes z_(n+1) = 5.75 z_n - 10 u, which overflows near n = 400
+    op = QuadraticProx(center=(0.0,))
+    sched = Schedule(lam=ConstantSeq(-10.0), gamma=ConstantSeq(0.5),
+                     c=ConstantSeq(1.0), error=ZeroError(dim=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="point has non-finite coordinates"):
+            run(op, sched, u=(1.0,), z0=(2.0,), horizon=2000)
+    assert capfd.readouterr().err == ""
 
 
 def test_trace_shapes_and_recurrence():
@@ -176,6 +231,26 @@ def test_gap_decrease_detects_fabricated_rate():
     assert "gap rose" in found[0]
 
 
+def with_nan(trace: Trace, n: int) -> Trace:
+    """The trace with one coordinate of z_n replaced by NaN."""
+    z = trace.z.copy()
+    z[n, 0] = np.nan
+    return dataclasses.replace(trace, z=z)
+
+
+def test_nan_row_is_a_violation():
+    trace = with_nan(quadratic_trace(60), 30)
+    assert np.isnan(recurrence_check(trace, trace.s, m1=35))
+    assert np.isnan(resolvent_drift_check(trace, c=1, n0=5))
+    found = gap_decrease_check(trace, {0: 0, 3: 40})
+    assert found == ["gap is NaN at n=28 (nu(0)=0)"]   # gap_29 uses z_30
+    # Python's max() keeps the old value against NaN, so the scalar forms
+    # let the same trace through.
+    assert recurrence_ref(trace, trace.s, 35) <= 1e-8
+    assert resolvent_drift_ref(trace, 1, 5) <= 1e-8
+    assert gap_decrease_ref(trace, {0: 0}) == []
+
+
 def test_boundedness_checks_need_reference():
     trace = quadratic_trace(5)
     trace.s = None
@@ -183,3 +258,132 @@ def test_boundedness_checks_need_reference():
         boundedness_check(trace, 5)
     with pytest.raises(ValueError):
         wbound_check(trace, 2, 5)
+
+
+# --- scalar references for the batched diagnostics -------------------------------
+#
+# The per-step loops the diagnostics were first written as.  The batched
+# forms must reproduce them bit for bit on every trace without NaN.
+
+
+def recurrence_ref(trace, p, m1):
+    p = np.asarray(p, dtype=float)
+    h = trace.horizon
+    worst = -np.inf
+    for m in range(h):
+        jp = trace.op.resolvent(trace.cs[m], p)
+        dzp = float(np.linalg.norm(trace.z[m] - p))
+        s_m = dzp * dzp
+        s_m1 = float(np.linalg.norm(trace.z[m + 1] - p) ** 2)
+        jgap = float(np.linalg.norm(jp - p))
+        v_m = jgap * (jgap + 2.0 * dzp)
+        r_m = 2.0 * float(np.dot(trace.u - p, trace.z[m + 1] - p))
+        en = float(np.linalg.norm(trace.errs[m]))
+        eps = en * (m1 + 2.0 * trace.lam[m] * float(np.linalg.norm(trace.u - p)))
+        rhs = (1.0 - trace.lam[m]) * (s_m + v_m) + trace.lam[m] * r_m + eps
+        worst = max(worst, s_m1 - rhs)
+    return float(worst)
+
+
+def resolvent_drift_ref(trace, c, n0):
+    h = trace.horizon
+    lhs = np.linalg.norm(np.diff(trace.jn, axis=0), axis=1)
+    dz = trace.dz
+    cdiff = np.abs(np.diff(trace.cs))
+    worst = -np.inf
+    for m in range(h):
+        worst = max(worst, float(lhs[m] - dz[m] - 2.0 * c * n0 * cdiff[m]))
+    return float(worst)
+
+
+def gap_decrease_ref(trace, nu_values):
+    g = trace.gap
+    problems = []
+    for k, start in sorted(nu_values.items()):
+        tau = 1.0 / (k + 1)
+        for n in range(start, trace.horizon - 1):
+            if g[n + 1] > g[n] + tau + DIAG_TOL:
+                problems.append(
+                    f"gap rose by more than 1/{k + 1} at n={n} "
+                    f"(nu({k})={start})")
+                break
+    return problems
+
+
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_diagnostics_match(trace, p, m1, c, n0, nu_values):
+    assert same_float(recurrence_check(trace, p, m1),
+                      recurrence_ref(trace, p, m1))
+    assert same_float(resolvent_drift_check(trace, c, n0),
+                      resolvent_drift_ref(trace, c, n0))
+    assert gap_decrease_check(trace, nu_values) \
+        == gap_decrease_ref(trace, nu_values)
+
+
+@pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
+def test_diagnostics_match_scalar_forms_on_shipped_configs(name, request):
+    cfg = request.getfixturevalue(name)
+    trace = run(cfg.problem.build(), cfg.iteration.build(), cfg.iteration.u,
+                cfg.iteration.z0, cfg.run.horizon, c=cfg.moduli.c,
+                s=cfg.problem.s, target=cfg.problem.target)
+    ctx = derive_constants(cfg.moduli)
+    nu_values = {k: nu(cfg.moduli, k, cfg.constant_c, cfg.budget()).value
+                 for k in range(6)}
+    assert_diagnostics_match(trace, trace.s, ctx.M1, cfg.moduli.c, ctx.N0,
+                             nu_values)
+    # claims strong enough to fail, so the located messages are compared too
+    tight = {10 ** 6: 0, 10 ** 9: trace.horizon // 2}
+    assert gap_decrease_check(trace, tight)
+    assert_diagnostics_match(trace, trace.u, 0, 3, 0, tight)
+
+
+@st.composite
+def traces(draw):
+    """Short runs of every operator kind under drawn schedules."""
+    kind = draw(st.sampled_from(("quadratic_prox", "ball_projection",
+                                 "box_projection", "linear_psd",
+                                 "rotation2d")))
+    dim = 2 if kind == "rotation2d" else draw(st.integers(1, 4))
+    point = arrays(float, dim, elements=st.floats(-5.0, 5.0))
+    if kind == "quadratic_prox":
+        op = QuadraticProx(center=draw(point), weight=draw(st.floats(0.1, 5.0)))
+    elif kind == "ball_projection":
+        op = BallProjection(center=draw(point), radius=draw(st.floats(0.1, 3.0)))
+    elif kind == "box_projection":
+        a, b = draw(point), draw(point)
+        op = BoxProjection(lo=np.minimum(a, b), hi=np.maximum(a, b))
+    elif kind == "linear_psd":
+        factor = draw(arrays(float, (dim, dim), elements=st.floats(-2.0, 2.0)))
+        op = LinearPSD(matrix=factor @ factor.T)
+    else:
+        op = Rotation2D()
+    c = (ConstantSeq(draw(st.floats(0.05, 20.0))) if draw(st.booleans())
+         else HarmonicSeq(shift=draw(st.floats(0.05, 4.0))))
+    if draw(st.booleans()):
+        error = ZeroError(dim=dim)
+    else:
+        error = GeometricError(ratio=draw(st.floats(0.05, 0.9)),
+                               base=tuple(draw(point)))
+    sched = Schedule(lam=HarmonicSeq(shift=draw(st.floats(2.0, 10.0))),
+                     gamma=ConstantSeq(draw(st.floats(0.05, 0.45))),
+                     c=c, error=error)
+    return run(op, sched, u=draw(point), z0=draw(point),
+               horizon=draw(st.integers(0, 60)),
+               c=draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_diagnostics_match_scalar_forms_on_drawn_traces(data):
+    trace = data.draw(traces())
+    p = data.draw(st.one_of(
+        st.just(trace.s),
+        arrays(float, trace.op.dim, elements=st.floats(-5.0, 5.0))))
+    nu_values = data.draw(st.dictionaries(
+        st.integers(0, 50), st.integers(0, trace.horizon + 2), max_size=4))
+    assert_diagnostics_match(trace, p, data.draw(st.integers(0, 10 ** 6)),
+                             data.draw(st.integers(1, 4)),
+                             data.draw(st.integers(0, 100)), nu_values)

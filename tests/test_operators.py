@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mppa.operators import (BallProjection, BoxProjection, LinearPSD,
                             QuadraticProx, Rotation2D, as_point,
                             check_resolvent_identity, check_resolvent_scaling,
-                            inner, norm)
+                            inner, norm, row_dot, row_norm)
 
 RNG = np.random.default_rng(11)
 
@@ -119,6 +122,107 @@ def test_resolvent_argument_validation():
         op.resolvent(-1.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         op.resolvent(1.0, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("op", all_operators(), ids=lambda op: op.kind)
+def test_resolvent_is_the_checked_entry_point(op):
+    x = np.ones(op.dim)
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            op.resolvent(c, x)
+    bad = x.copy()
+    bad[-1] = float("inf")
+    with pytest.raises(ValueError, match="non-finite"):
+        op.resolvent(1.0, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op.resolvent(1.0, np.ones(op.dim + 1))
+
+
+# --- row-batched resolvents ----------------------------------------------------
+
+
+def stacked(op, cs, xs) -> np.ndarray:
+    """The per-point resolvents, one row each."""
+    rows = [op._resolve(float(c), x) for c, x in zip(cs, xs)]
+    return np.array(rows, dtype=float).reshape(xs.shape)
+
+
+coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+params = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def operators(draw):
+    """One operator of each kind, with drawn data in dimensions 1..8."""
+    kind = draw(st.sampled_from(("quadratic_prox", "ball_projection",
+                                 "box_projection", "linear_psd",
+                                 "rotation2d")))
+    if kind == "rotation2d":
+        return Rotation2D()
+    dim = draw(st.integers(min_value=1, max_value=8))
+    point = arrays(float, dim, elements=st.floats(-10.0, 10.0))
+    if kind == "quadratic_prox":
+        return QuadraticProx(center=draw(point),
+                             weight=draw(st.floats(0.01, 100.0)))
+    if kind == "ball_projection":
+        return BallProjection(center=draw(point),
+                              radius=draw(st.floats(0.01, 100.0)))
+    if kind == "box_projection":
+        a, b = draw(point), draw(point)
+        return BoxProjection(lo=np.minimum(a, b), hi=np.maximum(a, b))
+    factor = draw(arrays(float, (dim, dim), elements=st.floats(-3.0, 3.0)))
+    return LinearPSD(matrix=factor @ factor.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resolve_rows_matches_per_point_bytes(data):
+    op = data.draw(operators())
+    count = data.draw(st.integers(min_value=0, max_value=30))
+    xs = data.draw(arrays(float, (count, op.dim), elements=coords))
+    if data.draw(st.booleans()):
+        cs = np.full(count, data.draw(params))
+    else:
+        cs = data.draw(arrays(float, count, elements=params))
+    got = op._resolve_rows(cs, xs)
+    assert got.shape == xs.shape
+    assert got.tobytes() == stacked(op, cs, xs).tobytes()
+
+
+@pytest.mark.parametrize("op", all_operators(), ids=lambda op: op.kind)
+def test_resolve_rows_across_solve_chunks(op):
+    # more rows than one stacked LinearPSD solve takes, and a c per row
+    xs = RNG.uniform(-4.0, 4.0, size=(600, op.dim))
+    cs = RNG.uniform(0.05, 20.0, size=600)
+    assert op._resolve_rows(cs, xs).tobytes() == stacked(op, cs, xs).tobytes()
+    fixed = np.full(600, 0.5)
+    assert op._resolve_rows(fixed, xs).tobytes() \
+        == stacked(op, fixed, xs).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_dot_and_norm_match_per_row(data):
+    dim = data.draw(st.integers(min_value=1, max_value=8))
+    count = data.draw(st.integers(min_value=0, max_value=30))
+    wide = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    xs = data.draw(arrays(float, (count, dim), elements=wide))
+    ys = data.draw(arrays(float, (count, dim), elements=wide))
+    dots = np.array([np.dot(x, y) for x, y in zip(xs, ys)], dtype=float)
+    norms = np.array([np.linalg.norm(x) for x in xs], dtype=float)
+    assert row_dot(xs, ys).tobytes() == dots.tobytes()
+    assert row_norm(xs).tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_row_helpers_on_many_rows(dim):
+    scale = 10.0 ** RNG.uniform(-3.0, 3.0, size=(2000, 1))
+    xs = RNG.standard_normal((2000, dim)) * scale
+    ys = RNG.standard_normal((2000, dim))
+    dots = np.array([np.dot(x, y) for x, y in zip(xs, ys)])
+    norms = np.array([np.linalg.norm(x) for x in xs])
+    assert row_dot(xs, ys).tobytes() == dots.tobytes()
+    assert row_norm(xs).tobytes() == norms.tobytes()
 
 
 # --- identities shared by every maximal monotone operator ----------------------
