@@ -26,7 +26,7 @@ from .countfn import (Affine, BoundValue, Budget, Const, CountFn, Identity,
 from .iteration import (Trace, empirical_metastability,
                         empirical_window_index, gap_decrease_check,
                         recurrence_check, resolvent_drift_check, run)
-from .oracle import run_suite
+from .oracle import DEFAULT_TRIALS, run_suite
 from .refeval import RefResult, ref_bound
 from .schedules import Moduli, derive_constants, mu, nu, validate_moduli
 
@@ -253,10 +253,8 @@ def criterion_asymptotic(cfg: ExperimentConfig,
 
 
 def criterion_oracles() -> CriterionResult:
-    want = {"ratap": 1000, "limsup2": 1000, "xu": 100, "suzuki1": 50,
-            "suzuki2": 100}
     parts = []
-    for lemma, trials in want.items():
+    for lemma, trials in DEFAULT_TRIALS.items():
         res = run_suite(lemma, seed=7, trials=trials)
         if not res.ok:
             return CriterionResult(

@@ -23,8 +23,8 @@ from .countfn import BoundValue, BudgetExceededError, evaluate
 from .iteration import (asymptotic_residuals, boundedness_check,
                         empirical_metastability, empirical_window_index,
                         gap_decrease_check, recurrence_check,
-                        resolvent_drift_check, run, trace_csv_lines,
-                        wbound_check)
+                        resolvent_drift_check, run, wbound_check,
+                        write_trace_csv)
 from .operators import IDENTITY_TOL, check_resolvent_identity
 from .oracle import DEFAULT_TRIALS, run_suite
 from .schedules import (derive_constants, mu, nu, validate_anchors,
@@ -295,7 +295,7 @@ def cmd_run(args) -> int:
                 c=moduli.c, s=cfg.problem.s, target=cfg.problem.target)
 
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(trace_csv_lines(trace)) + "\n")
+        write_trace_csv(trace, fh)
 
     if horizon >= 1:
         meta_rows = _metastability_rows(trace, cfg, ctx, budget)

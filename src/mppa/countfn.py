@@ -14,15 +14,19 @@ exists but is astronomically large".
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 DEFAULT_MAGNITUDE_BITS = 4096
 DEFAULT_MAX_CALLS = 10_000_000
 
 BUDGET_BITS_ENV = "PPA_BUDGET_BITS"
+
+# Stage a marker names when no named formula is active.
+_TOP_STAGE = "eval"
 
 
 def _bits_from_env() -> int:
@@ -73,7 +77,7 @@ class EvalState:
         self._cap = 1 << budget.magnitude_bits
         self.max_calls = budget.max_calls
         self.calls = 0
-        self.stage = "eval"
+        self.stage = _TOP_STAGE
 
     def tick(self, n: int = 1) -> None:
         self.calls += n
@@ -163,6 +167,11 @@ class CountFn:
     def _eval(self, n: int, state: EvalState) -> int:
         raise NotImplementedError
 
+    def affine_form(self) -> Optional[tuple]:
+        """(slope, offset) when the function is n -> slope*n + offset and
+        each call charges one tick, else None."""
+        return None
+
     def at(self, n: int, budget: Optional[Budget] = None) -> BoundValue:
         return evaluate(self, n, budget)
 
@@ -178,11 +187,17 @@ class Const(CountFn):
     def _eval(self, n, state):
         return self.value
 
+    def affine_form(self):
+        return 0, self.value
+
 
 @dataclass(frozen=True)
 class Identity(CountFn):
     def _eval(self, n, state):
         return n
+
+    def affine_form(self):
+        return 1, 0
 
 
 @dataclass(frozen=True)
@@ -198,6 +213,9 @@ class Affine(CountFn):
 
     def _eval(self, n, state):
         return self.slope * n + self.offset
+
+    def affine_form(self):
+        return self.slope, self.offset
 
 
 @dataclass(frozen=True)
@@ -304,6 +322,32 @@ def evaluate(f: CountFn, n: int, budget: Optional[Budget] = None) -> BoundValue:
         return BoundValue.exact(f(n, state))
     except BudgetExceededError as exc:
         return BoundValue.exceeded(exc.stage)
+
+
+def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
+    """Yield f(0), f(1), ... as evaluate(f, n, budget) gives them, each
+    value under a fresh budget.
+
+    Where that per-n loop first returns a marker, the generator raises
+    BudgetExceededError with the marker's stage and ends.  Functions with
+    an affine form yield in O(1) per value; every other CountFn runs the
+    literal loop one value per request, so a consumer that stops early
+    evaluates nothing further.
+    """
+    if budget is None:
+        budget = Budget.default()
+    form = f.affine_form()
+    if form is None:
+        for n in itertools.count():
+            yield f(n, EvalState(budget))
+    slope, offset = form
+    cap = 1 << budget.magnitude_bits
+    # one tick per call, then the magnitude check of the value
+    if budget.max_calls >= 1 and offset <= cap:
+        if slope == 0:
+            yield from itertools.repeat(offset)
+        yield from range(offset, cap + 1, slope)
+    raise BudgetExceededError(_TOP_STAGE)
 
 
 def majorize(f: CountFn) -> CountFn:

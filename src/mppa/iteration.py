@@ -12,11 +12,11 @@ the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
-from .countfn import Budget, BudgetExceededError, CountFn, evaluate
+from .countfn import Budget, CountFn, evaluate_each
 from .operators import ResolventOperator, as_point, row_dot, row_norm
 
 # Floating-point slack for the diagnostic inequalities; the recurrence is
@@ -170,13 +170,10 @@ def empirical_metastability(z: np.ndarray, k: int, f: CountFn,
         raise ValueError("expected an iterate array of shape (count, dim)")
     tau = 1.0 / (k + 1)
     last = z.shape[0] - 1
-    for n in range(last + 1):
-        fv = evaluate(f, n, budget)
-        if not fv.is_exact:
-            raise BudgetExceededError(fv.stage)
-        if n + fv.value > last:
+    for n, fv in zip(range(last + 1), evaluate_each(f, budget)):
+        if n + fv > last:
             continue
-        if _window_diameter(z, n, n + fv.value, tau):
+        if _window_diameter(z, n, n + fv, tau):
             return n
     return None
 
@@ -189,13 +186,10 @@ def empirical_window_index(values: np.ndarray, k: int, f: CountFn,
         raise ValueError("expected a scalar sequence")
     tau = 1.0 / (k + 1)
     last = values.shape[0] - 1
-    for n in range(last + 1):
-        fv = evaluate(f, n, budget)
-        if not fv.is_exact:
-            raise BudgetExceededError(fv.stage)
-        if n + fv.value > last:
+    for n, fv in zip(range(last + 1), evaluate_each(f, budget)):
+        if n + fv > last:
             continue
-        if float(np.max(values[n:n + fv.value + 1])) <= tau:
+        if float(np.max(values[n:n + fv + 1])) <= tau:
             return n
     return None
 
@@ -314,27 +308,40 @@ def gap_decrease_check(trace: Trace, nu_values: dict) -> list:
 # --- trace serialization --------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_TRACE_HEADER = "n,znorm_dist_s,dz,res_Jn,res_J,dist_target\n"
+
+# Rows per %-format in write_trace_csv.
+_TRACE_BLOCK = 1024
 
 
-def trace_csv_lines(trace: Trace) -> list:
-    """Rows n,znorm_dist_s,dz,res_Jn,res_J,dist_target with full precision;
-    dz is empty on the final row, distance columns empty when undefined."""
-    dist_s = trace.dist_s
-    dist_t = trace.dist_target
-    dz = trace.dz
-    res_n = trace.res_jn
-    res_f = trace.res_j
-    lines = ["n,znorm_dist_s,dz,res_Jn,res_J,dist_target"]
-    for n in range(trace.horizon + 1):
-        cols = [
-            str(n),
-            _fmt(dist_s[n]) if dist_s is not None else "",
-            _fmt(dz[n]) if n < trace.horizon else "",
-            _fmt(res_n[n]),
-            _fmt(res_f[n]),
-            _fmt(dist_t[n]) if dist_t is not None else "",
-        ]
-        lines.append(",".join(cols))
-    return lines
+def write_trace_csv(trace: Trace, fh: TextIO) -> None:
+    """Write rows n,znorm_dist_s,dz,res_Jn,res_J,dist_target to fh, reals
+    with 17 significant digits; dz is empty on the final row, distance
+    columns empty when undefined.
+
+    Rows go out in blocks of _TRACE_BLOCK, one %-format per block;
+    '%.17g' % x is format(x, ".17g") for every double, so the bytes do
+    not depend on the block size.
+    """
+    h = trace.horizon
+    body = [trace.dist_s, trace.dz, trace.res_jn, trace.res_j,
+            trace.dist_target]
+    final = body[:1] + [None] + body[2:]    # no dz on the final row
+
+    def row_format(cols: list) -> str:
+        specs = ["" if c is None else "%.17g" for c in cols]
+        return ",".join(["%d"] + specs) + "\n"
+
+    fh.write(_TRACE_HEADER)
+    row = row_format(body)
+    given = [c for c in body if c is not None]
+    width = 1 + len(given)
+    for lo in range(0, h, _TRACE_BLOCK):
+        hi = min(lo + _TRACE_BLOCK, h)
+        flat = [None] * ((hi - lo) * width)
+        flat[0::width] = range(lo, hi)
+        for j, c in enumerate(given, start=1):
+            flat[j::width] = c[lo:hi].tolist()
+        fh.write(row * (hi - lo) % tuple(flat))
+    values = [h] + [float(c[h]) for c in final if c is not None]
+    fh.write(row_format(final) % tuple(values))

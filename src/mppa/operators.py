@@ -219,6 +219,8 @@ class LinearPSD(ResolventOperator):
         if eigs.min() < -1e-9:
             raise ValueError("matrix must be positive semidefinite")
         self.matrix = mat
+        # the last (c, I + cA) built by _resolve, so a constant c builds once
+        self._system = (None, None)
         if zero_set_witness is None:
             zero_set_witness = np.zeros(mat.shape[0])
         else:
@@ -228,7 +230,10 @@ class LinearPSD(ResolventOperator):
         super().__init__(mat.shape[0], zero_set_witness)
 
     def _resolve(self, c, x):
-        system = np.eye(self.dim) + c * self.matrix
+        last_c, system = self._system
+        if c != last_c:
+            system = np.eye(self.dim) + c * self.matrix
+            self._system = (c, system)
         return np.linalg.solve(system, x)
 
     def _resolve_rows(self, cs, xs):

@@ -13,16 +13,21 @@ phrased in.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .countfn import (Affine, BoundValue, Budget, Closure, Composed, CountFn,
-                      evaluate)
+from .countfn import (Affine, BoundValue, Budget, BudgetExceededError,
+                      Closure, Composed, CountFn, evaluate, evaluate_each)
 from .operators import as_point, norm
 
 SLACK = 1e-9
+
+# Integers at least this large exceed every finite float.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,25 @@ class ModuliReport:
         return not self.violations
 
 
-def _rate_values(fn: CountFn, k_cap: int, budget: Optional[Budget]) -> list:
+def _rate_values(fn: CountFn, count: int, budget: Optional[Budget]) -> list:
+    """fn(0), ..., fn(count - 1), cut before the first budget marker."""
     vals = []
-    for k in range(k_cap + 1):
-        bv = evaluate(fn, k, budget)
-        if not bv.is_exact:
-            break
-        vals.append(bv.value)
+    try:
+        for v in islice(evaluate_each(fn, budget), count):
+            vals.append(v)
+    except BudgetExceededError:
+        pass
     return vals
+
+
+def _as_floats(values: list) -> np.ndarray:
+    """The integers as floats, each rounded as float(v) rounds it; those
+    past the float range become the largest float, which still majorizes
+    every finite float."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array([min(v, _FLOAT_MAX) for v in values], dtype=float)
 
 
 def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
@@ -241,14 +257,14 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
     enorms = (np.linalg.norm(errs, axis=1) if errs.size else np.zeros(0))
     ecumsum = np.cumsum(enorms)
 
-    for k, lk in enumerate(_rate_values(moduli.ell, k_cap, budget)):
+    for k, lk in enumerate(_rate_values(moduli.ell, k_cap + 1, budget)):
         if lk <= horizon and lam_sufmax[lk] > 1.0 / (k + 1) + SLACK:
             n = lk + int(np.argmax(lam[lk:] > 1.0 / (k + 1) + SLACK))
             violations.append(
                 f"lambda rate fails at k={k}: lambda_{n}={lam[n]!r} > 1/{k + 1}")
             break
 
-    for k, Lk in enumerate(_rate_values(moduli.Ldiv, k_cap, budget)):
+    for k, Lk in enumerate(_rate_values(moduli.Ldiv, k_cap + 1, budget)):
         if Lk > horizon:
             break
         total = float(lam_cumsum[Lk] - lam_cumsum[0]) if Lk >= 1 else 0.0
@@ -271,23 +287,21 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
         violations.append(f"c_n below 1/{moduli.c} at n={n}: {cs[n]!r}")
 
     c_runmax = np.maximum.accumulate(cs)
-    for n in range(horizon + 1):
-        bv = evaluate(moduli.Cmaj, n, budget)
-        if not bv.is_exact:
-            break
-        if bv.value + SLACK < float(c_runmax[n]):
-            violations.append(
-                f"Cmaj fails at n={n}: {bv.value} < running max {c_runmax[n]!r}")
-            break
+    cmaj = _rate_values(moduli.Cmaj, horizon + 1, budget)
+    bad = np.nonzero(_as_floats(cmaj) + SLACK < c_runmax[:len(cmaj)])[0]
+    if bad.size:
+        n = int(bad[0])
+        violations.append(
+            f"Cmaj fails at n={n}: {cmaj[n]} < running max {c_runmax[n]!r}")
 
-    for k, gk in enumerate(_rate_values(moduli.Gamma, k_cap, budget)):
+    for k, gk in enumerate(_rate_values(moduli.Gamma, k_cap + 1, budget)):
         if gk < cdiff_sufmax.size and cdiff_sufmax[gk] > 1.0 / (k + 1) + SLACK:
             violations.append(
                 f"c-step rate fails at k={k}: |c_(n+1) - c_n| exceeds 1/{k + 1} "
                 f"at some n >= {gk}")
             break
 
-    for k, ek in enumerate(_rate_values(moduli.E, k_cap, budget)):
+    for k, ek in enumerate(_rate_values(moduli.E, k_cap + 1, budget)):
         if ek >= ecumsum.size:
             break
         tail = float(ecumsum[-1] - ecumsum[ek])

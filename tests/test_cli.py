@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, CSV schemas, determinism."""
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,48 @@ def test_run_far_start_fails_checks(tmp_path, capsys, config_a_text):
     status = {row.split(",", 1)[0]: row.rsplit(",", 1)[1] for row in rows}
     assert status["anchors"] == "FAIL"
     assert status["boundedness"] == "FAIL"
+
+
+# sha256 of the four CSVs `mppa run` writes on the shipped configs, as the
+# first release wrote them.  Any change to these bytes is a contract change.
+GOLDEN = {
+    "experiment_a": {
+        "asymptotic.csv": "ab857a9add4ac83b74733de91648dd6e92caa57c9f66dd6002255796e2a38a62",
+        "checks.csv": "6308f308b9060d6a0589f0bb2f4391dfdabca279288e977076d299db6c3ec83f",
+        "metastability.csv": "540a75e25c751e0b55a99de68be6cc5ef371b8faa368c422cf3cc128bf6f42dc",
+        "trace.csv": "22f761d3480a107410e1e4db5e4bfa0e44ab5a74bb46a23f557b1e4cfc9ba2e8",
+    },
+    "experiment_b": {
+        "asymptotic.csv": "8f59a04d9fb2b5ec9ac398fa7f057f729bfe5f3936afa24ce8a6d8d397ca2714",
+        "checks.csv": "ac6f47cd4cfa222914f97085d94e7bc013e4e6143c9747d88d7f85139bd8bae7",
+        "metastability.csv": "9fbeab17bc9baf4a549c85e9171dae64ee191eced46ce6eb4f47138d101fc861",
+        "trace.csv": "068e2a77cc40fba81698c5704987c1c47bfc1a4fc44133119c74c14af4a70079",
+    },
+}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_writes_golden_bytes(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
+    got = {csv: hashlib.sha256((out / csv).read_bytes()).hexdigest()
+           for csv in GOLDEN[name]}
+    assert got == GOLDEN[name]
+
+
+def test_run_with_cmaj_past_float_range(tmp_path, config_a_text):
+    # ceil(e**n) passes the largest float at n = 710; such a Cmaj
+    # majorizes every c_n just as const 1 does on this schedule
+    text = config_a_text.replace("horizon = 10000", "horizon = 800")
+    for spec in ("expceil 1", "const 1"):
+        cfg = write_cfg(tmp_path, text.replace("Cmaj = const 1",
+                                               f"Cmaj = {spec}"))
+        assert main(["run", str(cfg), "--out",
+                     str(tmp_path / spec.replace(" ", "_"))]) == 0
+    for csv in ("trace.csv", "checks.csv"):
+        assert (tmp_path / "expceil_1" / csv).read_bytes() \
+            == (tmp_path / "const_1" / csv).read_bytes()
 
 
 def test_run_rejects_broken_moduli(tmp_path, capsys, config_a_text):

@@ -1,5 +1,6 @@
 """Counting-function nodes, budgets and the exact exponential comparisons."""
 
+import itertools
 import math
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
                           DEFAULT_MAX_CALLS, Affine, BoundValue, Budget,
-                          BudgetExceededError, Composed, Const, CountFn,
-                          EvalState, ExpCeil, Identity, Max, Table, ceil_ln,
-                          evaluate, iterate, majorize, strongly_majorizes)
+                          BudgetExceededError, Closure, Composed, Const,
+                          CountFn, EvalState, ExpCeil, Identity, Max, Table,
+                          ceil_ln, evaluate, evaluate_each, iterate, majorize,
+                          strongly_majorizes)
 
 
 def val(f: CountFn, n: int, budget=None) -> int:
@@ -271,3 +273,122 @@ def test_every_node_is_monotone(f, n):
 @settings(max_examples=100, deadline=None)
 def test_evaluation_is_reproducible(f, n):
     assert evaluate(f, n) == evaluate(f, n)
+
+
+# --- bulk evaluation ---------------------------------------------------------
+
+
+def per_n_prefix(f: CountFn, budget, count: int) -> tuple:
+    """The per-n evaluate loop over n < count, cut at its first marker:
+    (values, marker stage or None)."""
+    vals = []
+    for n in range(count):
+        bv = evaluate(f, n, budget)
+        if not bv.is_exact:
+            return vals, bv.stage
+        vals.append(bv.value)
+    return vals, None
+
+
+def bulk_prefix(f: CountFn, budget, count: int) -> tuple:
+    vals = []
+    try:
+        for v in itertools.islice(evaluate_each(f, budget), count):
+            vals.append(v)
+    except BudgetExceededError as exc:
+        return vals, exc.stage
+    return vals, None
+
+
+def staged(inner: CountFn) -> CountFn:
+    """A Closure that names its own stage, as the bound formulas do."""
+
+    def fn(n, state):
+        prev = state.stage
+        state.stage = "probe"
+        try:
+            return 2 * inner(n, state) + 1
+        finally:
+            state.stage = prev
+
+    return Closure(name="probe", fn=fn)
+
+
+KINDS = ("const", "identity", "affine", "table", "expceil", "max",
+         "composed", "closure")
+
+
+@st.composite
+def count_fns(draw, depth=2):
+    """Every CountFn kind, with sizes that reach a 2**8..2**16 cap."""
+    kinds = KINDS if depth else KINDS[:5]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return Const(draw(st.integers(0, 2 ** 17)))
+    if kind == "identity":
+        return Identity()
+    if kind == "affine":
+        return Affine(draw(st.integers(0, 2 ** 12)),
+                      draw(st.integers(0, 2 ** 17)))
+    if kind == "table":
+        return Table(tuple(draw(st.lists(st.integers(0, 2 ** 17),
+                                         min_size=1, max_size=40))))
+    if kind == "expceil":
+        return ExpCeil(draw(st.integers(1, 50)))
+    sub = count_fns(depth - 1)
+    if kind == "max":
+        return Max(tuple(draw(st.lists(sub, min_size=1, max_size=3))))
+    if kind == "composed":
+        return Composed(draw(sub), draw(sub))
+    return staged(draw(sub))
+
+
+budgets = st.one_of(
+    st.none(),
+    st.builds(Budget, st.integers(8, 16),
+              st.sampled_from((0, 1, DEFAULT_MAX_CALLS))))
+
+
+@given(count_fns(), budgets)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_each_matches_per_n_loop(f, budget):
+    assert bulk_prefix(f, budget, 300) == per_n_prefix(f, budget, 300)
+
+
+@pytest.mark.parametrize("f,budget,stage_at", [
+    (Const(256), Budget(8), None),
+    (Const(257), Budget(8), 0),
+    (Identity(), Budget(8), 257),
+    (Affine(3, 10), Budget(8), 83),
+    (Affine(0, 5), Budget(8, max_calls=0), 0),
+    (Table((1, 300)), Budget(8), 1),
+    (staged(Identity()), Budget(8, max_calls=1), 0),
+])
+def test_evaluate_each_ends_at_the_first_marker(f, budget, stage_at):
+    vals, stage = bulk_prefix(f, budget, 300)
+    assert (vals, stage) == per_n_prefix(f, budget, 300)
+    if stage_at is None:
+        assert stage is None and len(vals) == 300
+    else:
+        assert len(vals) == stage_at and stage is not None
+
+
+def test_affine_forms():
+    assert Const(4).affine_form() == (0, 4)
+    assert Identity().affine_form() == (1, 0)
+    assert Affine(3, 2).affine_form() == (3, 2)
+    for f in (Table((1, 2)), Max((Const(1),)), ExpCeil(1),
+              Composed(Identity(), Identity()), staged(Const(0))):
+        assert f.affine_form() is None
+
+
+def test_evaluate_each_is_lazy():
+    seen = []
+
+    def fn(n, state):
+        seen.append(n)
+        return n
+
+    values = evaluate_each(Closure(name="spy", fn=fn))
+    assert list(itertools.islice(values, 3)) == [0, 1, 2]
+    assert seen == [0, 1, 2]

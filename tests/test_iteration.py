@@ -1,6 +1,7 @@
 """Running traces, the empirical searches and the diagnostic inequalities."""
 
 import dataclasses
+import io
 import warnings
 
 import numpy as np
@@ -9,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mppa.countfn import Budget, BudgetExceededError, Const, Identity
-from mppa.iteration import (DIAG_TOL, Trace, asymptotic_residuals,
-                            boundedness_check, empirical_metastability,
-                            empirical_window_index, gap_decrease_check,
-                            recurrence_check, resolvent_drift_check, run,
-                            stabilization_index, trace_csv_lines,
-                            wbound_check)
+from mppa.config import parse_fspec
+from mppa.countfn import (Affine, Budget, BudgetExceededError, Closure, Const,
+                          Identity, Table, evaluate)
+from mppa.iteration import (_TRACE_BLOCK, DIAG_TOL, Trace, _window_diameter,
+                            asymptotic_residuals, boundedness_check,
+                            empirical_metastability, empirical_window_index,
+                            gap_decrease_check, recurrence_check,
+                            resolvent_drift_check, run, stabilization_index,
+                            wbound_check, write_trace_csv)
 from mppa.operators import (BallProjection, BoxProjection, LinearPSD,
                             QuadraticProx, Rotation2D)
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq,
@@ -124,6 +127,16 @@ def test_residual_curves():
     assert curves["res_Jn"][100] < curves["res_Jn"][0]
 
 
+def trace_csv_text(trace: Trace) -> str:
+    fh = io.StringIO()
+    write_trace_csv(trace, fh)
+    return fh.getvalue()
+
+
+def trace_csv_lines(trace: Trace) -> list:
+    return trace_csv_text(trace).splitlines()
+
+
 def test_horizon_zero():
     trace = quadratic_trace(0)
     assert trace.z.shape == (1, 2)
@@ -149,6 +162,74 @@ def test_trace_csv_format():
                      c=ConstantSeq(1.0), error=ZeroError(dim=1))
     bare = run(op, sched, u=(1.0,), z0=(0.0,), horizon=1)
     assert trace_csv_lines(bare)[1].split(",")[5] == ""  # no target column
+
+
+# The per-row formatter trace.csv was first written with; write_trace_csv
+# must reproduce its bytes.
+
+
+def trace_csv_ref(trace: Trace) -> str:
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    dist_s = trace.dist_s
+    dist_t = trace.dist_target
+    dz = trace.dz
+    res_n = trace.res_jn
+    res_f = trace.res_j
+    lines = ["n,znorm_dist_s,dz,res_Jn,res_J,dist_target"]
+    for n in range(trace.horizon + 1):
+        cols = [
+            str(n),
+            fmt(dist_s[n]) if dist_s is not None else "",
+            fmt(dz[n]) if n < trace.horizon else "",
+            fmt(res_n[n]),
+            fmt(res_f[n]),
+            fmt(dist_t[n]) if dist_t is not None else "",
+        ]
+        lines.append(",".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+def run_config(cfg) -> Trace:
+    return run(cfg.problem.build(), cfg.iteration.build(), cfg.iteration.u,
+               cfg.iteration.z0, cfg.run.horizon, c=cfg.moduli.c,
+               s=cfg.problem.s, target=cfg.problem.target)
+
+
+@pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
+def test_write_trace_csv_matches_row_formatter_on_shipped_configs(name,
+                                                                  request):
+    trace = run_config(request.getfixturevalue(name))
+    assert trace_csv_text(trace) == trace_csv_ref(trace)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, _TRACE_BLOCK - 1, _TRACE_BLOCK,
+                                     _TRACE_BLOCK + 1, 2 * _TRACE_BLOCK + 1])
+@pytest.mark.parametrize("drop", [(), ("s",), ("target",), ("s", "target")])
+def test_write_trace_csv_matches_row_formatter(horizon, drop):
+    trace = dataclasses.replace(quadratic_trace(horizon),
+                                **{name: None for name in drop})
+    assert trace_csv_text(trace) == trace_csv_ref(trace)
+
+
+def test_write_trace_csv_special_values():
+    trace = quadratic_trace(6)
+    z = trace.z.copy()
+    z[2] = (np.inf, 0.0)
+    z[3] = (np.nan, 1.0)
+    z[4] = (-1e308, 1e308)
+    trace = dataclasses.replace(trace, z=z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        text = trace_csv_text(trace)
+        assert text == trace_csv_ref(trace)
+    assert "inf" in text and "nan" in text
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@settings(max_examples=500)
+def test_percent_format_is_format_17g(x):
+    assert "%.17g" % x == format(x, ".17g")
 
 
 # --- empirical searches ---------------------------------------------------------
@@ -200,6 +281,112 @@ def test_searches_propagate_budget():
         empirical_metastability(z, 0, Const(0), Budget(max_calls=0))
     with pytest.raises(BudgetExceededError):
         empirical_window_index(z[:, 0], 0, Const(0), Budget(max_calls=0))
+
+
+# The per-n loops the two searches were first written as, one fresh
+# evaluate per candidate.  The searches must agree with them, index and
+# marker stage alike.
+
+
+def metastability_ref(z, k, f, budget=None):
+    tau = 1.0 / (k + 1)
+    last = z.shape[0] - 1
+    for n in range(last + 1):
+        fv = evaluate(f, n, budget)
+        if not fv.is_exact:
+            raise BudgetExceededError(fv.stage)
+        if n + fv.value > last:
+            continue
+        if _window_diameter(z, n, n + fv.value, tau):
+            return n
+    return None
+
+
+def window_index_ref(values, k, f, budget=None):
+    tau = 1.0 / (k + 1)
+    last = values.shape[0] - 1
+    for n in range(last + 1):
+        fv = evaluate(f, n, budget)
+        if not fv.is_exact:
+            raise BudgetExceededError(fv.stage)
+        if n + fv.value > last:
+            continue
+        if float(np.max(values[n:n + fv.value + 1])) <= tau:
+            return n
+    return None
+
+
+def outcome(search, *args):
+    try:
+        return "index", search(*args)
+    except BudgetExceededError as exc:
+        return "marker", exc.stage
+
+
+def assert_searches_match(values, k, f, budget):
+    z = col(values)
+    got = outcome(empirical_metastability, z, k, f, budget)
+    assert got == outcome(metastability_ref, z, k, f, budget)
+    got_w = outcome(empirical_window_index, values, k, f, budget)
+    assert got_w == outcome(window_index_ref, values, k, f, budget)
+    return got_w
+
+
+@pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
+def test_searches_match_per_n_loops_on_shipped_configs(name, request):
+    cfg = request.getfixturevalue(name)
+    trace = run_config(cfg)
+    curves = asymptotic_residuals(trace)
+    budget = cfg.budget()
+    for k in cfg.run.ks:
+        for spec in cfg.run.fspecs:
+            f = parse_fspec(spec)
+            assert outcome(empirical_metastability, trace.z, k, f, budget) \
+                == outcome(metastability_ref, trace.z, k, f, budget)
+            for values in curves.values():
+                assert outcome(empirical_window_index, values, k, f, budget) \
+                    == outcome(window_index_ref, values, k, f, budget)
+
+
+def staged_square():
+    def fn(n, state):
+        prev = state.stage
+        state.stage = "square"
+        try:
+            return state.check(n * n)
+        finally:
+            state.stage = prev
+
+    return Closure(name="square", fn=fn)
+
+
+# Affine(64, 0) under a 2**8 cap has its first marker at n = 5.
+@pytest.mark.parametrize("values,want", [
+    ([1.0] * 20, ("marker", "eval")),               # marker before a witness
+    ([0.0] + [1.0] * 19, ("index", 0)),             # witness before the marker
+    ([1.0] * 5, ("index", None)),                   # marker past the horizon
+])
+def test_searches_stop_at_marker_or_witness(values, want):
+    got = assert_searches_match(np.array(values), 1, Affine(64, 0), Budget(8))
+    assert got == want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_searches_match_per_n_loops_on_drawn_cases(data):
+    values = data.draw(arrays(float, st.integers(1, 40),
+                              elements=st.floats(0.0, 2.0)))
+    f = data.draw(st.one_of(
+        st.builds(Const, st.integers(0, 300)),
+        st.just(Identity()),
+        st.builds(Affine, st.integers(0, 80), st.integers(0, 300)),
+        st.builds(lambda vs: Table(tuple(vs)),
+                  st.lists(st.integers(0, 300), min_size=1, max_size=10)),
+        st.just(staged_square()),
+    ))
+    budget = data.draw(st.builds(Budget, st.integers(8, 10),
+                                 st.sampled_from((0, 1, 10 ** 7))))
+    assert_searches_match(values, data.draw(st.integers(0, 3)), f, budget)
 
 
 def test_stabilization_index():

@@ -1,5 +1,7 @@
 """Schedules, moduli, derived constants and the rate validators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,47 @@ def test_validate_moduli_catches_cmaj_and_floor():
     sched = make_schedule(c=ConstantSeq(0.25))       # below 1/c = 1
     report = validate_moduli(sched, MODULI_A, horizon=100, k_cap=4)
     assert any("c_n below" in v for v in report.violations)
+
+
+@dataclasses.dataclass(frozen=True)
+class Listed:
+    """A parameter family given by its first values."""
+
+    vals: tuple
+
+    def at(self, n):
+        return self.vals[n]
+
+    def values(self, count):
+        return np.array(self.vals[:count], dtype=float)
+
+
+def test_validate_moduli_names_first_cmaj_failure():
+    # Cmaj(n) = n + 1 falls below the running max of c_n at n = 4 and n = 6
+    sched = make_schedule(c=Listed((1.0, 1.0, 2.0, 2.0, 6.0, 1.0, 9.0)))
+    moduli = dataclasses.replace(MODULI_A, Cmaj=Affine(1, 1), c=2)
+    report = validate_moduli(sched, moduli, horizon=6, k_cap=0)
+    cmaj = [v for v in report.violations if v.startswith("Cmaj")]
+    assert len(cmaj) == 1
+    assert cmaj[0].startswith("Cmaj fails at n=4: 5 < running max ")
+
+
+def test_validate_moduli_cmaj_check_stops_at_marker():
+    sched = make_schedule(c=ConstantSeq(3.0))
+    report = validate_moduli(sched, MODULI_A, horizon=100, k_cap=4,
+                             budget=Budget(max_calls=0))
+    assert not any("Cmaj" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("cmaj", [ExpCeil(1), Const(2 ** 2000)])
+def test_validate_moduli_cmaj_past_float_range(cmaj):
+    # e**710 and 2**2000 lie past the largest float; they still majorize c_n
+    moduli = dataclasses.replace(MODULI_A, Cmaj=cmaj)
+    report = validate_moduli(make_schedule(), moduli, horizon=800, k_cap=4)
+    assert report.ok, report.violations
+    report = validate_moduli(make_schedule(c=Listed((1.0, np.inf))), moduli,
+                             horizon=1, k_cap=0)
+    assert any("Cmaj fails at n=1" in v for v in report.violations)
 
 
 def test_validate_moduli_catches_error_tail():
