@@ -11,6 +11,7 @@ the operator.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -114,22 +115,29 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
         raise ValueError(f"invalid schedule at n={int(np.argmax(bad))}")
 
     # The inputs were checked above, so the loop calls the unchecked
-    # resolvent.  A diverging iterate is caught once, after the loop, and
-    # its overflow on the way raises no numpy warning.
-    zs = np.empty((horizon + 1, op.dim))
-    jn = np.empty_like(zs)
-    zs[0] = z0
-    anchor = lam[:horizon, None] * u
-    gam_n, delta_n, c_n = gam.tolist(), delta.tolist(), cs.tolist()
-    resolve = op._resolve
-    z = z0
+    # resolvent.  It steps on Python floats, which round each operation as
+    # numpy does, in the order lam_n u + gam_n z_n + delta_n J(z_n) + e_n.
+    # A diverging iterate is caught once, after the loop, and its overflow
+    # on the way raises no numpy warning.
+    resolve = op._resolve_floats
+    u_l = u.tolist()
+    e_n = iter(errs.ravel().tolist())
+    z = z0.tolist()
+    zbuf, jbuf = array("d", z), array("d")
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(horizon):
-            jz = resolve(c_n[n], z)
-            jn[n] = jz
-            z = anchor[n] + gam_n[n] * z + delta_n[n] * jz + errs[n]
-            zs[n + 1] = z
-        jn[horizon] = resolve(c_n[horizon], z)
+        for lam_n, gam_n, delta_n, c_n in zip(lam.tolist(), gam.tolist(),
+                                              delta.tolist(),
+                                              cs[:horizon].tolist()):
+            jz = resolve(c_n, z)
+            jbuf.extend(jz)
+            # zip stops on u_l before it draws from e_n, so each step takes
+            # exactly dim errors
+            z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
+                 for ui, zi, ji, ei in zip(u_l, z, jz, e_n)]
+            zbuf.extend(z)
+        jbuf.extend(resolve(float(cs[horizon]), z))
+    zs = np.frombuffer(zbuf).reshape(horizon + 1, op.dim)
+    jn = np.frombuffer(jbuf).reshape(horizon + 1, op.dim)
     if not np.isfinite(zs).all():
         raise ValueError("point has non-finite coordinates")
     jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)

@@ -5,9 +5,9 @@ Every operator here answers resolvent queries J_c = (I + cT)^(-1) exactly
 zero of T so traces can be measured against the solution set.
 
 `resolvent` is the checked entry point for one point.  Callers that have
-already validated their inputs use the unchecked `_resolve(c, x)` and its
-row-batched form `_resolve_rows(cs, xs)`, whose row i equals
-`_resolve(cs[i], xs[i])` bit for bit.
+already validated their inputs use the unchecked `_resolve(c, x)`, its form
+on a list of Python floats `_resolve_floats(c, x)`, and its row-batched form
+`_resolve_rows(cs, xs)`; all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,8 +57,14 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     as np.dot, so entry i equals np.dot(x[i], y[i]) bit for bit;
     np.linalg.norm(axis=1), einsum and (x * y).sum(1) sum in other orders.
     In one dimension np.dot returns the bare product, whose zero may be
-    negative, where the stacked sum starts from +0.
+    negative, where the stacked sum starts from +0.  BLAS sums a row whose
+    coordinates lie a stride apart in yet another order, so such rows are
+    copied contiguous first, as np.linalg.norm copies its vector.
     """
+    if x.strides[1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    if y.strides[1] != y.itemsize:
+        y = np.ascontiguousarray(y)
     if x.shape[1] == 1:
         return x[:, 0] * y[:, 0]
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
@@ -72,7 +78,10 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 class ResolventOperator:
     """Base class: a maximal monotone operator presented through resolvents.
 
-    Subclasses implement _resolve(c, x) for c > 0, its row-batched form
+    Subclasses state the single-point resolvent for c > 0 once, either as
+    _resolve(c, x) on an array or, when it is a per-coordinate closed form,
+    as _resolve_floats(c, x) on a list of Python floats; the base class
+    derives the other one.  They also implement the row-batched form
     _resolve_rows(cs, xs) for a (rows,) parameter array and a (rows, dim)
     point array, and come with a zero_set_witness, a known point s with
     0 in T(s).
@@ -101,7 +110,12 @@ class ResolventOperator:
         return self._resolve(float(c), x)
 
     def _resolve(self, c: float, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.array(self._resolve_floats(c, x.tolist()), dtype=float)
+
+    def _resolve_floats(self, c: float, x: list) -> list:
+        """J_c(x) for a list of floats; Python float arithmetic rounds each
+        operation as numpy does, so it equals _resolve bit for bit."""
+        return self._resolve(c, np.array(x, dtype=float)).tolist()
 
     def _resolve_rows(self, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -123,13 +137,15 @@ class QuadraticProx(ResolventOperator):
             raise ValueError("weight must be positive")
         self.center = as_point(center)
         self.weight = float(weight)
+        self._center = self.center.tolist()
         if zero_set_witness is None:
             zero_set_witness = self.center
         super().__init__(self.center.size, zero_set_witness)
 
-    def _resolve(self, c, x):
+    def _resolve_floats(self, c, x):
         cw = c * self.weight
-        return (x + cw * self.center) / (1.0 + cw)
+        den = 1.0 + cw
+        return [(xi + cw * mi) / den for xi, mi in zip(x, self._center)]
 
     def _resolve_rows(self, cs, xs):
         cw = (cs * self.weight)[:, None]
@@ -184,15 +200,25 @@ class BoxProjection(ResolventOperator):
             raise ValueError("box corners must have equal dimension")
         if np.any(self.lo > self.hi):
             raise ValueError("box is empty")
+        self._lo, self._hi = self.lo.tolist(), self.hi.tolist()
         if zero_set_witness is None:
             zero_set_witness = (self.lo + self.hi) / 2.0
         super().__init__(self.lo.size, zero_set_witness)
 
-    def _resolve(self, c, x):
-        return np.clip(x, self.lo, self.hi)
+    def _resolve_floats(self, c, x):
+        # np.clip's rule, not min/max: NaN passes through, and a tie with a
+        # face takes the face, so -0.0 clips to a +0.0 face as +0.0 where
+        # max(-0.0, 0.0) is -0.0
+        m = [xi if (xi != xi or xi > lo) else lo
+             for xi, lo in zip(x, self._lo)]
+        return [mi if (mi != mi or mi < hi) else hi
+                for mi, hi in zip(m, self._hi)]
 
     def _resolve_rows(self, cs, xs):
-        return np.clip(xs, self.lo, self.hi)
+        # the same rule spelled out: numpy 2's np.clip keeps x on a tie in
+        # its broadcasting loop, and takes the face in its 1-d loop
+        m = np.where((xs != xs) | (xs > self.lo), xs, self.lo)
+        return np.where((m != m) | (m < self.hi), m, self.hi)
 
     def describe(self):
         return f"{self.kind}(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -264,9 +290,10 @@ class Rotation2D(ResolventOperator):
     def __init__(self):
         super().__init__(2, np.zeros(2))
 
-    def _resolve(self, c, x):
+    def _resolve_floats(self, c, x):
+        x0, x1 = x
         det = 1.0 + c * c
-        return np.array([(x[0] + c * x[1]) / det, (x[1] - c * x[0]) / det])
+        return [(x0 + c * x1) / det, (x1 - c * x0) / det]
 
     def _resolve_rows(self, cs, xs):
         det = 1.0 + cs * cs

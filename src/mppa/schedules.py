@@ -140,7 +140,8 @@ def validate_schedule(schedule: Schedule, horizon: int) -> list:
         bad = np.nonzero((arr <= 0) | (arr >= 1))[0]
         if bad.size:
             n = int(bad[0])
-            problems.append(f"{name} out of (0, 1) at n={n}: {arr[n]!r}")
+            problems.append(
+                f"{name} out of (0, 1) at n={n}: {float(arr[n])!r}")
     bad = np.nonzero(cs <= 0)[0]
     if bad.size:
         problems.append(f"c not positive at n={int(bad[0])}")
@@ -261,7 +262,8 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
         if lk <= horizon and lam_sufmax[lk] > 1.0 / (k + 1) + SLACK:
             n = lk + int(np.argmax(lam[lk:] > 1.0 / (k + 1) + SLACK))
             violations.append(
-                f"lambda rate fails at k={k}: lambda_{n}={lam[n]!r} > 1/{k + 1}")
+                f"lambda rate fails at k={k}: "
+                f"lambda_{n}={float(lam[n])!r} > 1/{k + 1}")
             break
 
     for k, Lk in enumerate(_rate_values(moduli.Ldiv, k_cap + 1, budget)):
@@ -279,12 +281,14 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
     if bad.size:
         n = int(bad[0])
         violations.append(
-            f"gamma leaves [1/{moduli.a}, 1 - 1/{moduli.a}] at n={n}: {gam[n]!r}")
+            f"gamma leaves [1/{moduli.a}, 1 - 1/{moduli.a}] "
+            f"at n={n}: {float(gam[n])!r}")
 
     bad = np.nonzero(cs < 1.0 / moduli.c - SLACK)[0]
     if bad.size:
         n = int(bad[0])
-        violations.append(f"c_n below 1/{moduli.c} at n={n}: {cs[n]!r}")
+        violations.append(
+            f"c_n below 1/{moduli.c} at n={n}: {float(cs[n])!r}")
 
     c_runmax = np.maximum.accumulate(cs)
     cmaj = _rate_values(moduli.Cmaj, horizon + 1, budget)
@@ -292,7 +296,8 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
     if bad.size:
         n = int(bad[0])
         violations.append(
-            f"Cmaj fails at n={n}: {cmaj[n]} < running max {c_runmax[n]!r}")
+            f"Cmaj fails at n={n}: {cmaj[n]} "
+            f"< running max {float(c_runmax[n])!r}")
 
     for k, gk in enumerate(_rate_values(moduli.Gamma, k_cap + 1, budget)):
         if gk < cdiff_sufmax.size and cdiff_sufmax[gk] > 1.0 / (k + 1) + SLACK:

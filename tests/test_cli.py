@@ -117,8 +117,9 @@ def test_run_far_start_fails_checks(tmp_path, capsys, config_a_text):
     assert status["boundedness"] == "FAIL"
 
 
-# sha256 of the four CSVs `mppa run` writes on the shipped configs, as the
-# first release wrote them.  Any change to these bytes is a contract change.
+# sha256 of the four CSVs `mppa run` writes on the shipped configs and on
+# one generated config of each other operator kind, as the first release
+# wrote them.  Any change to these bytes is a contract change.
 GOLDEN = {
     "experiment_a": {
         "asymptotic.csv": "ab857a9add4ac83b74733de91648dd6e92caa57c9f66dd6002255796e2a38a62",
@@ -132,14 +133,136 @@ GOLDEN = {
         "metastability.csv": "9fbeab17bc9baf4a549c85e9171dae64ee191eced46ce6eb4f47138d101fc861",
         "trace.csv": "068e2a77cc40fba81698c5704987c1c47bfc1a4fc44133119c74c14af4a70079",
     },
+    "box_projection_0": {
+        "asymptotic.csv": "a123b5d969760a3fec3292e4e927eda6eb70c660137f1fa14a660c6c025a34d6",
+        "checks.csv": "11ca4cac79719e0794f38920136af591a5219515d3d294ce701e82534460598b",
+        "metastability.csv": "6d8b9a31757286dbd5dde7c8497885ffa6a60cd15da5ac939bee8d1e876c3011",
+        "trace.csv": "265bf731fe5791cb36bf4e20fff23789e91cf04e94406b554e5ef88c427001b4",
+    },
+    "linear_psd_0": {
+        "asymptotic.csv": "14075224522bb21a6bb2acbe7ae83043b558c4e4b858d51034fd351526b36542",
+        "checks.csv": "bbfbd0778a65b85c34fe1d94f5fae5c42047ead6b13988dfd76f09af44538bcd",
+        "metastability.csv": "0b424ecb106efd6c7ddf715d8be6c26f3f5e881846d09f4ff7374e951644b6d2",
+        "trace.csv": "526121a6e280c1ec8e6d173a776ac703674b6f5cfd62c011ef4fc52e30b197aa",
+    },
+    "rotation2d_0": {
+        "asymptotic.csv": "55081fbca56e1cb5e857acc350b51bed24d9e49c99809dc3e790ac1f08cb3a49",
+        "checks.csv": "3177b04854291f9cffea6aaa9f12c441a8df055f80909d96bbab038c090fa596",
+        "metastability.csv": "7e983972aafc8fe1fc6c674c0061c73c28f6e7dd4d47b24fed71825320af4e48",
+        "trace.csv": "c29d0f706c9626cbebfed8be479f101af3bf58577be9477050dc171024e2010a",
+    },
+}
+# The generated configs pinned above: box (dim 3), linear_psd (dim 8, a
+# two-dimensional kernel) and rotation2d, at horizon 5000.
+GENERATED = {
+    "box_projection_0": """\
+[problem]
+kind = box_projection
+lo = -0.373,-0.849,0.239
+hi = 0.054,-0.208,0.946
+s = -0.16,-0.528,0.593
+target = 0.054,-0.659,0.239
+
+[iteration]
+u = 0.111,-0.659,-0.419
+z0 = 1.886,1.66,-1.307
+lam = harmonic 4
+gamma = const 0.34
+c = const 1
+error = geometric 0.5 0.024,0.303,-0.526
+
+[moduli]
+a = 3
+c = 1
+Cmaj = const 1
+ell = id
+L = expceil 5
+Gamma = const 0
+E = affine 1 0
+N1 = 2
+N2 = 4
+N3 = 5
+
+[run]
+horizon = 5000
+ks = 0,1,2,3,4,5
+fs = const 0; const 10; id
+""",
+    "linear_psd_0": """\
+[problem]
+kind = linear_psd
+matrix = 0,0,0,0,0,0,0,0;0,25,6,4,8,-4,0,-2;0,6,16,10,1,4,0,4;0,4,10,19,8,1,0,1;0,8,1,8,9,-3,0,-2;0,-4,4,1,-3,9,0,-3;0,0,0,0,0,0,0,0;0,-2,4,1,-2,-3,0,12
+s = 0,0,0,0,0,0,0,0
+target = 1.635,0,0,0,0,0,-1.262,0
+
+[iteration]
+u = 1.635,0.899,-1.889,-1.72,-0.863,-0.627,-1.262,-0.172
+z0 = 0.342,-1.895,1.961,-1.757,-1.483,-0.369,1.104,0.746
+lam = harmonic 6
+gamma = const 0.5
+c = const 1
+error = geometric 0.25 0.515,0.08,0.08,0.174,-0.419,-0.552,-0.98,-0.012
+
+[moduli]
+a = 2
+c = 1
+Cmaj = const 1
+ell = id
+L = expceil 7
+Gamma = const 0
+E = affine 1 0
+N1 = 5
+N2 = 4
+N3 = 5
+
+[run]
+horizon = 5000
+ks = 0,1,2,3,4,5
+fs = const 0; const 10; id
+""",
+    "rotation2d_0": """\
+[problem]
+kind = rotation2d
+s = 0,0
+target = 0,0
+
+[iteration]
+u = -1.218,-1.148
+z0 = 1.684,0.271
+lam = harmonic 5
+gamma = const 0.66
+c = const 2
+error = zero
+
+[moduli]
+a = 3
+c = 1
+Cmaj = const 2
+ell = id
+L = expceil 6
+Gamma = const 0
+E = const 0
+N1 = 3
+N2 = 2
+N3 = 3
+
+[run]
+horizon = 5000
+ks = 0,1,2,3,4,5
+fs = const 0; const 10; id
+""",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_writes_golden_bytes(tmp_path, name):
+    if name in GENERATED:
+        cfg = write_cfg(tmp_path, GENERATED[name])
+    else:
+        cfg = CONFIGS / f"{name}.cfg"
     out = tmp_path / "out"
-    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
     got = {csv: hashlib.sha256((out / csv).read_bytes()).hexdigest()
            for csv in GOLDEN[name]}
     assert got == GOLDEN[name]

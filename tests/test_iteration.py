@@ -528,8 +528,10 @@ def test_diagnostics_match_scalar_forms_on_shipped_configs(name, request):
 
 
 @st.composite
-def traces(draw):
-    """Short runs of every operator kind under drawn schedules."""
+def run_args(draw):
+    """Arguments of short runs of every operator kind under drawn schedules:
+    constant, harmonic or arbitrary c_n, zero or geometric errors, and a
+    fixed parameter 1/c that c_n need not equal."""
     kind = draw(st.sampled_from(("quadratic_prox", "ball_projection",
                                  "box_projection", "linear_psd",
                                  "rotation2d")))
@@ -547,8 +549,16 @@ def traces(draw):
         op = LinearPSD(matrix=factor @ factor.T)
     else:
         op = Rotation2D()
-    c = (ConstantSeq(draw(st.floats(0.05, 20.0))) if draw(st.booleans())
-         else HarmonicSeq(shift=draw(st.floats(0.05, 4.0))))
+    horizon = draw(st.integers(0, 60))
+    c = draw(st.sampled_from(("constant", "harmonic", "listed")))
+    if c == "constant":
+        c = ConstantSeq(draw(st.floats(0.05, 20.0)))
+    elif c == "harmonic":
+        c = HarmonicSeq(shift=draw(st.floats(0.05, 4.0)))
+    else:
+        c = Listed(tuple(draw(st.lists(st.floats(0.05, 20.0),
+                                       min_size=horizon + 1,
+                                       max_size=horizon + 1))))
     if draw(st.booleans()):
         error = ZeroError(dim=dim)
     else:
@@ -557,9 +567,14 @@ def traces(draw):
     sched = Schedule(lam=HarmonicSeq(shift=draw(st.floats(2.0, 10.0))),
                      gamma=ConstantSeq(draw(st.floats(0.05, 0.45))),
                      c=c, error=error)
-    return run(op, sched, u=draw(point), z0=draw(point),
-               horizon=draw(st.integers(0, 60)),
-               c=draw(st.integers(1, 4)))
+    return (op, sched, draw(point), draw(point), horizon,
+            draw(st.integers(1, 4)))
+
+
+@st.composite
+def traces(draw):
+    op, sched, u, z0, horizon, c = draw(run_args())
+    return run(op, sched, u, z0, horizon, c=c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -574,3 +589,68 @@ def test_diagnostics_match_scalar_forms_on_drawn_traces(data):
     assert_diagnostics_match(trace, p, data.draw(st.integers(0, 10 ** 6)),
                              data.draw(st.integers(1, 4)),
                              data.draw(st.integers(0, 100)), nu_values)
+
+
+# --- the step loop against the numpy loop it replaced -------------------------
+
+
+def run_ref(op, schedule, u, z0, horizon, c):
+    """The numpy step loop `run` replaced: one small-array expression per
+    step, with resolvents from the numpy rows form, which does not go
+    through _resolve_floats.  Returns z, J_(c_n)(z_n) and J_(1/c)(z_n)."""
+    def resolve(c_n, x):
+        return op._resolve_rows(np.array([c_n]), x[None, :])[0]
+
+    lam, gam, delta, cs, errs = schedule.snapshot(horizon)
+    zs = np.empty((horizon + 1, op.dim))
+    jn = np.empty_like(zs)
+    z = zs[0] = np.asarray(z0, dtype=float)
+    anchor = lam[:horizon, None] * np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(horizon):
+            jz = resolve(cs[n], z)
+            jn[n] = jz
+            z = anchor[n] + gam[n] * z + delta[n] * jz + errs[n]
+            zs[n + 1] = z
+        jn[horizon] = resolve(cs[horizon], z)
+    jfix = np.array([resolve(1.0 / c, x) for x in zs]).reshape(zs.shape)
+    return zs, jn, jfix
+
+
+def assert_run_matches_ref(op, schedule, u, z0, horizon, c):
+    trace = run(op, schedule, u, z0, horizon, c=c)
+    zs, jn, jfix = run_ref(op, schedule, u, z0, horizon, c)
+    assert trace.z.tobytes() == zs.tobytes()
+    assert trace.jn.tobytes() == jn.tobytes()
+    assert trace.jfix.tobytes() == jfix.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
+def test_run_matches_numpy_loop_on_shipped_configs(name, request):
+    cfg = request.getfixturevalue(name)
+    assert_run_matches_ref(cfg.problem.build(), cfg.iteration.build(),
+                           cfg.iteration.u, cfg.iteration.z0,
+                           cfg.run.horizon, cfg.moduli.c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_args())
+def test_run_matches_numpy_loop_on_drawn_cases(args):
+    assert_run_matches_ref(*args)
+
+
+@pytest.mark.parametrize("op", [
+    LinearPSD(matrix=((1.0, 0.0), (0.0, 2.0))),
+    Rotation2D(),
+], ids=lambda op: op.kind)
+def test_run_diverging_iterate_raises_for_other_operators(op, capfd):
+    # as in test_run_diverging_iterate_raises_without_warnings, through the
+    # numpy resolvent behind a conversion and through a second closed form
+    sched = Schedule(lam=ConstantSeq(-10.0), gamma=ConstantSeq(0.5),
+                     c=HarmonicSeq(shift=1.0),
+                     error=GeometricError(ratio=0.5, base=(1.0, -1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="point has non-finite coordinates"):
+            run(op, sched, u=(1.0, 1.0), z0=(2.0, -1.0), horizon=2000)
+    assert capfd.readouterr().err == ""

@@ -225,6 +225,120 @@ def test_row_helpers_on_many_rows(dim):
     assert row_norm(xs).tobytes() == norms.tobytes()
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_row_helpers_ignore_memory_layout(dim):
+    # BLAS sums a row whose coordinates lie a stride apart in another order
+    # than a contiguous one; np.linalg.norm copies each row contiguous first
+    xs = RNG.standard_normal((2000, dim)) * 10.0 ** RNG.uniform(-3.0, 3.0)
+    for x in (np.asfortranarray(xs), xs[:, ::-1], xs[::3],
+              np.broadcast_to(xs[0], xs.shape)):
+        dots = np.array([np.dot(r.copy(), r.copy()) for r in x])
+        norms = np.array([np.linalg.norm(r) for r in x])
+        assert row_dot(x, x).tobytes() == dots.tobytes()
+        assert row_norm(x).tobytes() == norms.tobytes()
+
+
+DENSE = np.random.default_rng(4).uniform(-2.0, 2.0, size=(4, 4))
+
+
+@pytest.mark.parametrize("op", all_operators() + (LinearPSD(DENSE @ DENSE.T),),
+                         ids=lambda op: f"{op.kind}{op.dim}")
+def test_resolve_rows_of_one_point_match_per_point_norms(op):
+    # the rows form of one repeated point, as recurrence_check builds it
+    p = RNG.uniform(-4.0, 4.0, size=op.dim)
+    cs = RNG.uniform(0.05, 20.0, size=200)
+    rows = op._resolve_rows(cs, np.broadcast_to(p, (200, op.dim)))
+    gaps = np.array([np.linalg.norm(op._resolve(c, p) - p) for c in cs])
+    assert row_norm(rows - p).tobytes() == gaps.tobytes()
+
+
+# --- resolvents on Python floats ----------------------------------------------
+
+
+def bits(values) -> list:
+    """Bit patterns, every NaN read as one: IEEE 754 leaves the sign and
+    payload open when two NaNs meet, and `run` raises on a NaN iterate."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tolist()
+
+
+def assert_floats_match(op, c, x):
+    """_resolve_floats equals _resolve bit for bit, and equals the numpy
+    expressions of _resolve_rows, which do not go through it."""
+    with np.errstate(all="ignore"):
+        got = op._resolve_floats(c, list(x))
+        want = op._resolve(c, np.array(x, dtype=float))
+        row = op._resolve_rows(np.array([c]), np.array([x], dtype=float))[0]
+    assert all(type(v) is float for v in got)
+    assert bits(got) == bits(want)
+    assert bits(got) == bits(row)
+
+
+specials = st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan, 1e308,
+                            -1e308, 5e-324, -5e-324))
+wild = st.one_of(coords, st.floats(), specials)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_resolve_floats_matches_resolve_bits(data):
+    op = data.draw(operators())
+    # past about 1e14, I + cA rounds to the singular cA for a rank-deficient
+    # A, and LAPACK rejects it
+    wide_c = st.one_of(st.floats(min_value=0.0, exclude_min=True),
+                       st.sampled_from((5e-324, 1e300, np.inf)))
+    c = data.draw(params if op.kind == "linear_psd" else params | wide_c)
+    x = data.draw(st.lists(wild, min_size=op.dim, max_size=op.dim))
+    assert_floats_match(op, c, x)
+
+
+faces = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                  st.floats(-10.0, 10.0))
+
+
+def clip_1d(x, lo, hi) -> np.ndarray:
+    """np.clip on 1-d arrays, the form BoxProjection once used per point."""
+    return np.clip(np.array(x, dtype=float), np.array(lo, dtype=float),
+                   np.array(hi, dtype=float))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_box_resolve_floats_ties_follow_np_clip(data):
+    dim = data.draw(st.integers(min_value=1, max_value=4))
+    pairs = data.draw(st.lists(st.tuples(faces, faces), min_size=dim,
+                               max_size=dim))
+    lo = [a if not b < a else b for a, b in pairs]
+    hi = [b if not b < a else a for a, b in pairs]
+    op = BoxProjection(lo=lo, hi=hi)
+    near = [st.sampled_from((a, -a, b, -b, 0.0, -0.0, np.nan)) | wild
+            for a, b in zip(lo, hi)]
+    x = [data.draw(coord) for coord in near]
+    assert_floats_match(op, 1.0, x)
+    assert bits(op._resolve_floats(1.0, x)) == bits(clip_1d(x, lo, hi))
+
+
+# (lo, hi, x, clipped): a tie takes the face, NaN passes through
+SIGNED_ZERO_CLIPS = [
+    (0.0, 1.0, -0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+    (-0.0, 1.0, 0.0, -0.0), (-0.0, 1.0, -0.0, -0.0),
+    (-1.0, -0.0, 0.0, -0.0), (-1.0, 0.0, -0.0, 0.0),
+    (0.0, -0.0, 0.0, -0.0), (0.0, -0.0, -0.0, -0.0),
+    (-0.0, 0.0, -0.0, 0.0), (-0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, 0.0, -0.0),
+    (-1.0, 1.0, np.inf, 1.0), (-1.0, 1.0, -np.inf, -1.0),
+    (-1.0, 1.0, np.nan, np.nan),
+]
+
+
+@pytest.mark.parametrize("lo,hi,x,clipped", SIGNED_ZERO_CLIPS)
+def test_box_resolve_floats_signed_zero_faces(lo, hi, x, clipped):
+    op = BoxProjection(lo=(lo,), hi=(hi,))
+    assert_floats_match(op, 1.0, [x])
+    assert bits(op._resolve_floats(1.0, [x])) == bits([clipped])
+    assert bits(clip_1d([x], [lo], [hi])) == bits([clipped])
+
+
 # --- identities shared by every maximal monotone operator ----------------------
 
 

@@ -192,8 +192,25 @@ def test_validate_moduli_names_first_cmaj_failure():
     moduli = dataclasses.replace(MODULI_A, Cmaj=Affine(1, 1), c=2)
     report = validate_moduli(sched, moduli, horizon=6, k_cap=0)
     cmaj = [v for v in report.violations if v.startswith("Cmaj")]
-    assert len(cmaj) == 1
-    assert cmaj[0].startswith("Cmaj fails at n=4: 5 < running max ")
+    assert cmaj == ["Cmaj fails at n=4: 5 < running max 6.0"]
+
+
+def test_violation_messages_print_plain_floats():
+    # numpy 2 prints the repr of a numpy scalar as np.float64(...); the
+    # messages print the float, whatever the numpy version
+    def violations(moduli=MODULI_A, **families):
+        return validate_moduli(make_schedule(**families), moduli,
+                               horizon=100, k_cap=12).violations
+
+    assert violations(dataclasses.replace(MODULI_A, ell=Const(0))) \
+        == ["lambda rate fails at k=3: lambda_0=0.3333333333333333 > 1/4"]
+    assert violations(dataclasses.replace(MODULI_A, a=5),
+                      gamma=ConstantSeq(0.1)) \
+        == ["gamma leaves [1/5, 1 - 1/5] at n=0: 0.1"]
+    assert violations(c=ConstantSeq(0.25)) == ["c_n below 1/1 at n=0: 0.25"]
+    assert validate_schedule(make_schedule(gamma=ConstantSeq(1.5)), 10) \
+        == ["gamma out of (0, 1) at n=0: 1.5",
+            "delta out of (0, 1) at n=0: -0.8333333333333333"]
 
 
 def test_validate_moduli_cmaj_check_stops_at_marker():
