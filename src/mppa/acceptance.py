@@ -20,18 +20,15 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .config import ExperimentConfig, parse_config, parse_fspec
-from .countfn import (Affine, BoundValue, Budget, Const, CountFn, Identity,
-                      Table, evaluate, majorize, strongly_majorizes)
+from .config import ExperimentConfig, count_fn, parse_config, parse_fspec
+from .countfn import BoundValue, Budget, majorize, strongly_majorizes
 from .iteration import (Trace, empirical_metastability,
                         empirical_window_index, gap_decrease_check,
                         recurrence_check, resolvent_drift_check, run)
+from .operators import INEQ_TOL, SLACK
 from .oracle import DEFAULT_TRIALS, run_suite
 from .refeval import RefResult, ref_bound
-from .schedules import Moduli, derive_constants, mu, nu, validate_moduli
-
-BOUND_TOL = 1e-9
-INEQ_TOL = 1e-8
+from .schedules import Moduli, derive_constants, nu, validate_moduli
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ def criterion_experiment_a(cfg: ExperimentConfig,
     ctx = derive_constants(cfg.moduli)
 
     worst = float(np.max(trace.dist_s)) - ctx.N0
-    if worst > BOUND_TOL:
+    if worst > SLACK:
         return CriterionResult("experiment_a", False,
                                f"|z_n - s| exceeds N0 by {worst:.3g}")
     if trace.horizon < 10000:
@@ -123,8 +120,8 @@ def criterion_experiment_a(cfg: ExperimentConfig,
                 return CriterionResult(
                     "experiment_a", False,
                     f"no metastability witness for k={k}, f={spec}")
-            bv = bounds.phi(k, f, cfg.moduli, ctx=ctx,
-                            constant_c=cfg.constant_c, budget=budget)
+            bv = bounds.phi(k, f, cfg.moduli, constant_c=cfg.constant_c,
+                            budget=budget)
             if bv.is_exact and emp > bv.value:
                 return CriterionResult(
                     "experiment_a", False,
@@ -313,20 +310,6 @@ BATTERY = (
 )
 
 
-def count_fn(spec) -> CountFn:
-    """The production-side twin of refeval.make_fn."""
-    kind = spec[0]
-    if kind == "const":
-        return Const(spec[1])
-    if kind == "id":
-        return Identity()
-    if kind == "affine":
-        return Affine(spec[1], spec[2])
-    if kind == "table":
-        return Table(spec[1])
-    raise ValueError(f"unknown function spec: {spec!r}")
-
-
 def moduli_from(mod: dict) -> Moduli:
     return Moduli(a=mod["a"], c=mod["c"], Cmaj=count_fn(mod["Cmaj"]),
                   ell=count_fn(mod["ell"]), Ldiv=count_fn(mod["L"]),
@@ -335,54 +318,16 @@ def moduli_from(mod: dict) -> Moduli:
 
 
 def production_bound(inst: dict, budget: Optional[Budget] = None) -> BoundValue:
-    """Evaluate one battery instance through the production calculus."""
-    name = inst["name"]
-    k = inst["k"]
-    f = count_fn(inst["f"]) if "f" in inst else None
-    nu_rate = count_fn(inst["nu"]) if "nu" in inst else None
-    moduli = moduli_from(inst["mod"]) if "mod" in inst else None
-    constant_c = inst.get("constant_c", False)
-    if name == "zeta":
-        return bounds.zeta(k, inst["n"], moduli.c, moduli.Cmaj, budget)
-    if name == "sigma":
-        return bounds.sigma(k, inst["n"], moduli.Ldiv, inst["d"], budget)
-    if name == "theta":
-        return bounds.theta(k, inst["n"], inst["t"], inst["n_arg"], f, budget)
-    if name == "R":
-        return bounds.r_const(inst["a"], k, inst["t"], budget)
-    if name == "proj":
-        return bounds.proj_bound(k, f, inst["n_arg"], budget)
-    if name == "proj3":
-        return bounds.proj3_bound(k, f, inst["n_arg"], budget)
-    if name == "varphi_suzuki1":
-        return bounds.varphi_suzuki1(k, f, inst["l"], inst["t"], inst["a"],
-                                     nu_rate, inst["n_arg"], budget)
-    if name == "chi_tilde":
-        return bounds.chi_tilde(k, f, inst["a"], nu_rate, inst["n_arg"],
-                                budget)
-    if name == "chi0":
-        return bounds.chi0(k, f, moduli, constant_c=constant_c, budget=budget)
-    if name == "nu":
-        return nu(moduli, k, constant_c, budget)
-    if name == "mu":
-        return mu(moduli, k, budget)
-    if name == "xi":
-        return bounds.xi(k, f, moduli, constant_c=constant_c, budget=budget)
-    if name == "res_Jn":
-        return bounds.res_bounds(k, f, moduli, constant_c=constant_c,
-                                 budget=budget)[1]
-    if name == "psi":
-        return bounds.psi(k, f, moduli, constant_c=constant_c, budget=budget)
-    if name == "Psi":
-        return bounds.psi_cap(k, f, moduli, constant_c=constant_c,
-                              budget=budget)
-    if name == "phi":
-        return bounds.phi(k, f, moduli, constant_c=constant_c, budget=budget)
-    raise ValueError(f"unknown battery name: {name!r}")
-
-
-def reference_bound(inst: dict) -> RefResult:
-    return ref_bound(**inst)
+    """Evaluate one battery instance through the production calculus: the
+    same dict refeval.ref_bound takes, its specs built into counting
+    functions and Moduli."""
+    args = dict(inst)
+    for key in ("f", "nu"):
+        if key in args:
+            args[key] = count_fn(args[key])
+    if "mod" in args:
+        args["moduli"] = moduli_from(args.pop("mod"))
+    return bounds.bound(budget=budget, **args)
 
 
 def _agree(bv: BoundValue, rv: RefResult) -> bool:
@@ -410,7 +355,7 @@ def criterion_equivalence() -> CriterionResult:
     markers = 0
     for i, inst in enumerate(BATTERY):
         bv = production_bound(inst)
-        rv = reference_bound(inst)
+        rv = ref_bound(**inst)
         if not _agree(bv, rv):
             return CriterionResult(
                 "evaluator_equivalence", False,

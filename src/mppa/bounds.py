@@ -22,32 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import schedules
 from .countfn import (BoundValue, Budget, BudgetExceededError, Closure,
-                      CountFn, EvalState, ceil_ln, evaluate, iterate,
-                      majorize)
+                      CountFn, EvalState, _Stage, ceil_ln, majorize)
 from .schedules import BoundContext, Moduli, derive_constants, mu_fn, nu_fn
 
 # Functional argument shape used by Theta: a bound taking (k, counterfn).
 BoundFunctional = Callable[[int, CountFn, EvalState], int]
-
-
-class _Stage:
-    """Set the active formula name for budget markers, restoring on exit."""
-
-    __slots__ = ("state", "name", "saved")
-
-    def __init__(self, state: EvalState, name: str):
-        self.state = state
-        self.name = name
-
-    def __enter__(self):
-        self.saved = self.state.stage
-        self.state.stage = self.name
-        return self.state
-
-    def __exit__(self, *exc):
-        self.state.stage = self.saved
-        return False
 
 
 def _wrap(budget: Optional[Budget], fn) -> BoundValue:
@@ -94,16 +75,6 @@ def sigma(k: int, n: int, ldiv: CountFn, d: int,
     if d < 1:
         raise ValueError("D must be a positive integer")
     return _wrap(budget, lambda st: _sigma(k, n, ldiv, d, st))
-
-
-def qtxu_sigma_window(k: int, n: int, p: int, ldiv: CountFn, d: int,
-                      budget: Optional[Budget] = None) -> range:
-    """The index window [sigma(k, n), p] on which the recurrence lemma pins
-    s_m <= 1/(k+1); empty when sigma lands past p."""
-    bv = sigma(k, n, ldiv, d, budget)
-    if not bv.is_exact:
-        raise BudgetExceededError(bv.stage)
-    return range(bv.value, p + 1)
 
 
 # --- finite pigeonhole recursion ---------------------------------------------
@@ -243,8 +214,7 @@ def _chi0(k: int, f: CountFn, moduli: Moduli, constant_c: bool,
                           n_bound, state)
 
 
-def chi0(k: int, f: CountFn, moduli: Moduli,
-         ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def chi0(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
          budget: Optional[Budget] = None) -> BoundValue:
     """chi_tilde instantiated with the iteration's own envelopes: the gap
     |w_n - z_n| is metastable with ball radius 2 a N0 + N1 + N3."""
@@ -253,14 +223,6 @@ def chi0(k: int, f: CountFn, moduli: Moduli,
 
 # --- residual rates ------------------------------------------------------------
 
-def _mu(moduli: Moduli, k: int, state: EvalState) -> int:
-    return mu_fn(moduli)(k, state)
-
-
-def _nu(moduli: Moduli, constant_c: bool, k: int, state: EvalState) -> int:
-    return nu_fn(moduli, constant_c)(k, state)
-
-
 def _f_tilde(mu_k: int, f: CountFn, state: EvalState) -> CountFn:
     def fn(m, st):
         return state.check(mu_k + f(max(mu_k, m), st))
@@ -268,38 +230,38 @@ def _f_tilde(mu_k: int, f: CountFn, state: EvalState) -> CountFn:
     return Closure(name="xi.f_tilde", fn=fn)
 
 
-def _xi(k: int, f: CountFn, moduli: Moduli, constant_c: bool,
-        state: EvalState) -> int:
+def _residual(mu_level: int, chi_level: int, f: CountFn, moduli: Moduli,
+              constant_c: bool, state: EvalState) -> int:
+    """max(mu(mu_level), chi0(chi_level, f~)) with f~(m) = mu + f(max(mu, m)):
+    the two resolvent residual rates differ only in their two levels."""
     with _Stage(state, "xi"):
         state.tick()
-        mu_val = _mu(moduli, 2 * k + 1, state)
+        mu_val = mu_fn(moduli)(mu_level, state)
         shifted = _f_tilde(mu_val, f, state)
-        chi_val = _chi0(state.check(4 * moduli.a * (k + 1)), shifted, moduli,
-                        constant_c, state)
+        chi_val = _chi0(state.check(chi_level), shifted, moduli, constant_c,
+                        state)
         return max(mu_val, chi_val)
 
 
-def xi(k: int, f: CountFn, moduli: Moduli,
-       ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def _xi(k: int, f: CountFn, moduli: Moduli, constant_c: bool,
+        state: EvalState) -> int:
+    return _residual(2 * k + 1, 4 * moduli.a * (k + 1), f, moduli,
+                     constant_c, state)
+
+
+def xi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
        budget: Optional[Budget] = None) -> BoundValue:
     """Rate of metastability for the fixed-parameter residual
     |J_(1/c)(z_n) - z_n|: max(mu(2k+1), chi0(4a(k+1), f~_(2k+1)))."""
     return _wrap(budget, lambda st: _xi(k, f, moduli, constant_c, st))
 
 
-def xi_rate(k: int, chi_rate: CountFn, moduli: Moduli,
-            budget: Optional[Budget] = None) -> BoundValue:
-    """The counterfunction-free corollary form, usable whenever the gap rate
-    chi does not depend on its counterfunction argument."""
-
-    def run(state):
-        with _Stage(state, "xi"):
-            state.tick()
-            mu_val = _mu(moduli, 2 * k + 1, state)
-            chi_val = chi_rate(state.check(4 * moduli.a * (k + 1)), state)
-            return max(mu_val, chi_val)
-
-    return _wrap(budget, run)
+def res_jn(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
+           budget: Optional[Budget] = None) -> BoundValue:
+    """Rate of metastability for the running residual |J_(c_n)(z_n) - z_n|:
+    max(mu(k), chi0(2a(k+1), f~_k))."""
+    return _wrap(budget, lambda st: _residual(
+        k, 2 * moduli.a * (k + 1), f, moduli, constant_c, st))
 
 
 def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
@@ -307,20 +269,9 @@ def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
     """Rates for the three asymptotic-regularity residuals at level k:
     step size |z_(n+1) - z_n|, running residual |J_(c_n)(z_n) - z_n|, and
     fixed residual |J_(1/c)(z_n) - z_n|."""
-    dz = chi0(k, f, moduli, constant_c=constant_c, budget=budget)
-
-    def run_jn(state):
-        with _Stage(state, "xi"):
-            state.tick()
-            mu_val = _mu(moduli, k, state)
-            shifted = _f_tilde(mu_val, f, state)
-            chi_val = _chi0(state.check(2 * moduli.a * (k + 1)), shifted,
-                            moduli, constant_c, state)
-            return max(mu_val, chi_val)
-
-    jn = _wrap(budget, run_jn)
-    j = xi(k, f, moduli, constant_c=constant_c, budget=budget)
-    return dz, jn, j
+    return (chi0(k, f, moduli, constant_c=constant_c, budget=budget),
+            res_jn(k, f, moduli, constant_c=constant_c, budget=budget),
+            xi(k, f, moduli, constant_c=constant_c, budget=budget))
 
 
 # --- removal of the sequential weak compactness argument ----------------------
@@ -353,14 +304,12 @@ def _psi(k: int, f: CountFn, moduli: Moduli, n_ball: int, constant_c: bool,
         return _xi(k_top, f1, moduli, constant_c, state)
 
 
-def psi(k: int, f: CountFn, moduli: Moduli,
-        ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def psi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
         budget: Optional[Budget] = None) -> BoundValue:
     """Rate of metastability for the distance to the pinned resolvent value
     |z_n - J_(1/c)(z_n)| relative to inner products against ball points."""
-    if ctx is None:
-        ctx = derive_constants(moduli)
-    return _wrap(budget, lambda st: _psi(k, f, moduli, ctx.N, constant_c, st))
+    n_ball = derive_constants(moduli).N
+    return _wrap(budget, lambda st: _psi(k, f, moduli, n_ball, constant_c, st))
 
 
 def _psi_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
@@ -380,11 +329,9 @@ def _psi_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
                     constant_c, state)
 
 
-def psi_cap(k: int, f: CountFn, moduli: Moduli,
-            ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def psi_cap(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
             budget: Optional[Budget] = None) -> BoundValue:
-    if ctx is None:
-        ctx = derive_constants(moduli)
+    ctx = derive_constants(moduli)
     return _wrap(budget, lambda st: _psi_cap(k, f, moduli, ctx, constant_c, st))
 
 
@@ -415,11 +362,10 @@ def _theta_cap(k: int, f: CountFn, ldiv: CountFn, psi_fn: BoundFunctional,
         return state.check(ldiv(h(witness, state), state) + 1)
 
 
-def psi_functional(moduli: Moduli, ctx: Optional[BoundContext] = None,
+def psi_functional(moduli: Moduli,
                    constant_c: bool = False) -> BoundFunctional:
     """The witness functional Theta consumes, closed over fixed moduli."""
-    if ctx is None:
-        ctx = derive_constants(moduli)
+    ctx = derive_constants(moduli)
 
     def fn(kk, ff, state):
         return _psi_cap(kk, ff, moduli, ctx, constant_c, state)
@@ -452,21 +398,93 @@ def _phi_chi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
                           moduli.Ldiv, psi_fn, ctx.G, ctx.D, state)
 
 
-def phi_chi(k: int, f: CountFn, moduli: Moduli,
-            ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def phi_chi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
             budget: Optional[Budget] = None) -> BoundValue:
     """Rate of metastability of the iteration itself, assembled from the
     gap rate chi0 through Psi and the outer recursion Theta."""
-    if ctx is None:
-        ctx = derive_constants(moduli)
+    ctx = derive_constants(moduli)
     return _wrap(budget, lambda st: _phi_chi(k, f, moduli, ctx, constant_c, st))
 
 
-def phi(k: int, f: CountFn, moduli: Moduli,
-        ctx: Optional[BoundContext] = None, constant_c: bool = False,
+def phi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
         budget: Optional[Budget] = None) -> BoundValue:
     """Headline rate: phi(k, f) = phi_chi(k, f^maj).  Since counterfunctions
     are monotone by representation the majorization is the identity, and
     phi(k, f) = phi(k, f^maj) holds definitionally."""
-    return phi_chi(k, majorize(f), moduli, ctx=ctx, constant_c=constant_c,
+    return phi_chi(k, majorize(f), moduli, constant_c=constant_c,
                    budget=budget)
+
+
+# --- the registry of named bounds --------------------------------------------
+
+@dataclass(frozen=True)
+class NamedBound:
+    """One entry of BOUNDS: the inputs a config cannot supply, and the
+    formula, which takes every argument of `bound` by keyword."""
+
+    needs: tuple
+    formula: Callable[..., BoundValue]
+
+
+def _theta_cap_of(k, f, moduli, constant_c, budget, **_):
+    """Theta on the iteration's own moduli, with its Psi, G and D."""
+    ctx = derive_constants(moduli)
+    return theta_cap(k, f, moduli.Ldiv, psi_functional(moduli, constant_c),
+                     ctx.G, ctx.D, budget)
+
+
+# Every formula calls the functions above by their module-global names when
+# it runs, so a wrapper installed on one of them sees the call.
+BOUNDS = {
+    "zeta": NamedBound((), lambda k, n, moduli, budget, **_:
+                       zeta(k, n, moduli.c, moduli.Cmaj, budget)),
+    "sigma": NamedBound((), lambda k, n, d, moduli, budget, **_:
+                        sigma(k, n, moduli.Ldiv, d, budget)),
+    "theta": NamedBound(("f",), lambda k, n, t, n_arg, f, budget, **_:
+                        theta(k, n, t, n_arg, f, budget)),
+    "R": NamedBound((), lambda k, t, a, budget, **_:
+                    r_const(a, k, t, budget)),
+    "proj": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
+                       proj_bound(k, f, n_arg, budget)),
+    "proj3": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
+                        proj3_bound(k, f, n_arg, budget)),
+    "varphi_suzuki1": NamedBound(
+        ("f", "nu", "l"), lambda k, l, t, a, n_arg, f, nu, budget, **_:
+        varphi_suzuki1(k, f, l, t, a, nu, n_arg, budget)),
+    "chi_tilde": NamedBound(
+        ("f", "nu"), lambda k, a, n_arg, f, nu, budget, **_:
+        chi_tilde(k, f, a, nu, n_arg, budget)),
+    "chi0": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                       chi0(k, f, moduli, constant_c, budget)),
+    "nu": NamedBound((), lambda k, moduli, constant_c, budget, **_:
+                     schedules.nu(moduli, k, constant_c, budget)),
+    "mu": NamedBound((), lambda k, moduli, budget, **_:
+                     schedules.mu(moduli, k, budget)),
+    "xi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                     xi(k, f, moduli, constant_c, budget)),
+    "res_Jn": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                         res_jn(k, f, moduli, constant_c, budget)),
+    "psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                      psi(k, f, moduli, constant_c, budget)),
+    "Psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                      psi_cap(k, f, moduli, constant_c, budget)),
+    "Theta": NamedBound(("f",), _theta_cap_of),
+    "phi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                      phi(k, f, moduli, constant_c, budget)),
+}
+
+
+def bound(name: str, *, k: int, n: int = 0, t: int = 1, l: int = 0,
+          a: int = 1, d: int = 1, n_arg: int = 1, f: Optional[CountFn] = None,
+          nu: Optional[CountFn] = None, moduli: Optional[Moduli] = None,
+          constant_c: bool = False,
+          budget: Optional[Budget] = None) -> BoundValue:
+    """Evaluate the bound BOUNDS names.  The arguments and their defaults
+    are those of refeval.ref_bound, with counting functions and Moduli in
+    place of specs and a Budget in place of bits and calls; each formula
+    reads the ones it needs."""
+    if name not in BOUNDS:
+        raise ValueError(f"unknown bound name: {name!r}")
+    return BOUNDS[name].formula(k=k, n=n, t=t, l=l, a=a, d=d, n_arg=n_arg,
+                                f=f, nu=nu, moduli=moduli,
+                                constant_c=constant_c, budget=budget)

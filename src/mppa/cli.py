@@ -25,16 +25,15 @@ from .iteration import (asymptotic_residuals, boundedness_check,
                         gap_decrease_check, recurrence_check,
                         resolvent_drift_check, run, wbound_check,
                         write_trace_csv)
-from .operators import IDENTITY_TOL, check_resolvent_identity
+from .operators import INEQ_TOL, SLACK, check_resolvent_identity
 from .oracle import DEFAULT_TRIALS, run_suite
-from .schedules import (derive_constants, mu, nu, validate_anchors,
-                        validate_moduli)
+from .schedules import derive_constants, nu, validate_anchors, validate_moduli
 
-SLACK = 1e-9
-BOUND_NAMES = ("zeta", "sigma", "theta", "R", "nu", "mu", "xi", "psi",
-               "Psi", "Theta", "phi", "proj", "proj3")
-_NEEDS_F = frozenset(("theta", "xi", "psi", "Psi", "Theta", "phi",
-                      "proj", "proj3"))
+# The named bounds whose inputs a config and --fspec (the f) supply.
+BOUND_NAMES = tuple(name for name, entry in bounds.BOUNDS.items()
+                    if set(entry.needs) <= {"f"})
+_NEEDS_F = frozenset(name for name in BOUND_NAMES
+                     if "f" in bounds.BOUNDS[name].needs)
 LEMMAS = tuple(DEFAULT_TRIALS)
 
 
@@ -87,50 +86,20 @@ def cmd_bound(args) -> int:
 
     moduli = cfg.moduli
     ctx = derive_constants(moduli)
-    constant_c = cfg.constant_c
     budget = cfg.budget()
-    k, n, t = args.k, args.n, args.t
     try:
-        if name == "zeta":
-            bv = bounds.zeta(k, n, moduli.c, moduli.Cmaj, budget)
-        elif name == "sigma":
-            d = ctx.D if args.d is None else args.d
-            bv = bounds.sigma(k, n, moduli.Ldiv, d, budget)
-        elif name == "theta":
-            bv = bounds.theta(k, n, t, ctx.N, f, budget)
-        elif name == "R":
-            bv = bounds.r_const(moduli.a, k, t, budget)
-        elif name == "nu":
-            bv = nu(moduli, k, constant_c, budget)
-        elif name == "mu":
-            bv = mu(moduli, k, budget)
-        elif name == "xi":
-            bv = bounds.xi(k, f, moduli, ctx=ctx, constant_c=constant_c,
-                           budget=budget)
-        elif name == "psi":
-            bv = bounds.psi(k, f, moduli, ctx=ctx, constant_c=constant_c,
-                            budget=budget)
-        elif name == "Psi":
-            bv = bounds.psi_cap(k, f, moduli, ctx=ctx, constant_c=constant_c,
-                                budget=budget)
-        elif name == "Theta":
-            psi_fn = bounds.psi_functional(moduli, ctx, constant_c)
-            bv = bounds.theta_cap(k, f, moduli.Ldiv, psi_fn, ctx.G, ctx.D,
-                                  budget)
-        elif name == "phi":
-            bv = bounds.phi(k, f, moduli, ctx=ctx, constant_c=constant_c,
-                            budget=budget)
-        elif name == "proj":
-            bv = bounds.proj_bound(k, f, ctx.N, budget)
-        else:
-            bv = bounds.proj3_bound(k, f, ctx.N, budget)
+        # --d overrides D for sigma only; Theta derives its own D
+        bv = bounds.bound(name, k=args.k, n=args.n, t=args.t, a=moduli.a,
+                          d=ctx.D if args.d is None else args.d, n_arg=ctx.N,
+                          f=f, moduli=moduli, constant_c=cfg.constant_c,
+                          budget=budget)
     except ValueError as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return 2
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "k", "f_spec", "value"])
-    writer.writerow([name, str(k), f_spec, bv.render()])
+    writer.writerow([name, str(args.k), f_spec, bv.render()])
     return 0
 
 
@@ -177,7 +146,7 @@ def _verdict(emp: Optional[int], bv: BoundValue, f, last: int,
     return "NO_WITNESS_IN_HORIZON"
 
 
-def _residual_rows(trace, cfg: ExperimentConfig, ctx, budget) -> list:
+def _residual_rows(trace, cfg: ExperimentConfig, budget) -> list:
     rows = []
     curves = asymptotic_residuals(trace)
     for k in cfg.run.ks:
@@ -199,13 +168,13 @@ def _residual_rows(trace, cfg: ExperimentConfig, ctx, budget) -> list:
     return rows
 
 
-def _metastability_rows(trace, cfg: ExperimentConfig, ctx, budget) -> list:
+def _metastability_rows(trace, cfg: ExperimentConfig, budget) -> list:
     rows = []
     for k in cfg.run.ks:
         for spec in cfg.run.fspecs:
             f = parse_fspec(spec)
-            bv = bounds.phi(k, f, cfg.moduli, ctx=ctx,
-                            constant_c=cfg.constant_c, budget=budget)
+            bv = bounds.phi(k, f, cfg.moduli, constant_c=cfg.constant_c,
+                            budget=budget)
             try:
                 emp = empirical_metastability(trace.z, k, f, budget)
             except BudgetExceededError:
@@ -236,18 +205,18 @@ def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
 
         worst = recurrence_check(trace, trace.s, ctx.M1)
         rows.append(["recurrence", f"max violation = {worst:.17g}",
-                     "PASS" if worst <= 1e-8 else "FAIL"])
+                     "PASS" if worst <= INEQ_TOL else "FAIL"])
 
         worst = resolvent_drift_check(trace, moduli.c, ctx.N0)
         rows.append(["resolvent_drift", f"max violation = {worst:.17g}",
-                     "PASS" if worst <= 1e-8 else "FAIL"])
+                     "PASS" if worst <= INEQ_TOL else "FAIL"])
 
         worst = 0.0
         for i in (0, trace.horizon // 2, trace.horizon):
             worst = max(worst, check_resolvent_identity(
                 trace.op, float(trace.cs[i]), 1.0 / moduli.c, trace.z[i]))
         rows.append(["resolvent_identity", f"max residual = {worst:.17g}",
-                     "PASS" if worst <= IDENTITY_TOL else "FAIL"])
+                     "PASS" if worst <= INEQ_TOL else "FAIL"])
     else:
         for name in ("wbound", "recurrence", "resolvent_drift",
                      "resolvent_identity"):
@@ -298,8 +267,8 @@ def cmd_run(args) -> int:
         write_trace_csv(trace, fh)
 
     if horizon >= 1:
-        meta_rows = _metastability_rows(trace, cfg, ctx, budget)
-        res_rows = _residual_rows(trace, cfg, ctx, budget)
+        meta_rows = _metastability_rows(trace, cfg, budget)
+        res_rows = _residual_rows(trace, cfg, budget)
     else:
         print("notice: horizon 0, property tables are header-only",
               file=sys.stderr)
@@ -345,6 +314,17 @@ def cmd_verify(args) -> int:
 # --- entry -----------------------------------------------------------------------
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a natural number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mppa",
@@ -362,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = subs.add_parser("bound", help="evaluate one named bound")
     p_bound.add_argument("config")
     p_bound.add_argument("name")
-    p_bound.add_argument("--k", type=int, default=0)
-    p_bound.add_argument("--n", type=int, default=0)
+    p_bound.add_argument("--k", type=_natural, default=0)
+    p_bound.add_argument("--n", type=_natural, default=0)
     p_bound.add_argument("--t", type=int, default=1)
     p_bound.add_argument("--d", type=int, default=None,
                          help="override the derived constant D (sigma only)")

@@ -55,41 +55,51 @@ def _fmt_vec(v) -> str:
 # --- counting function grammar ----------------------------------------------
 
 
+# Counting-function constructors by head: (constructor, argument count,
+# the message for a wrong count).
+_FN_KINDS = {
+    "id": (Identity, 0, "id takes no arguments"),
+    "const": (Const, 1, "const takes one argument"),
+    "affine": (Affine, 2, "affine takes two arguments"),
+    "expceil": (ExpCeil, 1, "expceil takes one argument"),
+    "table": (Table, 1, "table takes one comma-separated argument"),
+}
+
+
+def _constructor(head: str, args) -> type:
+    if head not in _FN_KINDS:
+        raise ValueError(f"unknown counting function: {head!r}")
+    ctor, arity, usage = _FN_KINDS[head]
+    if len(args) != arity:
+        raise ValueError(usage)
+    return ctor
+
+
+def count_fn(spec: tuple) -> CountFn:
+    """The counting function of a spec tuple, such as ("affine", 2, 1) or
+    ("table", (0, 2, 1)): the grammar of parse_fspec, arguments as ints."""
+    head, *args = spec
+    return _constructor(head, args)(*args)
+
+
 def parse_fspec(text: str) -> CountFn:
     parts = text.split()
     if not parts:
         raise ValueError("empty counting function")
     head, args = parts[0], parts[1:]
-    if head == "id":
-        if args:
-            raise ValueError("id takes no arguments")
-        return Identity()
-    if head == "const":
-        if len(args) != 1:
-            raise ValueError("const takes one argument")
-        return Const(int(args[0]))
-    if head == "affine":
-        if len(args) != 2:
-            raise ValueError("affine takes two arguments")
-        return Affine(slope=int(args[0]), offset=int(args[1]))
-    if head == "expceil":
-        if len(args) != 1:
-            raise ValueError("expceil takes one argument")
-        return ExpCeil(scale=int(args[0]))
-    if head == "table":
-        if len(args) != 1:
-            raise ValueError("table takes one comma-separated argument")
-        values = tuple(int(v) for v in args[0].split(","))
-        hull = []
-        top = 0
-        for v in values:
-            top = max(top, v)
-            hull.append(top)
-        if tuple(hull) != values:
-            log.warning("non-monotone table %s majorized to %s",
-                        list(values), hull)
-        return Table(values=values)
-    raise ValueError(f"unknown counting function: {head!r}")
+    ctor = _constructor(head, args)
+    if head != "table":
+        return ctor(*(int(v) for v in args))
+    values = tuple(int(v) for v in args[0].split(","))
+    hull = []
+    top = 0
+    for v in values:
+        top = max(top, v)
+        hull.append(top)
+    if tuple(hull) != values:
+        log.warning("non-monotone table %s majorized to %s",
+                    list(values), hull)
+    return ctor(values)
 
 
 def render_fspec(fn: CountFn) -> str:

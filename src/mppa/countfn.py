@@ -115,6 +115,25 @@ class EvalState:
         return self.check(base ** exp)
 
 
+class _Stage:
+    """Set the active formula name for budget markers, restoring on exit."""
+
+    __slots__ = ("state", "name", "saved")
+
+    def __init__(self, state: EvalState, name: str):
+        self.state = state
+        self.name = name
+
+    def __enter__(self):
+        self.saved = self.state.stage
+        self.state.stage = self.name
+        return self.state
+
+    def __exit__(self, *exc):
+        self.state.stage = self.saved
+        return False
+
+
 @dataclass(frozen=True)
 class BoundValue:
     """Outcome of a budgeted evaluation: an exact natural number, or a
@@ -171,9 +190,6 @@ class CountFn:
         """(slope, offset) when the function is n -> slope*n + offset and
         each call charges one tick, else None."""
         return None
-
-    def at(self, n: int, budget: Optional[Budget] = None) -> BoundValue:
-        return evaluate(self, n, budget)
 
 
 @dataclass(frozen=True)
@@ -244,20 +260,6 @@ class Table(CountFn):
         if n >= len(self.values):
             return self.values[-1]
         return self.values[n]
-
-
-@dataclass(frozen=True)
-class Max(CountFn):
-    """Pointwise maximum; arguments are evaluated left to right."""
-
-    args: tuple
-
-    def __post_init__(self):
-        if not self.args:
-            raise ValueError("max needs at least one argument")
-
-    def _eval(self, n, state):
-        return max(f(n, state) for f in self.args)
 
 
 @dataclass(frozen=True)
@@ -358,22 +360,6 @@ def majorize(f: CountFn) -> CountFn:
     sites can state the intent explicitly.
     """
     return f
-
-
-def iterate(f: CountFn, r: int) -> CountFn:
-    """The r-fold composition of f with itself (r = 0 gives the identity)."""
-    if r < 0:
-        raise ValueError("iteration count must be a natural number")
-
-    def run(n, state):
-        state.require(r)
-        v = n
-        for _ in range(r):
-            state.tick()
-            v = f(v, state)
-        return v
-
-    return Closure(name=f"iterate[{r}]", fn=run)
 
 
 def strongly_majorizes(g: CountFn, f: CountFn, upto: int = 50,

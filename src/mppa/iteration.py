@@ -4,7 +4,7 @@ calculus predicts about it.
 z_(n+1) = lambda_n u + gamma_n z_n + delta_n J_(c_n)(z_n) + e_n
 
 The trace keeps every iterate together with the per-step parameters so the
-empirical searches (metastability witnesses, stabilization indices) and the
+empirical searches (metastability witnesses, residual window indices) and the
 diagnostic inequalities can be evaluated after the fact without re-running
 the operator.
 """
@@ -18,11 +18,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .countfn import Budget, CountFn, evaluate_each
-from .operators import ResolventOperator, as_point, row_dot, row_norm
-
-# Floating-point slack for the diagnostic inequalities; the recurrence is
-# exact algebra over the iterates, so only rounding noise accumulates.
-DIAG_TOL = 1e-9
+from .operators import SLACK, ResolventOperator, as_point, row_dot, row_norm
 
 
 @dataclass
@@ -202,17 +198,6 @@ def empirical_window_index(values: np.ndarray, k: int, f: CountFn,
     return None
 
 
-def stabilization_index(values: np.ndarray, k: int) -> Optional[int]:
-    """Least n with values[m] <= 1/(k+1) for every m >= n within the array;
-    None when even the final entry is above threshold."""
-    tau = 1.0 / (k + 1)
-    sufmax = np.maximum.accumulate(values[::-1])[::-1]
-    idx = np.nonzero(sufmax <= tau)[0]
-    if idx.size == 0:
-        return None
-    return int(idx[0])
-
-
 def asymptotic_residuals(trace: Trace) -> dict:
     """The three residual curves the regularity rates speak about."""
     return {
@@ -304,7 +289,7 @@ def gap_decrease_check(trace: Trace, nu_values: dict) -> list:
     for k, start in sorted(nu_values.items()):
         tau = 1.0 / (k + 1)
         # ~(a <= b) rather than a > b, so that a NaN comparison is caught
-        rose = ~(g[start + 1:] <= g[start:-1] + tau + DIAG_TOL)
+        rose = ~(g[start + 1:] <= g[start:-1] + tau + SLACK)
         if rose.any():
             n = start + int(np.argmax(rose))
             what = ("is NaN" if np.isnan(g[n:n + 2]).any()

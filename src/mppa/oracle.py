@@ -21,8 +21,7 @@ import numpy as np
 from .bounds import chi_tilde, r_const, sigma, theta, varphi_suzuki1
 from .countfn import (Affine, BudgetExceededError, Const, CountFn, Identity,
                       ceil_ln, evaluate)
-
-NORM_SLACK = 1e-9
+from .operators import SLACK
 PREMISE_TOL = Fraction(1, 10 ** 12)
 CONCLUSION_TOL = Fraction(1, 10 ** 9)
 
@@ -232,7 +231,7 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
 
 def _check_gap_bound(pair: SyntheticPair, n_gap: int, horizon: int) -> None:
     for n in range(horizon + 1):
-        if pair.gap(n) > n_gap + NORM_SLACK:
+        if pair.gap(n) > n_gap + SLACK:
             raise ValueError(f"gap exceeds N at n={n}")
 
 
@@ -243,7 +242,7 @@ def _check_eqnu(pair: SyntheticPair, nu: CountFn, level: int,
     start = _fval(nu, level)
     tau = 1.0 / (level + 1)
     for m in range(start, horizon):
-        if pair.wdiff(m) > tau + NORM_SLACK:
+        if pair.wdiff(m) > tau + SLACK:
             raise ValueError(
                 f"nu is not a valid almost-decrease rate: surplus at n={m} "
                 f"exceeds 1/{level + 1}")
@@ -277,11 +276,11 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
         win_max = max(pair.gap(i) for i in range(m, m + t + fm + 1))
         for p in range(cells * n_gap):
             hi = (p + 1) / cells
-            if probe - asum * hi < -tau - NORM_SLACK:
+            if probe - asum * hi < -tau - SLACK:
                 continue
-            if gap_t < p / cells - NORM_SLACK:
+            if gap_t < p / cells - SLACK:
                 continue
-            if win_max > hi + NORM_SLACK:
+            if win_max > hi + SLACK:
                 continue
             return m, p
     return None
@@ -306,14 +305,14 @@ def suzuki2_index(pair: SyntheticPair, k: int, f: CountFn, nu: CountFn,
     for n in range(probe_hi + 1):
         zn = float(np.linalg.norm(pair.z_at(n)))
         wn = float(np.linalg.norm(pair.w_at(n)))
-        if zn > n_ball + NORM_SLACK or wn > n_ball + NORM_SLACK:
+        if zn > n_ball + SLACK or wn > n_ball + SLACK:
             raise ValueError(f"iterate norm exceeds N at n={n}")
     _check_eqnu(pair, nu, cells - 1, probe_hi)
 
     tau = 1.0 / (k + 1)
     for n in range(cap + 1):
         fn = _fval(f, n)
-        if all(pair.gap(m) <= tau + NORM_SLACK for m in range(n, n + fn + 1)):
+        if all(pair.gap(m) <= tau + SLACK for m in range(n, n + fn + 1)):
             return n
     return None
 

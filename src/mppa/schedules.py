@@ -21,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .countfn import (Affine, BoundValue, Budget, BudgetExceededError,
-                      Closure, Composed, CountFn, evaluate, evaluate_each)
-from .operators import as_point, norm
-
-SLACK = 1e-9
+                      Closure, Composed, CountFn, _Stage, evaluate,
+                      evaluate_each)
+from .operators import SLACK, as_point, norm
 
 # Integers at least this large exceed every finite float.
 _FLOAT_MAX = int(sys.float_info.max)
@@ -353,25 +352,17 @@ def nu_fn(moduli: Moduli, constant_c: bool = False) -> CountFn:
 
     if constant_c:
         def fn(k, state):
-            prev = state.stage
-            state.stage = "nu"
-            try:
+            with _Stage(state, "nu"):
                 lv = moduli.ell(state.check(8 * a * nsum * (k + 1)), state)
                 ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
                 return max(lv, ev)
-            finally:
-                state.stage = prev
     else:
         def fn(k, state):
-            prev = state.stage
-            state.stage = "nu"
-            try:
+            with _Stage(state, "nu"):
                 gv = moduli.Gamma(state.check(10 * a * moduli.c * n0 * (k + 1)), state)
                 lv = moduli.ell(state.check(10 * a * nsum * (k + 1)), state)
                 ev = moduli.E(state.check(5 * a * (k + 1)), state) + 1
                 return max(gv, lv, ev)
-            finally:
-                state.stage = prev
 
     return Closure(name="nu", fn=fn)
 
@@ -383,14 +374,10 @@ def mu_fn(moduli: Moduli) -> CountFn:
     n0 = moduli.N2 + moduli.N3
 
     def fn(k, state):
-        prev = state.stage
-        state.stage = "mu"
-        try:
+        with _Stage(state, "mu"):
             lv = moduli.ell(state.check(4 * a * (k + 1) * (n0 + moduli.N3)), state)
             ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
             return max(lv, ev)
-        finally:
-            state.stage = prev
 
     return Closure(name="mu", fn=fn)
 

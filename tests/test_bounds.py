@@ -1,12 +1,16 @@
 """The bound calculus: hand pins, closed-form oracles, marker stages."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mppa import bounds
-from mppa.countfn import (Affine, Budget, Const, EvalState, ExpCeil, Identity,
-                          Table, ceil_ln, evaluate)
+from mppa import bounds, refeval
+from mppa.acceptance import _T1, moduli_from
+from mppa.config import count_fn
+from mppa.countfn import (Affine, BoundValue, Budget, Const, EvalState,
+                          ExpCeil, Identity, Table, ceil_ln, evaluate)
 from mppa.schedules import derive_constants
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
@@ -39,11 +43,6 @@ def test_sigma_pins():
     assert exact(bounds.sigma(1, 2, ExpCeil(4), 2)) == 595
     with pytest.raises(ValueError):
         bounds.sigma(0, 0, Identity(), 0)
-
-
-def test_qtxu_sigma_window():
-    assert bounds.qtxu_sigma_window(0, 0, 10, Identity(), 1) == range(3, 11)
-    assert bounds.qtxu_sigma_window(0, 0, 1, Identity(), 1) == range(3, 2)
 
 
 def test_theta_pins():
@@ -79,10 +78,6 @@ def test_varphi_chi_validation():
         bounds.varphi_suzuki1(0, Const(0), -1, 1, 1, Const(0), 1)
     with pytest.raises(ValueError):
         bounds.chi_tilde(0, Const(0), 1, Const(0), 0)
-
-
-def test_xi_rate_pin(toy_moduli):
-    assert exact(bounds.xi_rate(0, Const(5), toy_moduli)) == 24
 
 
 def test_res_bounds_triple(toy_moduli):
@@ -130,7 +125,7 @@ def test_phi_marker_stages_on_experiment_moduli():
 
 def test_theta_cap_wiring(toy_moduli):
     ctx = derive_constants(toy_moduli)
-    psi_fn = bounds.psi_functional(toy_moduli, ctx, constant_c=True)
+    psi_fn = bounds.psi_functional(toy_moduli, constant_c=True)
     bv = bounds.theta_cap(0, Const(0), toy_moduli.Ldiv, psi_fn, ctx.G, ctx.D)
     assert bv.stage == "theta"
     with pytest.raises(ValueError):
@@ -226,3 +221,63 @@ def test_bounds_never_share_state(toy_moduli):
     second = bounds.chi0(0, Const(0), toy_moduli, constant_c=True, budget=BIG)
     assert first == second
     assert exact(first) == 139188
+
+
+# --- the running residual ---------------------------------------------------------
+
+
+rate_specs = st.sampled_from((("id",), ("const", 0), ("const", 1),
+                              ("affine", 1, 1), ("affine", 2, 0)))
+toy_mods = st.fixed_dictionaries({
+    "a": st.integers(1, 2), "c": st.integers(1, 2), "N1": st.integers(1, 2),
+    "N2": st.integers(1, 2), "N3": st.integers(1, 2),
+    "Cmaj": st.sampled_from((("const", 1), ("affine", 1, 1))),
+    "ell": rate_specs, "L": rate_specs, "Gamma": rate_specs, "E": rate_specs})
+
+
+def logged_states():
+    """A patch of the bound calculus's EvalState that records every state
+    an evaluation creates, so its ticks can be read afterwards."""
+    log = []
+
+    class Logged(EvalState):
+        __slots__ = ()
+
+        def __init__(self, budget=None):
+            super().__init__(budget)
+            log.append(self)
+
+    return mock.patch.object(bounds, "EvalState", Logged), log
+
+
+# The drawn cases all end in markers; an exact value needs a constant f and
+# about 378k ticks, so the T1 battery moduli pin one (k = 0, f = const 0),
+# one call short of it, and one under a magnitude cap it passes.
+@given(toy_mods, st.integers(0, 2), rate_specs, st.booleans(),
+       st.builds(Budget, st.integers(16, 4096), st.integers(0, 50_000)))
+@example(_T1, 0, ("const", 0), True, Budget(4096, 400_000))
+@example(_T1, 0, ("const", 0), True, Budget(4096, 378_443))
+@example(_T1, 0, ("const", 1), False, Budget(20, 400_000))
+@settings(max_examples=40, deadline=None)
+def test_res_jn_is_the_middle_of_res_bounds(mod, k, f_spec, constant_c,
+                                            budget):
+    moduli, f = moduli_from(mod), count_fn(f_spec)
+    patch, log = logged_states()
+    with patch:
+        alone = bounds.res_jn(k, f, moduli, constant_c, budget)
+        ticks = log[-1].calls
+        triple = bounds.res_bounds(k, f, moduli, constant_c, budget)
+    assert len(log) == 4
+    assert alone == triple[1]
+    assert ticks == log[2].calls
+    # and both are the reference evaluator's running residual, tick for tick
+    ref_mod = {key: refeval.make_fn(v) if isinstance(v, tuple) else v
+               for key, v in mod.items()}
+    st_ref = refeval.RefState(budget.magnitude_bits, budget.max_calls)
+    try:
+        want = BoundValue.exact(refeval.ref_res_jn(
+            st_ref, k, refeval.make_fn(f_spec), ref_mod, constant_c))
+    except refeval._Abort as exc:
+        want = BoundValue.exceeded(exc.stage)
+    assert alone == want
+    assert ticks == st_ref.used

@@ -10,8 +10,9 @@ placement deterministic rather than accidental.
 import pytest
 
 from mppa import refeval
-from mppa.acceptance import BATTERY, production_bound, reference_bound
-from mppa.bounds import _chi0, _sigma, _theta, _varphi_suzuki1, _xi
+from mppa.acceptance import (_F_FAMILIES, _K_FAMILIES, BATTERY, HAND_PINS,
+                             production_bound)
+from mppa.bounds import BOUNDS, _chi0, _sigma, _theta, _varphi_suzuki1, _xi
 from mppa.countfn import Affine, Const, EvalState, ExpCeil
 from mppa.acceptance import moduli_from, _T1
 
@@ -55,6 +56,13 @@ def test_battery_shape():
     assert markers == 6
 
 
+def test_every_battery_name_is_registered():
+    names = {inst["name"] for inst in BATTERY}
+    names |= {name for name, _ in _K_FAMILIES + _F_FAMILIES}
+    names |= {inst["name"] for _, inst, _ in HAND_PINS}
+    assert names <= set(BOUNDS)
+
+
 @pytest.mark.parametrize("index", range(len(BATTERY)), ids=ids())
 def test_production_matches_frozen(index):
     assert production_bound(BATTERY[index]).render() == FROZEN[index]
@@ -62,7 +70,7 @@ def test_production_matches_frozen(index):
 
 @pytest.mark.parametrize("index", range(len(BATTERY)), ids=ids())
 def test_reference_matches_frozen(index):
-    assert reference_bound(BATTERY[index]).render() == FROZEN[index]
+    assert refeval.ref_bound(**BATTERY[index]).render() == FROZEN[index]
 
 
 # --- tick parity -----------------------------------------------------------------

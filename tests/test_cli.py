@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mppa.cli import _check_rows, main
+from mppa import bounds, refeval
+from mppa.acceptance import _T1
+from mppa.cli import _NEEDS_F, BOUND_NAMES, _check_rows, main
+from mppa.config import count_fn, render_fspec
 from mppa.iteration import run
 from mppa.schedules import derive_constants
 
@@ -368,6 +371,84 @@ def test_bound_domain_error(tmp_path, capsys, config_a_text):
     cfg = write_cfg(tmp_path, config_a_text)
     assert main(["bound", str(cfg), "sigma", "--d", "0"]) == 2
     assert "bound error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["R", "--k", "-1", "--t", "1"],
+    ["sigma", "--k", "0", "--n", "-50"],
+], ids=["R-k-1", "sigma-n-50"])
+def test_bound_rejects_negative_k_and_n(tmp_path, capsys, config_b_text,
+                                        argv):
+    # at k = -1, R had printed 0; sigma at n = -50 never returned
+    cfg = write_cfg(tmp_path, config_b_text)
+    assert main(["bound", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "natural number" in captured.err
+
+
+T1_CALLS = 400_000
+
+
+def t1_config(calls: int = T1_CALLS) -> str:
+    """A config carrying the battery's T1 moduli and a call cap, by default
+    one that an exact res_Jn (378 444 ticks) fits under; `mppa bound` reads
+    only the moduli and the budget."""
+    rates = [f"{key} = {render_fspec(count_fn(_T1[key]))}"
+             for key in ("Cmaj", "ell", "L", "Gamma", "E")]
+    return "\n".join([
+        "[problem]", "kind = rotation2d", "",
+        "[iteration]", "u = 1,0", "z0 = 0,0", "lam = harmonic 3",
+        "gamma = const 0.5", "c = const 1", "error = zero", "",
+        "[moduli]", *(f"{key} = {_T1[key]}"
+                      for key in ("a", "c", "N1", "N2", "N3")), *rates, "",
+        "[run]", "horizon = 1", "ks = 0", "fs = const 0",
+        f"budget_calls = {calls}", ""])
+
+
+@pytest.mark.parametrize("name, k, fspec", [
+    ("chi0", 0, "const 0"),
+    ("chi0", 2, "id"),
+    ("chi0", 1, "const 2"),
+    ("res_Jn", 0, "const 0"),
+    ("res_Jn", 0, "id"),
+])
+def test_bound_residual_rates_match_reference(tmp_path, capsys, name, k,
+                                              fspec):
+    # chi0 and res_Jn are the dz and res_Jn bound columns of asymptotic.csv
+    cfg = write_cfg(tmp_path, t1_config())
+    assert main(["bound", str(cfg), name, "--k", str(k),
+                 "--fspec", fspec]) == 0
+    head, *args = fspec.split()
+    want = refeval.ref_bound(name, k=k, f=(head, *map(int, args)), mod=_T1,
+                             constant_c=True, calls=T1_CALLS)
+    assert capsys.readouterr().out == \
+        f"name,k,f_spec,value\n{name},{k},{fspec},{want.render()}\n"
+
+
+def test_bound_names_are_what_the_command_line_supplies(tmp_path, capsys):
+    # the config supplies the moduli, N, D and a, --fspec supplies f; no
+    # flag supplies a nu rate or l
+    needs = {name: set(entry.needs) for name, entry in bounds.BOUNDS.items()}
+    assert len(needs) == 17
+    assert set(needs) - set(BOUND_NAMES) == {"chi_tilde", "varphi_suzuki1"}
+    assert all(needs[name] <= {"f"} for name in BOUND_NAMES)
+    assert _NEEDS_F == {name for name in BOUND_NAMES if needs[name]}
+    # with no calls allowed, the first tick names the formula each name
+    # dispatched to (nu and mu tick as counting functions, outside theirs)
+    cfg = write_cfg(tmp_path, t1_config(calls=0))
+    stages = {"res_Jn": "xi", "nu": "eval", "mu": "eval"}
+    for name in BOUND_NAMES:
+        fspec = ["--fspec", "const 0"] if name in _NEEDS_F else []
+        assert main(["bound", str(cfg), name] + fspec) == 0, name
+        f_spec = "const 0" if fspec else ""
+        stage = stages.get(name, name)
+        assert capsys.readouterr().out == (
+            f"name,k,f_spec,value\n{name},0,{f_spec},"
+            f"BUDGET_EXCEEDED({stage})\n")
+    for name in ("chi_tilde", "varphi_suzuki1"):
+        assert main(["bound", str(cfg), name, "--fspec", "const 0"]) == 2
+        assert "unknown bound name" in capsys.readouterr().err
 
 
 # --- oracle ----------------------------------------------------------------------

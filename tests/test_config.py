@@ -5,8 +5,8 @@ import logging
 import pytest
 
 from mppa.acceptance import EXPERIMENT_B_TEXT
-from mppa.config import (ConfigError, parse_config, parse_fspec, render_fspec,
-                         serialize_config)
+from mppa.config import (ConfigError, count_fn, parse_config, parse_fspec,
+                         render_fspec, serialize_config)
 from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
                           DEFAULT_MAX_CALLS, Affine, Const, ExpCeil, Identity,
                           Table)
@@ -22,11 +22,14 @@ def errors_of(text) -> list:
 
 
 def test_fspec_forms():
-    assert parse_fspec("id") == Identity()
-    assert parse_fspec("const 4") == Const(4)
-    assert parse_fspec("affine 2 1") == Affine(2, 1)
-    assert parse_fspec("expceil 4") == ExpCeil(4)
-    assert parse_fspec("table 0,2,5") == Table((0, 2, 5))
+    # the text grammar and the battery's spec tuples build the same nodes
+    for text, spec, fn in (("id", ("id",), Identity()),
+                           ("const 4", ("const", 4), Const(4)),
+                           ("affine 2 1", ("affine", 2, 1), Affine(2, 1)),
+                           ("expceil 4", ("expceil", 4), ExpCeil(4)),
+                           ("table 0,2,5", ("table", (0, 2, 5)),
+                            Table((0, 2, 5)))):
+        assert parse_fspec(text) == count_fn(spec) == fn
 
 
 def test_fspec_round_trip():
@@ -39,6 +42,13 @@ def test_fspec_errors():
                 "table", "id 3"):
         with pytest.raises(ValueError):
             parse_fspec(bad)
+    for text, spec in (("const 1 2", ("const", 1, 2)), ("wat 3", ("wat", 3)),
+                       ("id 3", ("id", 3)), ("affine 1", ("affine", 1))):
+        with pytest.raises(ValueError) as from_text:
+            parse_fspec(text)
+        with pytest.raises(ValueError) as from_spec:
+            count_fn(spec)
+        assert str(from_text.value) == str(from_spec.value)
 
 
 def test_fspec_majorizes_tables(caplog):
@@ -46,6 +56,12 @@ def test_fspec_majorizes_tables(caplog):
         fn = parse_fspec("table 3,1,2")
     assert fn.values == (3, 3, 3)
     assert any("majorized" in rec.message for rec in caplog.records)
+    # a spec tuple is majorized silently: the battery's table pair would
+    # otherwise print a warning on every `mppa verify`
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert count_fn(("table", (3, 1, 2))) == fn
+    assert not caplog.records
 
 
 # --- whole-file parsing ------------------------------------------------------------

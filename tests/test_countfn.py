@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
                           DEFAULT_MAX_CALLS, Affine, BoundValue, Budget,
                           BudgetExceededError, Closure, Composed, Const,
-                          CountFn, EvalState, ExpCeil, Identity, Max, Table,
-                          ceil_ln, evaluate, evaluate_each, iterate, majorize,
+                          CountFn, EvalState, ExpCeil, Identity, Table,
+                          ceil_ln, evaluate, evaluate_each, majorize,
                           strongly_majorizes)
 
 
@@ -28,8 +28,6 @@ def test_basic_nodes():
     assert val(Const(7), 100) == 7
     assert val(Identity(), 42) == 42
     assert val(Affine(3, 2), 5) == 17
-    assert val(Max((Const(3), Identity())), 1) == 3
-    assert val(Max((Const(3), Identity())), 9) == 9
     assert val(Composed(Affine(2, 0), Affine(1, 1)), 4) == 10
 
 
@@ -57,8 +55,6 @@ def test_node_validation():
     with pytest.raises(ValueError):
         Table((1, 2.5))
     with pytest.raises(ValueError):
-        Max(())
-    with pytest.raises(ValueError):
         ExpCeil(0)
     with pytest.raises(ValueError):
         evaluate(Identity(), -1)
@@ -76,21 +72,6 @@ def test_expceil_pins():
 def test_expceil_exponent_guard():
     # e**n needs about 1.44 n bits, so n far past the cap aborts up front.
     bv = evaluate(ExpCeil(1), 2000, Budget(magnitude_bits=64))
-    assert not bv.is_exact
-    assert bv.stage == "eval"
-
-
-def test_iterate():
-    assert val(iterate(Affine(2, 0), 5), 1) == 32
-    assert val(iterate(Affine(1, 1), 10), 0) == 10
-    assert val(iterate(Const(9), 0), 4) == 4  # zero-fold is the identity
-    with pytest.raises(ValueError):
-        iterate(Identity(), -1)
-
-
-def test_iterate_loop_shortcut():
-    # The loop would tick 10^9 times; require() aborts without running it.
-    bv = evaluate(iterate(Identity(), 10 ** 9), 0)
     assert not bv.is_exact
     assert bv.stage == "eval"
 
@@ -255,10 +236,7 @@ def _fn_strategy():
     )
     return st.recursive(
         leaf,
-        lambda sub: st.one_of(
-            st.builds(Composed, sub, sub),
-            st.builds(lambda a, b: Max((a, b)), sub, sub),
-        ),
+        lambda sub: st.builds(Composed, sub, sub),
         max_leaves=4,
     )
 
@@ -314,8 +292,8 @@ def staged(inner: CountFn) -> CountFn:
     return Closure(name="probe", fn=fn)
 
 
-KINDS = ("const", "identity", "affine", "table", "expceil", "max",
-         "composed", "closure")
+KINDS = ("const", "identity", "affine", "table", "expceil", "composed",
+         "closure")
 
 
 @st.composite
@@ -336,8 +314,6 @@ def count_fns(draw, depth=2):
     if kind == "expceil":
         return ExpCeil(draw(st.integers(1, 50)))
     sub = count_fns(depth - 1)
-    if kind == "max":
-        return Max(tuple(draw(st.lists(sub, min_size=1, max_size=3))))
     if kind == "composed":
         return Composed(draw(sub), draw(sub))
     return staged(draw(sub))
@@ -377,7 +353,7 @@ def test_affine_forms():
     assert Const(4).affine_form() == (0, 4)
     assert Identity().affine_form() == (1, 0)
     assert Affine(3, 2).affine_form() == (3, 2)
-    for f in (Table((1, 2)), Max((Const(1),)), ExpCeil(1),
+    for f in (Table((1, 2)), ExpCeil(1),
               Composed(Identity(), Identity()), staged(Const(0))):
         assert f.affine_form() is None
 

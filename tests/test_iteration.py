@@ -13,13 +13,13 @@ from hypothesis.extra.numpy import arrays
 from mppa.config import parse_fspec
 from mppa.countfn import (Affine, Budget, BudgetExceededError, Closure, Const,
                           Identity, Table, evaluate)
-from mppa.iteration import (_TRACE_BLOCK, DIAG_TOL, Trace, _window_diameter,
+from mppa.iteration import (_TRACE_BLOCK, Trace, _window_diameter,
                             asymptotic_residuals, boundedness_check,
                             empirical_metastability, empirical_window_index,
                             gap_decrease_check, recurrence_check,
-                            resolvent_drift_check, run, stabilization_index,
-                            wbound_check, write_trace_csv)
-from mppa.operators import (BallProjection, BoxProjection, LinearPSD,
+                            resolvent_drift_check, run, wbound_check,
+                            write_trace_csv)
+from mppa.operators import (SLACK, BallProjection, BoxProjection, LinearPSD,
                             QuadraticProx, Rotation2D)
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq,
                             Schedule, ZeroError, derive_constants, nu)
@@ -389,14 +389,6 @@ def test_searches_match_per_n_loops_on_drawn_cases(data):
     assert_searches_match(values, data.draw(st.integers(0, 3)), f, budget)
 
 
-def test_stabilization_index():
-    vals = np.array([1.0, 0.3, 0.6, 0.2, 0.1])
-    assert stabilization_index(vals, 1) == 3
-    assert stabilization_index(vals, 0) == 0    # threshold is inclusive
-    assert stabilization_index(vals, 9) == 4
-    assert stabilization_index(vals, 19) is None
-
-
 # --- diagnostics -----------------------------------------------------------------
 
 
@@ -489,7 +481,7 @@ def gap_decrease_ref(trace, nu_values):
     for k, start in sorted(nu_values.items()):
         tau = 1.0 / (k + 1)
         for n in range(start, trace.horizon - 1):
-            if g[n + 1] > g[n] + tau + DIAG_TOL:
+            if g[n + 1] > g[n] + tau + SLACK:
                 problems.append(
                     f"gap rose by more than 1/{k + 1} at n={n} "
                     f"(nu({k})={start})")

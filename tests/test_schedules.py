@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mppa.countfn import Affine, Budget, Const, ExpCeil, Identity
+from mppa.countfn import Affine, Budget, Const, ExpCeil, Identity, evaluate
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq, Moduli,
                             Schedule, ZeroError, derive_constants, mu, nu,
                             validate_anchors, validate_moduli,
@@ -104,8 +104,8 @@ def test_derive_constants_pins():
 def test_g_rate_composition():
     ctx = derive_constants(MODULI_A)
     # G = E(M2 n + M2); with E = const 0 it is identically zero.
-    assert ctx.G.at(0).value == 0
-    assert ctx.G.at(11).value == 0
+    assert evaluate(ctx.G, 0).value == 0
+    assert evaluate(ctx.G, 11).value == 0
 
 
 # --- threshold rates -----------------------------------------------------------------
