@@ -5,9 +5,11 @@ monotonicity properties of the bound calculus.
 
 Each criterion returns a CriterionResult; run_all executes them in order
 and never raises, so a harness can report every line even when one blows
-up.  The experiment criteria consume a parsed config for the quadratic
-problem (the repo ships one under configs/); the projection experiment is
-pinned inline so the battery does not depend on file layout.
+up.  The experiment criteria judge the trace and the tables that
+`cli.run_experiment`, the pipeline of `mppa run`, computes for a config of
+the quadratic problem (the repo ships one under configs/) and for the
+projection experiment, pinned inline so the battery does not depend on
+file layout.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .config import ExperimentConfig, count_fn, parse_config, parse_fspec
+from .cli import Experiment, run_experiment
+from .config import count_fn, parse_config
 from .countfn import BoundValue, Budget, majorize, strongly_majorizes
-from .iteration import (Trace, empirical_metastability,
-                        empirical_window_index, gap_decrease_check,
-                        recurrence_check, resolvent_drift_check, run)
-from .operators import INEQ_TOL, SLACK
 from .oracle import DEFAULT_TRIALS, run_suite
 from .refeval import RefResult, ref_bound
-from .schedules import Moduli, derive_constants, nu, validate_moduli
+from .schedules import Moduli
 
 
 @dataclass(frozen=True)
@@ -74,33 +73,27 @@ fs = const 0; id
 """
 
 
-def _run_config(cfg: ExperimentConfig) -> Trace:
-    op = cfg.problem.build()
-    return run(op, cfg.iteration.build(), cfg.iteration.u, cfg.iteration.z0,
-               cfg.run.horizon, c=cfg.moduli.c, s=cfg.problem.s,
-               target=cfg.problem.target)
+def _first_uncleared(rows) -> Optional[list]:
+    """The first table row whose witness is missing or whose verdict is
+    neither CONSISTENT nor BOUND_INCOMPUTABLE, so a witness exceeding an
+    exact bound fails whether or not the verdict can call it a VIOLATION."""
+    return next((row for row in rows if row[-3] == "" or
+                 row[-1] not in ("CONSISTENT", "BOUND_INCOMPUTABLE")), None)
 
 
 # --- criterion 1: strong convergence on the quadratic problem ---------------------
 
 
-def criterion_experiment_a(cfg: ExperimentConfig,
-                           trace: Optional[Trace] = None) -> CriterionResult:
-    budget = cfg.budget()
-    report = validate_moduli(cfg.iteration.build(), cfg.moduli,
-                             cfg.run.horizon, budget=budget,
-                             k_cap=max(cfg.run.ks, default=0) + 16)
-    if not report.ok:
-        return CriterionResult("experiment_a", False,
-                               f"moduli violations: {report.violations}")
-    if trace is None:
-        trace = _run_config(cfg)
-    ctx = derive_constants(cfg.moduli)
-
-    worst = float(np.max(trace.dist_s)) - ctx.N0
-    if worst > SLACK:
-        return CriterionResult("experiment_a", False,
-                               f"|z_n - s| exceeds N0 by {worst:.3g}")
+def criterion_experiment_a(exp: Experiment) -> CriterionResult:
+    """Boundedness, the trend from n = 10^2 to 10^4, and the metastability
+    table, all as `mppa run` computes them for config A."""
+    trace = exp.trace
+    checks = {row[0]: row for row in exp.check_rows}
+    _, detail, status = checks["boundedness"]
+    if status != "PASS":
+        return CriterionResult("experiment_a", False, detail)
+    # the detail ends in the excess over N0 with 17 digits, which round-trip
+    slack = -float(detail.rpartition(" = ")[2])
     if trace.horizon < 10000:
         return CriterionResult(
             "experiment_a", False,
@@ -111,26 +104,18 @@ def criterion_experiment_a(cfg: ExperimentConfig,
             f"no progress: d(10^4)={trace.dist_s[10000]:.3g} >= "
             f"d(10^2)={trace.dist_s[100]:.3g}")
 
-    combos = incomputable = 0
-    for k in range(10):
-        for spec in ("const 0", "const 10", "id"):
-            f = parse_fspec(spec)
-            emp = empirical_metastability(trace.z, k, f, budget)
-            if emp is None:
-                return CriterionResult(
-                    "experiment_a", False,
-                    f"no metastability witness for k={k}, f={spec}")
-            bv = bounds.phi(k, f, cfg.moduli, constant_c=cfg.constant_c,
-                            budget=budget)
-            if bv.is_exact and emp > bv.value:
-                return CriterionResult(
-                    "experiment_a", False,
-                    f"VIOLATION at k={k}, f={spec}: {emp} > {bv.value}")
-            combos += 1
-            incomputable += 0 if bv.is_exact else 1
+    uncleared = _first_uncleared(exp.meta_rows)
+    if uncleared:
+        k, spec, emp, bound, verdict = uncleared
+        return CriterionResult(
+            "experiment_a", False,
+            f"no metastability witness for k={k}, f={spec}" if emp == ""
+            else f"{verdict} at k={k}, f={spec}: {emp} > {bound}")
+    incomputable = sum(1 for row in exp.meta_rows
+                       if row[-1] == "BOUND_INCOMPUTABLE")
     return CriterionResult(
         "experiment_a", True,
-        f"bounded by N0 (slack {-worst:.3g}), trend ok, {combos} "
+        f"bounded by N0 (slack {slack:.3g}), trend ok, {len(exp.meta_rows)} "
         f"metastability combos ({incomputable} bounds over budget, "
         f"0 violations)")
 
@@ -138,9 +123,9 @@ def criterion_experiment_a(cfg: ExperimentConfig,
 # --- criterion 2: the projection experiment ---------------------------------------
 
 
-def criterion_experiment_b(trace: Optional[Trace] = None) -> CriterionResult:
-    cfg = parse_config(EXPERIMENT_B_TEXT)
-    op = cfg.problem.build()
+def criterion_experiment_b(exp: Experiment) -> CriterionResult:
+    trace = exp.trace
+    op = trace.op
 
     rng = random.Random(0)
     worst = 0.0
@@ -154,8 +139,6 @@ def criterion_experiment_b(trace: Optional[Trace] = None) -> CriterionResult:
             "experiment_b", False,
             f"resolvent depends on c: max deviation {worst:.3g}")
 
-    if trace is None:
-        trace = _run_config(cfg)
     hits = np.nonzero(trace.dist_target <= 0.1)[0]
     if hits.size == 0:
         return CriterionResult(
@@ -170,79 +153,49 @@ def criterion_experiment_b(trace: Optional[Trace] = None) -> CriterionResult:
 
 # --- criterion 3: diagnostic inequalities ------------------------------------------
 
+_DIAGNOSTICS = ("recurrence", "resolvent_drift", "gap_decrease")
 
-def criterion_diagnostics(cfg_a: ExperimentConfig,
-                          trace_a: Optional[Trace] = None,
-                          trace_b: Optional[Trace] = None) -> CriterionResult:
-    cfg_b = parse_config(EXPERIMENT_B_TEXT)
-    if trace_a is None:
-        trace_a = _run_config(cfg_a)
-    if trace_b is None:
-        trace_b = _run_config(cfg_b)
 
+def criterion_diagnostics(exp_a: Experiment,
+                          exp_b: Experiment) -> CriterionResult:
+    """The recurrence, resolvent-drift and gap-decrease rows of checks.csv
+    for both experiments."""
     details = []
-    for label, cfg, trace in (("A", cfg_a, trace_a), ("B", cfg_b, trace_b)):
-        ctx = derive_constants(cfg.moduli)
-        rec = recurrence_check(trace, trace.s, ctx.M1)
-        if not rec <= INEQ_TOL:     # NaN fails too
-            return CriterionResult(
-                "diagnostics", False,
-                f"recurrence violated on {label} by {rec:.3g}")
-        drift = resolvent_drift_check(trace, cfg.moduli.c, ctx.N0)
-        if not drift <= INEQ_TOL:
-            return CriterionResult(
-                "diagnostics", False,
-                f"resolvent drift (ineqJc) violated on {label} by {drift:.3g}")
-        nu_values = {}
-        for k in range(6):
-            bv = nu(cfg.moduli, k, constant_c=True, budget=cfg.budget())
-            if bv.is_exact:
-                nu_values[k] = bv.value
-        found = gap_decrease_check(trace, nu_values)
-        if found:
-            return CriterionResult(
-                "diagnostics", False,
-                f"wdiff violation on {label}: {found[0]}")
-        details.append(f"{label}: rec {rec:.2g}, drift {drift:.2g}, "
-                       f"wdiff ok k<=5")
+    for label, exp in (("A", exp_a), ("B", exp_b)):
+        checks = {row[0]: row for row in exp.check_rows}
+        for name in _DIAGNOSTICS:
+            _, detail, status = checks[name]
+            if status != "PASS":
+                return CriterionResult(
+                    "diagnostics", False, f"{name} on {label}: {detail}")
+        details.append(f"{label}: " + ", ".join(
+            f"{name} {checks[name][1]}" for name in _DIAGNOSTICS))
     return CriterionResult("diagnostics", True, "; ".join(details))
 
 
 # --- criterion 4: asymptotic regularity --------------------------------------------
 
 
-def criterion_asymptotic(cfg: ExperimentConfig,
-                         trace: Optional[Trace] = None) -> CriterionResult:
-    if trace is None:
-        trace = _run_config(cfg)
-    budget = cfg.budget()
-    curves = {"dz": trace.dz, "res_Jn": trace.res_jn, "res_J": trace.res_j}
-    exact_checked = 0
-    for k in range(10):
-        tau = 1.0 / (k + 1)
-        f0 = parse_fspec("const 0")
-        triple = dict(zip(("dz", "res_Jn", "res_J"),
-                          bounds.res_bounds(k, f0, cfg.moduli,
-                                            constant_c=cfg.constant_c,
-                                            budget=budget)))
-        for name, values in curves.items():
-            below = np.nonzero(values <= tau)[0]
-            if below.size == 0:
-                return CriterionResult(
-                    "asymptotic_regularity", False,
-                    f"{name} never reaches 1/{k + 1} within the horizon")
-            bv = triple[name]
-            if bv.is_exact:
-                exact_checked += 1
-                emp = empirical_window_index(values, k, f0, budget)
-                if emp is None or emp > bv.value:
-                    return CriterionResult(
-                        "asymptotic_regularity", False,
-                        f"{name} at k={k}: witness {emp} exceeds bound "
-                        f"{bv.value}")
+def criterion_asymptotic(exp: Experiment) -> CriterionResult:
+    """The asymptotic table of config A: every residual has a window index
+    for each k and f, and none exceeds an exact bound."""
+    if not exp.res_rows:
+        return CriterionResult("asymptotic_regularity", False,
+                               "no asymptotic rows: horizon 0")
+    uncleared = _first_uncleared(exp.res_rows)
+    if uncleared:
+        name, k, spec, emp, bound, verdict = uncleared
+        return CriterionResult(
+            "asymptotic_regularity", False,
+            f"{name} has no window below 1/{int(k) + 1} for f={spec} within "
+            f"the horizon" if emp == ""
+            else f"{name} at k={k}, f={spec}: witness {emp} exceeds bound "
+                 f"{bound} ({verdict})")
+    exact = sum(1 for row in exp.res_rows if row[-1] != "BOUND_INCOMPUTABLE")
+    k_max = max(int(row[1]) for row in exp.res_rows)
     return CriterionResult(
         "asymptotic_regularity", True,
-        f"all residuals below 1/(k+1) for k<=9; {exact_checked} exact "
+        f"all residuals below 1/(k+1) for k<={k_max}; {exact} exact "
         f"bounds compared")
 
 
@@ -485,31 +438,38 @@ def criterion_monotonicity() -> CriterionResult:
 
 def run_all(config_path) -> list:
     """Execute the full battery; the config path names the quadratic
-    experiment (criteria 1, 3 and 4)."""
+    experiment (criteria 1, 3 and 4).  Config A and the pinned experiment B
+    each run once, through the pipeline of `mppa run`."""
     results = []
-    cfg = None
-    trace_a = None
-    try:
-        cfg = parse_config(Path(config_path).read_text(encoding="utf-8"))
-        trace_a = _run_config(cfg)
-    except Exception as exc:
-        results.append(CriterionResult("experiment_a", False,
-                                       f"config failed: {exc}"))
 
-    def guarded(fn, *args):
+    def experiment(read):
+        """An Experiment that ran, or the text saying why it did not."""
         try:
-            results.append(fn(*args))
+            exp = run_experiment(parse_config(read()))
         except Exception as exc:
-            results.append(CriterionResult(fn.__name__.replace(
-                "criterion_", ""), False, f"crashed: {exc}"))
+            return f"config failed: {exc}"
+        if exp.trace is None:
+            return f"moduli violations: {exp.report.violations}"
+        return exp
 
-    if cfg is not None:
-        guarded(criterion_experiment_a, cfg, trace_a)
-    guarded(criterion_experiment_b)
-    if cfg is not None:
-        guarded(criterion_diagnostics, cfg, trace_a)
-        guarded(criterion_asymptotic, cfg, trace_a)
-    guarded(criterion_oracles)
-    guarded(criterion_equivalence)
-    guarded(criterion_monotonicity)
+    exp_a = experiment(lambda: Path(config_path).read_text(encoding="utf-8"))
+    exp_b = experiment(lambda: EXPERIMENT_B_TEXT)
+
+    def guarded(name, criterion, *experiments):
+        failed = [exp for exp in experiments if isinstance(exp, str)]
+        if failed:
+            results.append(CriterionResult(name, False, failed[0]))
+            return
+        try:
+            results.append(criterion(*experiments))
+        except Exception as exc:
+            results.append(CriterionResult(name, False, f"crashed: {exc}"))
+
+    guarded("experiment_a", criterion_experiment_a, exp_a)
+    guarded("experiment_b", criterion_experiment_b, exp_b)
+    guarded("diagnostics", criterion_diagnostics, exp_a, exp_b)
+    guarded("asymptotic_regularity", criterion_asymptotic, exp_a)
+    guarded("oracle_suites", criterion_oracles)
+    guarded("evaluator_equivalence", criterion_equivalence)
+    guarded("monotonicity", criterion_monotonicity)
     return results

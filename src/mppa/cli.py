@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -20,14 +21,15 @@ from . import bounds
 from .config import ConfigError, ExperimentConfig, parse_config, parse_fspec, \
     render_fspec
 from .countfn import BoundValue, BudgetExceededError, evaluate
-from .iteration import (asymptotic_residuals, boundedness_check,
+from .iteration import (Trace, asymptotic_residuals, boundedness_check,
                         empirical_metastability, empirical_window_index,
                         gap_decrease_check, recurrence_check,
                         resolvent_drift_check, run, wbound_check,
                         write_trace_csv)
 from .operators import INEQ_TOL, SLACK, check_resolvent_identity
 from .oracle import DEFAULT_TRIALS, run_suite
-from .schedules import derive_constants, nu, validate_anchors, validate_moduli
+from .schedules import (ModuliReport, derive_constants, nu, validate_anchors,
+                        validate_moduli)
 
 # The named bounds whose inputs a config and --fspec (the f) supply.
 BOUND_NAMES = tuple(name for name, entry in bounds.BOUNDS.items()
@@ -146,43 +148,36 @@ def _verdict(emp: Optional[int], bv: BoundValue, f, last: int,
     return "NO_WITNESS_IN_HORIZON"
 
 
-def _residual_rows(trace, cfg: ExperimentConfig, budget) -> list:
-    rows = []
+def _judged(search, values, k: int, f, bv: BoundValue, budget) -> list:
+    """[empirical, bound, verdict] of one empirical search over values, whose
+    last index is the horizon the verdict may observe."""
+    try:
+        emp = search(values, k, f, budget)
+    except BudgetExceededError:
+        emp = None
+    return ["" if emp is None else str(emp), bv.render(),
+            _verdict(emp, bv, f, values.shape[0] - 1, budget)]
+
+
+def _property_rows(trace, cfg: ExperimentConfig, budget) -> tuple:
+    """The rows of metastability.csv and of asymptotic.csv, for each k and
+    f of the config (and each residual in the latter)."""
+    meta_rows, res_rows = [], []
     curves = asymptotic_residuals(trace)
-    for k in cfg.run.ks:
-        for spec in cfg.run.fspecs:
-            f = parse_fspec(spec)
-            triple = bounds.res_bounds(k, f, cfg.moduli,
-                                       constant_c=cfg.constant_c,
-                                       budget=budget)
-            for name, bv in zip(("dz", "res_Jn", "res_J"), triple):
-                values = curves[name]
-                try:
-                    emp = empirical_window_index(values, k, f, budget)
-                except BudgetExceededError:
-                    emp = None
-                verdict = _verdict(emp, bv, f, values.shape[0] - 1, budget)
-                rows.append([name, str(k), spec,
-                             "" if emp is None else str(emp),
-                             bv.render(), verdict])
-    return rows
-
-
-def _metastability_rows(trace, cfg: ExperimentConfig, budget) -> list:
-    rows = []
     for k in cfg.run.ks:
         for spec in cfg.run.fspecs:
             f = parse_fspec(spec)
             bv = bounds.phi(k, f, cfg.moduli, constant_c=cfg.constant_c,
                             budget=budget)
-            try:
-                emp = empirical_metastability(trace.z, k, f, budget)
-            except BudgetExceededError:
-                emp = None
-            verdict = _verdict(emp, bv, f, trace.horizon, budget)
-            rows.append([str(k), spec, "" if emp is None else str(emp),
-                         bv.render(), verdict])
-    return rows
+            meta_rows.append([str(k), spec] + _judged(
+                empirical_metastability, trace.z, k, f, bv, budget))
+            triple = bounds.res_bounds(k, f, cfg.moduli,
+                                       constant_c=cfg.constant_c,
+                                       budget=budget)
+            for name, bv in zip(("dz", "res_Jn", "res_J"), triple):
+                res_rows.append([name, str(k), spec] + _judged(
+                    empirical_window_index, curves[name], k, f, bv, budget))
+    return meta_rows, res_rows
 
 
 def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
@@ -237,6 +232,47 @@ def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
     return rows
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """What `mppa run` computes for one config.  `report` is None at horizon
+    0, where the moduli are not validated.  When the report has violations
+    nothing else is computed: `trace` is None and the tables are empty.
+    Otherwise the rows are those of metastability.csv, asymptotic.csv (both
+    empty at horizon 0) and checks.csv."""
+
+    report: Optional[ModuliReport]
+    trace: Optional[Trace]
+    meta_rows: list
+    res_rows: list
+    check_rows: list
+
+
+def run_experiment(cfg: ExperimentConfig) -> Experiment:
+    """Validate the moduli, run the iteration and build the property
+    tables: the one pipeline of `mppa run` and `mppa verify`."""
+    budget = cfg.budget()
+    moduli = cfg.moduli
+    schedule = cfg.iteration.build()
+    horizon = cfg.run.horizon
+
+    report = None
+    if horizon >= 1:
+        report = validate_moduli(schedule, moduli, horizon, budget=budget,
+                                 k_cap=max(cfg.run.ks, default=0) + 16)
+        if not report.ok:
+            return Experiment(report, None, [], [], [])
+
+    trace = run(cfg.problem.build(), schedule, cfg.iteration.u,
+                cfg.iteration.z0, horizon, c=moduli.c, s=cfg.problem.s,
+                target=cfg.problem.target)
+    meta_rows, res_rows = [], []
+    if horizon >= 1:
+        meta_rows, res_rows = _property_rows(trace, cfg, budget)
+    check_rows = _check_rows(trace, cfg, derive_constants(moduli), schedule,
+                             budget)
+    return Experiment(report, trace, meta_rows, res_rows, check_rows)
+
+
 def cmd_run(args) -> int:
     path, cfg = _load_config(args.config)
     if cfg is None:
@@ -244,47 +280,29 @@ def cmd_run(args) -> int:
     out = Path(args.out) if args.out else path.parent / (path.stem + "_out")
     out.mkdir(parents=True, exist_ok=True)
 
-    budget = cfg.budget()
-    moduli = cfg.moduli
-    ctx = derive_constants(moduli)
-    schedule = cfg.iteration.build()
-    horizon = cfg.run.horizon
-
-    if horizon >= 1:
-        k_cap = max(cfg.run.ks, default=0) + 16
-        report = validate_moduli(schedule, moduli, horizon, budget=budget,
-                                 k_cap=k_cap)
-        if not report.ok:
-            for v in report.violations:
-                print(f"moduli violation: {v}", file=sys.stderr)
-            return 2
-
-    op = cfg.problem.build()
-    trace = run(op, schedule, cfg.iteration.u, cfg.iteration.z0, horizon,
-                c=moduli.c, s=cfg.problem.s, target=cfg.problem.target)
+    exp = run_experiment(cfg)
+    if exp.trace is None:
+        for v in exp.report.violations:
+            print(f"moduli violation: {v}", file=sys.stderr)
+        return 2
 
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
-        write_trace_csv(trace, fh)
-
-    if horizon >= 1:
-        meta_rows = _metastability_rows(trace, cfg, budget)
-        res_rows = _residual_rows(trace, cfg, budget)
-    else:
+        write_trace_csv(exp.trace, fh)
+    if exp.trace.horizon == 0:
         print("notice: horizon 0, property tables are header-only",
               file=sys.stderr)
-        meta_rows, res_rows = [], []
     _write_table(out / "metastability.csv",
-                 ["k", "f_spec", "empirical", "bound", "verdict"], meta_rows)
+                 ["k", "f_spec", "empirical", "bound", "verdict"],
+                 exp.meta_rows)
     _write_table(out / "asymptotic.csv",
                  ["quantity", "k", "f_spec", "empirical", "bound", "verdict"],
-                 res_rows)
-
-    check_rows = _check_rows(trace, cfg, ctx, schedule, budget)
+                 exp.res_rows)
     _write_table(out / "checks.csv", ["check", "detail", "status"],
-                 check_rows)
+                 exp.check_rows)
 
-    bad_checks = [r[0] for r in check_rows if r[2] == "FAIL"]
-    violations = [r for r in meta_rows + res_rows if r[-1] == "VIOLATION"]
+    bad_checks = [r[0] for r in exp.check_rows if r[2] == "FAIL"]
+    violations = [r for r in exp.meta_rows + exp.res_rows
+                  if r[-1] == "VIOLATION"]
     for name in bad_checks:
         print(f"check failed: {name}", file=sys.stderr)
     for row in violations:

@@ -28,6 +28,8 @@ BUDGET_BITS_ENV = "PPA_BUDGET_BITS"
 # Stage a marker names when no named formula is active.
 _TOP_STAGE = "eval"
 
+_NATURAL_ONLY = "counting functions take natural arguments"
+
 
 def _bits_from_env() -> int:
     raw = os.environ.get(BUDGET_BITS_ENV)
@@ -259,6 +261,8 @@ class Table(CountFn):
     def _eval(self, n, state):
         if n >= len(self.values):
             return self.values[-1]
+        if n < 0:
+            raise ValueError(_NATURAL_ONLY)
         return self.values[n]
 
 
@@ -286,6 +290,8 @@ class ExpCeil(CountFn):
             raise ValueError("scale must be a positive integer")
 
     def _eval(self, n, state):
+        if n < 0:
+            raise ValueError(_NATURAL_ONLY)
         if n == 0:
             return self.scale
         # e**n > 2**(1.44*n); refuse values provably over the magnitude cap
@@ -318,7 +324,7 @@ class Closure(CountFn):
 def evaluate(f: CountFn, n: int, budget: Optional[Budget] = None) -> BoundValue:
     """Evaluate f at n under a fresh budget, reporting overflow as a marker."""
     if n < 0:
-        raise ValueError("counting functions take natural arguments")
+        raise ValueError(_NATURAL_ONLY)
     state = EvalState(budget)
     try:
         return BoundValue.exact(f(n, state))

@@ -37,7 +37,6 @@ class Trace:
     u: np.ndarray
     s: Optional[np.ndarray]
     target: Optional[np.ndarray]
-    c_denom: int         # fixed resolvent parameter is 1/c_denom
 
     @property
     def horizon(self) -> int:
@@ -138,7 +137,7 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
         raise ValueError("point has non-finite coordinates")
     jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)
     return Trace(op=op, z=zs, jn=jn, jfix=jfix, lam=lam, gam=gam, delta=delta,
-                 cs=cs, errs=errs, u=u, s=s_pt, target=t_pt, c_denom=c)
+                 cs=cs, errs=errs, u=u, s=s_pt, target=t_pt)
 
 
 # --- empirical searches -------------------------------------------------------

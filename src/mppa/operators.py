@@ -12,8 +12,6 @@ on a list of Python floats `_resolve_floats(c, x)`, and its row-batched form
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # The float tolerances of the whole package.  SLACK absorbs the rounding of
@@ -38,14 +36,6 @@ def as_point(coords) -> np.ndarray:
     if not np.all(np.isfinite(pt)):
         raise ValueError("point has non-finite coordinates")
     return pt
-
-
-def inner(x, y) -> float:
-    x = as_point(x)
-    y = as_point(y)
-    if x.size != y.size:
-        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
-    return float(np.dot(x, y))
 
 
 def norm(x) -> float:
@@ -123,9 +113,6 @@ class ResolventOperator:
     def _resolve_rows(self, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class QuadraticProx(ResolventOperator):
     """Gradient of the squared distance to a center, scaled by a weight.
@@ -153,9 +140,6 @@ class QuadraticProx(ResolventOperator):
     def _resolve_rows(self, cs, xs):
         cw = (cs * self.weight)[:, None]
         return (xs + cw * self.center) / (1.0 + cw)
-
-    def describe(self):
-        return f"{self.kind}(center={self.center.tolist()}, weight={self.weight})"
 
 
 class BallProjection(ResolventOperator):
@@ -186,9 +170,6 @@ class BallProjection(ResolventOperator):
         far = ~(dist <= self.radius)
         out[far] = self.center + d[far] * (self.radius / dist[far])[:, None]
         return out
-
-    def describe(self):
-        return f"{self.kind}(center={self.center.tolist()}, radius={self.radius})"
 
 
 class BoxProjection(ResolventOperator):
@@ -222,9 +203,6 @@ class BoxProjection(ResolventOperator):
         # its broadcasting loop, and takes the face in its 1-d loop
         m = np.where((xs != xs) | (xs > self.lo), xs, self.lo)
         return np.where((m != m) | (m < self.hi), m, self.hi)
-
-    def describe(self):
-        return f"{self.kind}(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
 class LinearPSD(ResolventOperator):
@@ -276,9 +254,6 @@ class LinearPSD(ResolventOperator):
             systems = eye + cs[lo:hi, None, None] * self.matrix
             out[lo:hi] = np.linalg.solve(systems, xs[lo:hi, :, None])[:, :, 0]
         return out
-
-    def describe(self):
-        return f"{self.kind}(dim={self.dim})"
 
 
 class Rotation2D(ResolventOperator):

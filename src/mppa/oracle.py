@@ -332,10 +332,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def csv_line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"{self.lemma},{self.trials},{self.passes},{status}"
-
 
 def _random_seq(rng: random.Random, n_bound: int) -> BoundedSeq:
     length = rng.randrange(1, 13)

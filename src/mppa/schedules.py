@@ -33,9 +33,6 @@ _FLOAT_MAX = int(sys.float_info.max)
 class ConstantSeq:
     value: float
 
-    def at(self, n: int) -> float:
-        return self.value
-
     def values(self, count: int) -> np.ndarray:
         return np.full(count, self.value)
 
@@ -50,9 +47,6 @@ class HarmonicSeq:
         if not (self.shift > 0):
             raise ValueError("harmonic shift must be positive")
 
-    def at(self, n: int) -> float:
-        return 1.0 / (n + self.shift)
-
     def values(self, count: int) -> np.ndarray:
         return 1.0 / (np.arange(count) + self.shift)
 
@@ -60,9 +54,6 @@ class HarmonicSeq:
 @dataclass(frozen=True)
 class ZeroError:
     dim: int
-
-    def at(self, n: int) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def values(self, count: int) -> np.ndarray:
         return np.zeros((count, self.dim))
@@ -87,9 +78,6 @@ class GeometricError:
     def dim(self) -> int:
         return len(self.base)
 
-    def at(self, n: int) -> np.ndarray:
-        return (self.ratio ** n) * np.asarray(self.base)
-
     def values(self, count: int) -> np.ndarray:
         scales = self.ratio ** np.arange(count)
         return scales[:, None] * np.asarray(self.base)
@@ -105,18 +93,6 @@ class Schedule:
     gamma: object
     c: object
     error: object
-
-    def at(self, n: int):
-        """Parameters (lambda, gamma, delta, c, e) at step n."""
-        lam = self.lam.at(n)
-        gam = self.gamma.at(n)
-        delta = 1.0 - lam - gam
-        if delta <= 0:
-            raise ValueError(f"invalid schedule at n={n}: lambda + gamma >= 1")
-        cv = self.c.at(n)
-        if cv <= 0:
-            raise ValueError(f"invalid schedule at n={n}: c must be positive")
-        return lam, gam, delta, cv, self.error.at(n)
 
     def snapshot(self, horizon: int):
         """Vectorized parameters: scalars for n = 0..horizon, errors for

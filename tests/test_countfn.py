@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mppa.bounds import sigma
 from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
                           DEFAULT_MAX_CALLS, Affine, BoundValue, Budget,
                           BudgetExceededError, Closure, Composed, Const,
@@ -74,6 +76,31 @@ def test_expceil_exponent_guard():
     bv = evaluate(ExpCeil(1), 2000, Budget(magnitude_bits=64))
     assert not bv.is_exact
     assert bv.stage == "eval"
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 5 s instead of hanging the suite: a
+    negative exponent once looped for ever in the exp enclosure."""
+    def expired(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExpCeil(1)(-1, EvalState()),
+    lambda: ExpCeil(4)(-3, EvalState()),
+    lambda: Table((0, 5))(-1, EvalState()),
+    lambda: sigma(0, -50, ExpCeil(4), 1),
+], ids=["expceil", "expceil_scaled", "table", "sigma"])
+def test_negative_argument_is_rejected(alarm, call):
+    with pytest.raises(ValueError, match="natural arguments"):
+        call()
 
 
 def test_majorize_is_identity():

@@ -53,9 +53,6 @@ class Listed:
 
     vals: tuple
 
-    def at(self, n):
-        return self.vals[n]
-
     def values(self, count):
         return np.array(self.vals[:count], dtype=float)
 

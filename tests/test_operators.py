@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mppa.operators import (INEQ_TOL, BallProjection, BoxProjection,
                             LinearPSD, QuadraticProx, Rotation2D, as_point,
-                            check_resolvent_identity, inner, norm, row_dot,
+                            check_resolvent_identity, norm, row_dot,
                             row_norm)
 
 RNG = np.random.default_rng(11)
@@ -39,11 +39,8 @@ def test_as_point():
         as_point(())
 
 
-def test_inner_norm():
-    assert inner((1, 2), (3, 4)) == 11.0
+def test_norm():
     assert norm((3, 4)) == 5.0
-    with pytest.raises(ValueError):
-        inner((1, 2), (1, 2, 3))
 
 
 # --- constructor validation --------------------------------------------------

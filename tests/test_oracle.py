@@ -149,7 +149,6 @@ def test_suite_smoke(lemma, trials):
     assert res.ok
     assert res.passes == trials
     assert res.first_failure is None
-    assert res.csv_line() == f"{lemma},{trials},{trials},PASS"
 
 
 def test_suite_is_deterministic():

@@ -27,11 +27,11 @@ MODULI_A = Moduli(a=2, c=1, Cmaj=Const(1), ell=Identity(), Ldiv=ExpCeil(4),
 
 
 def test_families_pointwise_matches_vectorized():
-    for fam in (ConstantSeq(0.25), HarmonicSeq(shift=3.0)):
-        vec = fam.values(7)
-        assert np.allclose(vec, [fam.at(n) for n in range(7)])
+    assert np.all(ConstantSeq(0.25).values(7) == 0.25)
+    assert np.allclose(HarmonicSeq(shift=3.0).values(7),
+                       [1.0 / (n + 3) for n in range(7)])
     err = GeometricError(ratio=0.5, base=(1.0, 0.0))
-    assert np.allclose(err.values(4), [err.at(n) for n in range(4)])
+    assert np.allclose(err.values(4), [(0.5 ** n, 0.0) for n in range(4)])
     assert np.allclose(err.norms(4), [1.0, 0.5, 0.25, 0.125])
     zero = ZeroError(dim=2)
     assert np.all(zero.values(3) == 0.0)
@@ -47,25 +47,15 @@ def test_family_validation():
         GeometricError(ratio=0.0, base=(1.0,))
 
 
-def test_schedule_at_and_snapshot():
-    sched = make_schedule()
-    lam, gam, delta, cv, e = sched.at(0)
-    assert lam == pytest.approx(1.0 / 3.0)
-    assert gam == 0.5
-    assert delta == pytest.approx(1.0 - lam - gam)
-    assert cv == 1.0
-    assert np.all(e == 0.0)
-
-    lams, gams, deltas, cs, errs = sched.snapshot(5)
+def test_schedule_snapshot():
+    lams, gams, deltas, cs, errs = make_schedule().snapshot(5)
     assert lams.shape == (6,)
+    assert lams[0] == pytest.approx(1.0 / 3.0)
+    assert np.all(gams == 0.5)
+    assert np.all(cs == 1.0)
     assert errs.shape == (5, 2)
+    assert np.all(errs == 0.0)
     assert np.allclose(deltas, 1.0 - lams - gams)
-
-
-def test_schedule_at_rejects_degenerate_delta():
-    sched = make_schedule(lam=ConstantSeq(0.5), gamma=ConstantSeq(0.5))
-    with pytest.raises(ValueError):
-        sched.at(0)
 
 
 def test_validate_schedule():
@@ -178,9 +168,6 @@ class Listed:
     """A parameter family given by its first values."""
 
     vals: tuple
-
-    def at(self, n):
-        return self.vals[n]
 
     def values(self, count):
         return np.array(self.vals[:count], dtype=float)
