@@ -24,11 +24,8 @@ from typing import Callable, Optional
 
 from . import schedules
 from .countfn import (BoundValue, Budget, BudgetExceededError, Closure,
-                      CountFn, EvalState, _Stage, ceil_ln, majorize)
+                      CountFn, EvalState, _Stage, ceil_ln)
 from .schedules import BoundContext, Moduli, derive_constants, mu_fn, nu_fn
-
-# Functional argument shape used by Theta: a bound taking (k, counterfn).
-BoundFunctional = Callable[[int, CountFn, EvalState], int]
 
 
 def _wrap(budget: Optional[Budget], fn) -> BoundValue:
@@ -223,13 +220,6 @@ def chi0(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
 
 # --- residual rates ------------------------------------------------------------
 
-def _f_tilde(mu_k: int, f: CountFn, state: EvalState) -> CountFn:
-    def fn(m, st):
-        return state.check(mu_k + f(max(mu_k, m), st))
-
-    return Closure(name="xi.f_tilde", fn=fn)
-
-
 def _residual(mu_level: int, chi_level: int, f: CountFn, moduli: Moduli,
               constant_c: bool, state: EvalState) -> int:
     """max(mu(mu_level), chi0(chi_level, f~)) with f~(m) = mu + f(max(mu, m)):
@@ -237,9 +227,13 @@ def _residual(mu_level: int, chi_level: int, f: CountFn, moduli: Moduli,
     with _Stage(state, "xi"):
         state.tick()
         mu_val = mu_fn(moduli)(mu_level, state)
-        shifted = _f_tilde(mu_val, f, state)
-        chi_val = _chi0(state.check(chi_level), shifted, moduli, constant_c,
-                        state)
+
+        def shifted(m, st):
+            return state.check(mu_val + f(max(mu_val, m), st))
+
+        chi_val = _chi0(state.check(chi_level),
+                        Closure(name="xi.f_tilde", fn=shifted), moduli,
+                        constant_c, state)
         return max(mu_val, chi_val)
 
 
@@ -276,13 +270,6 @@ def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
 
 # --- removal of the sequential weak compactness argument ----------------------
 
-def _plus_one(f: CountFn) -> CountFn:
-    def fn(m, st):
-        return f(m, st) + 1
-
-    return Closure(name="succ_of", fn=fn)
-
-
 def _psi(k: int, f: CountFn, moduli: Moduli, n_ball: int, constant_c: bool,
          state: EvalState) -> int:
     """psi(k, f) = xi(24 N (g_hat**R (0) + 1)^2, f + 1) with
@@ -291,7 +278,7 @@ def _psi(k: int, f: CountFn, moduli: Moduli, n_ball: int, constant_c: bool,
         raise ValueError("psi requires N >= 1")
     with _Stage(state, "psi"):
         state.tick()
-        f1 = _plus_one(f)
+        f1 = Closure(name="succ_of", fn=lambda m, st: f(m, st) + 1)
         r = state.check(state.checked_pow(n_ball, 4) * (k + 1) * (k + 1))
         state.require(r)
         v = 0
@@ -337,17 +324,16 @@ def psi_cap(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
 
 # --- the main recursion ---------------------------------------------------------
 
-def _theta_cap(k: int, f: CountFn, ldiv: CountFn, psi_fn: BoundFunctional,
-               g_rate: CountFn, d: int, state: EvalState) -> int:
-    """Theta(k, f) = Ldiv(h(PsiFn(4k+3, g))) + 1 with
+def _theta_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
+               constant_c: bool, state: EvalState) -> int:
+    """Theta(k, f) = Ldiv(h(Psi(4k+3, g))) + 1 with
     h(m) = max(m, G(4k+3) + 1) + ceil_ln(4 D (k+1)) and
     g(m) = 4 (k+1) (f(Ldiv(h(m)) + 1) + 1)."""
-    if d < 1:
-        raise ValueError("Theta requires D >= 1")
+    ldiv = moduli.Ldiv
     with _Stage(state, "Theta"):
         state.tick()
-        g_val = g_rate(state.check(4 * k + 3), state)
-        log_term = ceil_ln(state.check(4 * d * (k + 1)))
+        g_val = ctx.G(state.check(4 * k + 3), state)
+        log_term = ceil_ln(state.check(4 * ctx.D * (k + 1)))
 
         def h(m, st):
             return st.check(max(m, g_val + 1) + log_term)
@@ -357,33 +343,24 @@ def _theta_cap(k: int, f: CountFn, ldiv: CountFn, psi_fn: BoundFunctional,
             inner = ldiv(hm, st) + 1
             return st.check(4 * (k + 1) * (f(inner, st) + 1))
 
-        witness = psi_fn(state.check(4 * k + 3),
-                         Closure(name="Theta.g", fn=g), state)
+        witness = _psi_cap(state.check(4 * k + 3),
+                           Closure(name="Theta.g", fn=g), moduli, ctx,
+                           constant_c, state)
         return state.check(ldiv(h(witness, state), state) + 1)
 
 
-def psi_functional(moduli: Moduli,
-                   constant_c: bool = False) -> BoundFunctional:
-    """The witness functional Theta consumes, closed over fixed moduli."""
-    ctx = derive_constants(moduli)
-
-    def fn(kk, ff, state):
-        return _psi_cap(kk, ff, moduli, ctx, constant_c, state)
-
-    return fn
-
-
-def theta_cap(k: int, f: CountFn, ldiv: CountFn, psi_fn: BoundFunctional,
-              g_rate: CountFn, d: int,
+def theta_cap(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
               budget: Optional[Budget] = None) -> BoundValue:
-    """The outer recursion assembling the full metastability rate from a
-    witness functional PsiFn, the divergence rate Ldiv, the error-tail rate
-    G and the squared-radius constant D."""
-    return _wrap(budget, lambda st: _theta_cap(k, f, ldiv, psi_fn, g_rate, d, st))
+    """The outer recursion assembling the full metastability rate from Psi,
+    the divergence rate Ldiv, the error-tail rate G and the squared-radius
+    constant D of the moduli."""
+    ctx = derive_constants(moduli)
+    return _wrap(budget, lambda st: _theta_cap(k, f, moduli, ctx, constant_c,
+                                               st))
 
 
-def _phi_chi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
-             constant_c: bool, state: EvalState) -> int:
+def _phi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
+         constant_c: bool, state: EvalState) -> int:
     with _Stage(state, "phi"):
         state.tick()
         level = state.check(4 * (k + 1) * (k + 1) - 1)
@@ -391,28 +368,18 @@ def _phi_chi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
         def bumped(m, st):
             return st.check(m + f(m, st))
 
-        def psi_fn(kk, ff, st):
-            return _psi_cap(kk, ff, moduli, ctx, constant_c, st)
-
         return _theta_cap(level, Closure(name="phi.bumped", fn=bumped),
-                          moduli.Ldiv, psi_fn, ctx.G, ctx.D, state)
-
-
-def phi_chi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-            budget: Optional[Budget] = None) -> BoundValue:
-    """Rate of metastability of the iteration itself, assembled from the
-    gap rate chi0 through Psi and the outer recursion Theta."""
-    ctx = derive_constants(moduli)
-    return _wrap(budget, lambda st: _phi_chi(k, f, moduli, ctx, constant_c, st))
+                          moduli, ctx, constant_c, state)
 
 
 def phi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
         budget: Optional[Budget] = None) -> BoundValue:
-    """Headline rate: phi(k, f) = phi_chi(k, f^maj).  Since counterfunctions
-    are monotone by representation the majorization is the identity, and
-    phi(k, f) = phi(k, f^maj) holds definitionally."""
-    return phi_chi(k, majorize(f), moduli, constant_c=constant_c,
-                   budget=budget)
+    """Headline rate of metastability of the iteration itself, assembled
+    from the gap rate chi0 through Psi and the outer recursion Theta:
+    phi(k, f) = Theta(4(k+1)^2 - 1, m -> m + f^maj(m)).  Counting functions
+    are monotone by representation, so f^maj = f."""
+    ctx = derive_constants(moduli)
+    return _wrap(budget, lambda st: _phi(k, f, moduli, ctx, constant_c, st))
 
 
 # --- the registry of named bounds --------------------------------------------
@@ -424,13 +391,6 @@ class NamedBound:
 
     needs: tuple
     formula: Callable[..., BoundValue]
-
-
-def _theta_cap_of(k, f, moduli, constant_c, budget, **_):
-    """Theta on the iteration's own moduli, with its Psi, G and D."""
-    ctx = derive_constants(moduli)
-    return theta_cap(k, f, moduli.Ldiv, psi_functional(moduli, constant_c),
-                     ctx.G, ctx.D, budget)
 
 
 # Every formula calls the functions above by their module-global names when
@@ -468,7 +428,8 @@ BOUNDS = {
                       psi(k, f, moduli, constant_c, budget)),
     "Psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
                       psi_cap(k, f, moduli, constant_c, budget)),
-    "Theta": NamedBound(("f",), _theta_cap_of),
+    "Theta": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
+                        theta_cap(k, f, moduli, constant_c, budget)),
     "phi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
                       phi(k, f, moduli, constant_c, budget)),
 }

@@ -27,7 +27,7 @@ from .iteration import (Trace, asymptotic_residuals, boundedness_check,
                         resolvent_drift_check, run, wbound_check,
                         write_trace_csv)
 from .operators import INEQ_TOL, SLACK, check_resolvent_identity
-from .oracle import DEFAULT_TRIALS, run_suite
+from .oracle import SUITES, run_suite
 from .schedules import (ModuliReport, derive_constants, nu, validate_anchors,
                         validate_moduli)
 
@@ -36,7 +36,7 @@ BOUND_NAMES = tuple(name for name, entry in bounds.BOUNDS.items()
                     if set(entry.needs) <= {"f"})
 _NEEDS_F = frozenset(name for name in BOUND_NAMES
                      if "f" in bounds.BOUNDS[name].needs)
-LEMMAS = tuple(DEFAULT_TRIALS)
+LEMMAS = tuple(SUITES)
 
 
 def _write_table(path: Path, header, rows) -> None:

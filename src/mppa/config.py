@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .countfn import (BUDGET_BITS_ENV, Affine, Budget, Const, CountFn,
-                      ExpCeil, Identity, Table)
+from .countfn import (Affine, Budget, Const, CountFn, ExpCeil, Identity,
+                      Table)
 from .operators import (BallProjection, BoxProjection, LinearPSD,
                         QuadraticProx, ResolventOperator, Rotation2D)
 from .schedules import (ConstantSeq, GeometricError, HarmonicSeq, Moduli,
@@ -224,11 +223,9 @@ class ExperimentConfig:
         return isinstance(self.iteration.c, ConstantSeq)
 
     def budget(self) -> Budget:
-        base = Budget.default()
-        bits = base.magnitude_bits
-        if BUDGET_BITS_ENV not in os.environ and \
-                self.run.budget_bits is not None:
-            bits = self.run.budget_bits
+        base = Budget()
+        bits = base.magnitude_bits if self.run.budget_bits is None \
+            else self.run.budget_bits
         calls = base.max_calls if self.run.budget_calls is None \
             else self.run.budget_calls
         return Budget(magnitude_bits=bits, max_calls=calls)

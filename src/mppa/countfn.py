@@ -16,29 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 DEFAULT_MAGNITUDE_BITS = 4096
 DEFAULT_MAX_CALLS = 10_000_000
 
-BUDGET_BITS_ENV = "PPA_BUDGET_BITS"
-
 # Stage a marker names when no named formula is active.
 _TOP_STAGE = "eval"
 
 _NATURAL_ONLY = "counting functions take natural arguments"
-
-
-def _bits_from_env() -> int:
-    raw = os.environ.get(BUDGET_BITS_ENV)
-    if raw is None:
-        return DEFAULT_MAGNITUDE_BITS
-    bits = int(raw)
-    if bits < 8:
-        raise ValueError(f"{BUDGET_BITS_ENV} must be at least 8, got {bits}")
-    return bits
 
 
 @dataclass(frozen=True)
@@ -47,10 +34,6 @@ class Budget:
 
     magnitude_bits: int = DEFAULT_MAGNITUDE_BITS
     max_calls: int = DEFAULT_MAX_CALLS
-
-    @staticmethod
-    def default() -> "Budget":
-        return Budget(magnitude_bits=_bits_from_env())
 
 
 class BudgetExceededError(Exception):
@@ -74,7 +57,7 @@ class EvalState:
 
     def __init__(self, budget: Optional[Budget] = None):
         if budget is None:
-            budget = Budget.default()
+            budget = Budget()
         self.magnitude_bits = budget.magnitude_bits
         self._cap = 1 << budget.magnitude_bits
         self.max_calls = budget.max_calls
@@ -343,7 +326,7 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     evaluates nothing further.
     """
     if budget is None:
-        budget = Budget.default()
+        budget = Budget()
     form = f.affine_form()
     if form is None:
         for n in itertools.count():
@@ -356,16 +339,6 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
             yield from itertools.repeat(offset)
         yield from range(offset, cap + 1, slope)
     raise BudgetExceededError(_TOP_STAGE)
-
-
-def majorize(f: CountFn) -> CountFn:
-    """Running-maximum closure of f.
-
-    Every representation in this module is already monotone (tables are
-    normalized at construction), so this is the identity; it exists so call
-    sites can state the intent explicitly.
-    """
-    return f
 
 
 def strongly_majorizes(g: CountFn, f: CountFn, upto: int = 50,

@@ -26,13 +26,6 @@ PREMISE_TOL = Fraction(1, 10 ** 12)
 CONCLUSION_TOL = Fraction(1, 10 ** 9)
 
 
-def _fval(f: CountFn, n: int) -> int:
-    v = evaluate(f, n)
-    if not v.is_exact:
-        raise BudgetExceededError(v.stage)
-    return v.value
-
-
 def _exact(bound_value) -> int:
     if not bound_value.is_exact:
         raise BudgetExceededError(bound_value.stage)
@@ -103,10 +96,6 @@ class SyntheticPair:
                     f"alpha out of [1/a, 1-1/a] at index {i}: {x!r}")
         self._z = [self.z0]
 
-    @property
-    def dim(self) -> int:
-        return self.z0.shape[0]
-
     def alpha_at(self, n: int) -> float:
         return self.alpha[min(n, len(self.alpha) - 1)]
 
@@ -136,7 +125,7 @@ class SyntheticPair:
 def ratap_witness(xs: BoundedSeq, k: int, n: int, f: CountFn) -> Optional[int]:
     """Least p < N(k+1) whose cell [p/(k+1), (p+1)/(k+1)] is entered on the
     window [n, n+f(n)] while no window value exceeds its upper edge."""
-    win = xs.window(n, n + _fval(f, n))
+    win = xs.window(n, n + _exact(evaluate(f, n)))
     for p in range(xs.bound * (k + 1)):
         lower = Fraction(p, k + 1)
         upper = Fraction(p + 1, k + 1)
@@ -156,7 +145,7 @@ def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
     cells = xs.bound * (k + 1)
     for m in range(m_start, cap + 1):
         probe = xs.at(m + t)
-        win = xs.window(m, m + _fval(f, m))
+        win = xs.window(m, m + _exact(evaluate(f, m)))
         for p in range(cells):
             if probe >= Fraction(p, k + 1) and \
                     all(x <= Fraction(p + 1, k + 1) for x in win):
@@ -214,7 +203,7 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
     # Divergence rate, probed up to the level sigma actually consumes.
     probe_hi = n + ceil_ln(4 * d * (k + 1))
     for kk in range(probe_hi + 1):
-        lk = _fval(ldiv, kk)
+        lk = _exact(evaluate(ldiv, kk))
         total = Fraction(0)
         for i in range(1, lk + 1):
             total += _ext(lam, i)
@@ -239,7 +228,7 @@ def _check_eqnu(pair: SyntheticPair, nu: CountFn, level: int,
                 horizon: int) -> None:
     """The almost-decrease premise at one level: for n >= nu(level) the gap
     surplus stays below 1/(level+1), probed up to the horizon."""
-    start = _fval(nu, level)
+    start = _exact(evaluate(nu, level))
     tau = 1.0 / (level + 1)
     for m in range(start, horizon):
         if pair.wdiff(m) > tau + SLACK:
@@ -262,14 +251,14 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
         raise ValueError("t must be at least 1")
     cells = _exact(r_const(pair.a, k, t))
     cap = _exact(varphi_suzuki1(k, f, l, t, pair.a, nu, n_gap))
-    fmax = max(_fval(f, m) for m in range(l, cap + 1))
+    fmax = max(_exact(evaluate(f, m)) for m in range(l, cap + 1))
     horizon = cap + t + fmax + 2
     _check_gap_bound(pair, n_gap, horizon)
     _check_eqnu(pair, nu, cells - 1, horizon)
 
     tau = 1.0 / (k + 1)
     for m in range(l, cap + 1):
-        fm = _fval(f, m)
+        fm = _exact(evaluate(f, m))
         probe = float(np.linalg.norm(pair.w_at(m + t) - pair.z_at(m)))
         asum = 1.0 + sum(pair.alpha_at(m + i) for i in range(t))
         gap_t = pair.gap(m + t)
@@ -311,7 +300,7 @@ def suzuki2_index(pair: SyntheticPair, k: int, f: CountFn, nu: CountFn,
 
     tau = 1.0 / (k + 1)
     for n in range(cap + 1):
-        fn = _fval(f, n)
+        fn = _exact(evaluate(f, n))
         if all(pair.gap(m) <= tau + SLACK for m in range(n, n + fn + 1)):
             return n
     return None
@@ -325,8 +314,11 @@ class SuiteResult:
     lemma: str
     trials: int
     passes: int
-    failures: int
     first_failure: Optional[str]
+
+    @property
+    def failures(self) -> int:
+        return self.trials - self.passes
 
     @property
     def ok(self) -> bool:
@@ -348,24 +340,21 @@ def _random_counterfn(rng: random.Random, top: int = 3) -> CountFn:
     return Const(rng.randrange(0, top + 1))
 
 
+# Each _suite_* yields, per trial, None for a pass or the failure text.
+
+
 def _suite_ratap(rng: random.Random, trials: int):
-    passes, failures, first = 0, 0, None
     for i in range(trials):
         xs = _random_seq(rng, rng.choice((1, 2, 3)))
         k = rng.randrange(0, 5)
         n = rng.randrange(0, 11)
         f = _random_counterfn(rng)
         p = ratap_witness(xs, k, n, f)
-        if p is not None and p < xs.bound * (k + 1):
-            passes += 1
-        else:
-            failures += 1
-            first = first or f"trial {i}: no cell for {xs.values} k={k} n={n}"
-    return passes, failures, first
+        yield None if p is not None and p < xs.bound * (k + 1) else \
+            f"trial {i}: no cell for {xs.values} k={k} n={n}"
 
 
 def _suite_limsup2(rng: random.Random, trials: int):
-    passes, failures, first = 0, 0, None
     for i in range(trials):
         xs = _random_seq(rng, rng.choice((1, 2, 3)))
         k = rng.randrange(0, 4)
@@ -373,13 +362,8 @@ def _suite_limsup2(rng: random.Random, trials: int):
         t = rng.randrange(1, 4)
         f = _random_counterfn(rng, top=2)
         got = rationalapprox2_witness(xs, k, m_start, t, f)
-        if got is not None:
-            passes += 1
-        else:
-            failures += 1
-            first = first or f"trial {i}: no witness for {xs.values} " \
-                             f"k={k} M={m_start} t={t}"
-    return passes, failures, first
+        yield None if got is not None else \
+            f"trial {i}: no witness for {xs.values} k={k} M={m_start} t={t}"
 
 
 def _xu_instance(rng: random.Random, corrupt: bool):
@@ -419,20 +403,14 @@ def _xu_instance(rng: random.Random, corrupt: bool):
 
 
 def _suite_xu(rng: random.Random, trials: int):
-    passes, failures, first = 0, 0, None
     for i in range(trials):
         corrupt = i % 5 == 4
         inst = _xu_instance(rng, corrupt)
         s, v, r, gamma, lam, ldiv, d, k, n, p = inst
         got = qtXu1_check(s, v, r, gamma, lam, ldiv, d, k, n, p)
         want_ok = got is None if corrupt else got is True
-        if want_ok:
-            passes += 1
-        else:
-            failures += 1
-            first = first or f"trial {i}: got {got!r} corrupt={corrupt} " \
-                             f"k={k} n={n} p={p}"
-    return passes, failures, first
+        yield None if want_ok else \
+            f"trial {i}: got {got!r} corrupt={corrupt} k={k} n={n} p={p}"
 
 
 def _unit(rng: random.Random, dim: int) -> np.ndarray:
@@ -468,7 +446,6 @@ def _walk_pair(rng: random.Random):
 
 
 def _suite_suzuki1(rng: random.Random, trials: int):
-    passes, failures, first = 0, 0, None
     for i in range(trials):
         k = rng.randrange(0, 3)
         l = rng.randrange(0, 4)
@@ -481,10 +458,9 @@ def _suite_suzuki1(rng: random.Random, trials: int):
             try:
                 suzuki1_witness(pair, k, l, 1, Const(0), 4, f)
             except ValueError:
-                passes += 1
+                yield None
             else:
-                failures += 1
-                first = first or f"trial {i}: fabricated nu accepted"
+                yield f"trial {i}: fabricated nu accepted"
             continue
         if i % 2 == 0:
             a = rng.choice((2, 3))
@@ -496,16 +472,11 @@ def _suite_suzuki1(rng: random.Random, trials: int):
         else:
             pair, nu, n_gap = _walk_pair(rng)
         got = suzuki1_witness(pair, k, l, t, nu, n_gap, f)
-        if got is not None:
-            passes += 1
-        else:
-            failures += 1
-            first = first or f"trial {i}: no witness k={k} l={l} t={t}"
-    return passes, failures, first
+        yield None if got is not None else \
+            f"trial {i}: no witness k={k} l={l} t={t}"
 
 
 def _suite_suzuki2(rng: random.Random, trials: int):
-    passes, failures, first = 0, 0, None
     for i in range(trials):
         f = Const(rng.randrange(0, 3))
         if i % 2 == 0:
@@ -527,40 +498,29 @@ def _suite_suzuki2(rng: random.Random, trials: int):
             bound = chi_tilde(k, f, 2, Const(0), n_ball)
             ok = got == want and (not bound.is_exact or got <= bound.value)
             label = "geometric"
-        if ok:
-            passes += 1
-        else:
-            failures += 1
-            first = first or f"trial {i}: {label} got {got!r}"
-    return passes, failures, first
+        yield None if ok else f"trial {i}: {label} got {got!r}"
 
 
-DEFAULT_TRIALS = {
-    "ratap": 1000,
-    "limsup2": 1000,
-    "xu": 100,
-    "suzuki1": 50,
-    "suzuki2": 100,
-}
-
-_SUITES = {
-    "ratap": _suite_ratap,
-    "limsup2": _suite_limsup2,
-    "xu": _suite_xu,
-    "suzuki1": _suite_suzuki1,
-    "suzuki2": _suite_suzuki2,
+# lemma -> (default trial count, suite)
+SUITES = {
+    "ratap": (1000, _suite_ratap),
+    "limsup2": (1000, _suite_limsup2),
+    "xu": (100, _suite_xu),
+    "suzuki1": (50, _suite_suzuki1),
+    "suzuki2": (100, _suite_suzuki2),
 }
 
 
 def run_suite(lemma: str, seed: int = 7,
               trials: Optional[int] = None) -> SuiteResult:
     """Run one lemma's randomized suite with a fixed seed."""
-    if lemma not in _SUITES:
+    if lemma not in SUITES:
         raise ValueError(f"unknown lemma suite: {lemma!r}")
-    count = DEFAULT_TRIALS[lemma] if trials is None else trials
+    default, suite = SUITES[lemma]
+    count = default if trials is None else trials
     if count < 1:
         raise ValueError("trials must be positive")
-    rng = random.Random(seed)
-    passes, failures, first = _SUITES[lemma](rng, count)
-    return SuiteResult(lemma=lemma, trials=count, passes=passes,
-                       failures=failures, first_failure=first)
+    failed = [text for text in suite(random.Random(seed), count)
+              if text is not None]
+    return SuiteResult(lemma=lemma, trials=count, passes=count - len(failed),
+                       first_failure=failed[0] if failed else None)

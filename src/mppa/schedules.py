@@ -180,8 +180,6 @@ def derive_constants(moduli: Moduli) -> BoundContext:
 
 @dataclass
 class ModuliReport:
-    horizon: int
-    k_cap: int
     violations: list
 
     @property
@@ -290,7 +288,7 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
                 f"error tail rate fails at k={k}: sum past index {ek} is {tail!r}")
             break
 
-    return ModuliReport(horizon=horizon, k_cap=k_cap, violations=violations)
+    return ModuliReport(violations=violations)
 
 
 def validate_anchors(moduli: Moduli, schedule: Schedule, u, z0, s,

@@ -15,11 +15,12 @@ import pytest
 from mppa import acceptance, bounds, cli
 from mppa.acceptance import (EXPERIMENT_B_TEXT, CriterionResult,
                              criterion_asymptotic, criterion_diagnostics,
-                             criterion_experiment_a, criterion_experiment_b,
-                             run_all)
+                             criterion_equivalence, criterion_experiment_a,
+                             criterion_experiment_b, run_all)
 from mppa.cli import main, run_experiment
 from mppa.config import parse_config
 from mppa.countfn import BoundValue
+from mppa.oracle import run_suite
 from mppa.schedules import nu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -37,12 +38,34 @@ def results(request):
     return out
 
 
+def verify_line(res: CriterionResult) -> str:
+    """The line `mppa verify` prints for one criterion."""
+    return f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
+
+
 @pytest.mark.parametrize("name", CRITERIA)
 def test_criterion(results, name):
     res = results[name]
-    line = f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
+    line = verify_line(res)
     print(line)
     assert res.passed, line
+
+
+def test_readme_shows_the_verify_output(results):
+    readme = CONFIGS.parent / "README.md"
+    shown = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith(("PASS ", "FAIL "))]
+    assert shown == [verify_line(res) for res in results.values()]
+
+
+def test_budget_bits_variable_is_not_read(monkeypatch):
+    # A magnitude cap read from the environment would bind the production
+    # evaluator alone: it would disagree with refeval on proj3, and the
+    # suzuki2 oracle would crash on a premise bound over the cap.
+    monkeypatch.setenv("PPA_BUDGET_BITS", "16")
+    res = criterion_equivalence()
+    assert res.passed, res.detail
+    assert run_suite("suzuki2", trials=20).ok
 
 
 # --- criteria on one experiment run ------------------------------------------------

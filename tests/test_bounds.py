@@ -11,7 +11,6 @@ from mppa.acceptance import _T1, moduli_from
 from mppa.config import count_fn
 from mppa.countfn import (Affine, BoundValue, Budget, Const, EvalState,
                           ExpCeil, Identity, Table, ceil_ln, evaluate)
-from mppa.schedules import derive_constants
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
 
@@ -91,17 +90,6 @@ def test_res_bounds_triple(toy_moduli):
                            budget=BIG)) == 90023940
 
 
-def test_psi_functional_matches_psi_cap(toy_moduli):
-    fn = bounds.psi_functional(toy_moduli, constant_c=True)
-    state = EvalState(Budget(max_calls=10 ** 5))
-    with pytest.raises(Exception) as via_fn:
-        fn(0, Const(0), state)
-    direct = bounds.psi_cap(0, Const(0), toy_moduli, constant_c=True,
-                            budget=Budget(max_calls=10 ** 5))
-    assert not direct.is_exact
-    assert via_fn.value.stage == direct.stage == "theta"
-
-
 # --- marker stages -----------------------------------------------------------------
 
 
@@ -124,12 +112,10 @@ def test_phi_marker_stages_on_experiment_moduli():
 
 
 def test_theta_cap_wiring(toy_moduli):
-    ctx = derive_constants(toy_moduli)
-    psi_fn = bounds.psi_functional(toy_moduli, constant_c=True)
-    bv = bounds.theta_cap(0, Const(0), toy_moduli.Ldiv, psi_fn, ctx.G, ctx.D)
+    bv = bounds.theta_cap(0, Const(0), toy_moduli, constant_c=True)
     assert bv.stage == "theta"
-    with pytest.raises(ValueError):
-        bounds.theta_cap(0, Const(0), toy_moduli.Ldiv, psi_fn, ctx.G, 0)
+    assert bounds.bound("Theta", k=0, f=Const(0), moduli=toy_moduli,
+                        constant_c=True) == bv
 
 
 # --- closed-form oracles -------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import itertools
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -500,3 +502,25 @@ def test_no_arguments_is_usage_error():
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+# --- README --------------------------------------------------------------------
+
+
+def test_readme_examples(monkeypatch, capsys):
+    """Each `$ mppa ...` example in the README prints the lines shown below
+    it, up to the next blank line or code fence."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    monkeypatch.chdir(readme.parent)
+    commands = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ mppa "):
+            continue
+        argv = shlex.split(line)[2:]
+        shown = list(itertools.takewhile(lambda out: out and out != "```",
+                                         lines[i + 1:]))
+        assert main(argv) == 0, line
+        assert capsys.readouterr().out.splitlines() == shown, line
+        commands.append(argv[0])
+    assert commands == ["bound", "bound", "bound", "oracle"]

@@ -7,9 +7,8 @@ import pytest
 from mppa.acceptance import EXPERIMENT_B_TEXT
 from mppa.config import (ConfigError, count_fn, parse_config, parse_fspec,
                          render_fspec, serialize_config)
-from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
-                          DEFAULT_MAX_CALLS, Affine, Const, ExpCeil, Identity,
-                          Table)
+from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
+                          Const, ExpCeil, Identity, Table)
 
 
 def errors_of(text) -> list:
@@ -151,8 +150,7 @@ def test_experiment_a_structure(cfg_a):
     assert cfg_a.constant_c
 
 
-def test_budget_resolution(monkeypatch, config_b_text):
-    monkeypatch.delenv(BUDGET_BITS_ENV, raising=False)
+def test_budget_resolution(config_b_text):
     cfg = parse_config(config_b_text)
     assert cfg.budget().magnitude_bits == DEFAULT_MAGNITUDE_BITS
     assert cfg.budget().max_calls == DEFAULT_MAX_CALLS
@@ -160,10 +158,6 @@ def test_budget_resolution(monkeypatch, config_b_text):
     text = config_b_text + "budget_bits = 512\nbudget_calls = 12345\n"
     cfg = parse_config(text)
     assert cfg.budget().magnitude_bits == 512
-    assert cfg.budget().max_calls == 12345
-    # the environment variable wins over the config file
-    monkeypatch.setenv(BUDGET_BITS_ENV, "1024")
-    assert cfg.budget().magnitude_bits == 1024
     assert cfg.budget().max_calls == 12345
 
 

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppa.bounds import sigma
-from mppa.countfn import (BUDGET_BITS_ENV, DEFAULT_MAGNITUDE_BITS,
-                          DEFAULT_MAX_CALLS, Affine, BoundValue, Budget,
-                          BudgetExceededError, Closure, Composed, Const,
-                          CountFn, EvalState, ExpCeil, Identity, Table,
-                          ceil_ln, evaluate, evaluate_each, majorize,
+from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
+                          BoundValue, Budget, BudgetExceededError, Closure,
+                          Composed, Const, CountFn, EvalState, ExpCeil,
+                          Identity, Table, ceil_ln, evaluate, evaluate_each,
                           strongly_majorizes)
 
 
@@ -103,11 +102,6 @@ def test_negative_argument_is_rejected(alarm, call):
         call()
 
 
-def test_majorize_is_identity():
-    f = Table((5, 1))
-    assert majorize(f) is f
-
-
 def test_strongly_majorizes():
     assert strongly_majorizes(Identity(), Affine(2, 1))
     assert strongly_majorizes(Const(0), Const(0))
@@ -142,16 +136,10 @@ def test_bound_value_render():
 # --- budgets -------------------------------------------------------------------
 
 
-def test_budget_defaults_and_env(monkeypatch):
-    monkeypatch.delenv(BUDGET_BITS_ENV, raising=False)
-    b = Budget.default()
+def test_budget_defaults_and_env():
+    b = Budget()
     assert b.magnitude_bits == DEFAULT_MAGNITUDE_BITS
     assert b.max_calls == DEFAULT_MAX_CALLS
-    monkeypatch.setenv(BUDGET_BITS_ENV, "512")
-    assert Budget.default().magnitude_bits == 512
-    monkeypatch.setenv(BUDGET_BITS_ENV, "4")
-    with pytest.raises(ValueError):
-        Budget.default()
 
 
 def test_eval_state_tick_and_check():

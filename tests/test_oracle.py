@@ -32,7 +32,6 @@ def test_bounded_seq():
 
 def test_synthetic_pair():
     pair = SyntheticPair(z0=(0.0,), w=[(1.0,)], alpha=[0.5], a=2)
-    assert pair.dim == 1
     assert pair.z_at(1) == pytest.approx(0.5)
     assert pair.z_at(2) == pytest.approx(0.75)
     assert pair.gap(2) == pytest.approx(0.25)
