@@ -10,140 +10,4 @@ The package has three layers:
   other and against brute-force searches on synthetic instances.
 """
 
-from .countfn import (
-    DEFAULT_MAGNITUDE_BITS,
-    DEFAULT_MAX_CALLS,
-    Affine,
-    BoundValue,
-    Budget,
-    BudgetExceededError,
-    Composed,
-    Const,
-    CountFn,
-    ExpCeil,
-    Identity,
-    Table,
-    ceil_ln,
-    evaluate,
-    strongly_majorizes,
-)
-from .operators import (
-    BallProjection,
-    BoxProjection,
-    LinearPSD,
-    QuadraticProx,
-    ResolventOperator,
-    Rotation2D,
-    check_resolvent_identity,
-)
-from .schedules import (
-    BoundContext,
-    ConstantSeq,
-    GeometricError,
-    HarmonicSeq,
-    Moduli,
-    ModuliReport,
-    Schedule,
-    ZeroError,
-    derive_constants,
-    mu,
-    nu,
-    validate_anchors,
-    validate_moduli,
-    validate_schedule,
-)
-from .bounds import (
-    bound,
-    chi0,
-    chi_tilde,
-    phi,
-    proj3_bound,
-    proj_bound,
-    psi,
-    psi_cap,
-    r_const,
-    res_bounds,
-    res_jn,
-    sigma,
-    theta,
-    theta_cap,
-    varphi_suzuki1,
-    xi,
-    zeta,
-)
-from .iteration import (
-    Trace,
-    empirical_metastability,
-    empirical_window_index,
-    run,
-)
-from .oracle import run_suite
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_MAGNITUDE_BITS",
-    "DEFAULT_MAX_CALLS",
-    "Affine",
-    "BallProjection",
-    "BoundContext",
-    "BoundValue",
-    "BoxProjection",
-    "Budget",
-    "BudgetExceededError",
-    "Composed",
-    "ConfigError",
-    "Const",
-    "ConstantSeq",
-    "CountFn",
-    "ExpCeil",
-    "ExperimentConfig",
-    "GeometricError",
-    "HarmonicSeq",
-    "Identity",
-    "LinearPSD",
-    "Moduli",
-    "ModuliReport",
-    "QuadraticProx",
-    "ResolventOperator",
-    "Rotation2D",
-    "Schedule",
-    "Table",
-    "Trace",
-    "ZeroError",
-    "bound",
-    "ceil_ln",
-    "check_resolvent_identity",
-    "chi0",
-    "chi_tilde",
-    "derive_constants",
-    "empirical_metastability",
-    "empirical_window_index",
-    "evaluate",
-    "mu",
-    "nu",
-    "parse_config",
-    "phi",
-    "proj3_bound",
-    "proj_bound",
-    "psi",
-    "psi_cap",
-    "r_const",
-    "res_bounds",
-    "res_jn",
-    "run",
-    "run_suite",
-    "serialize_config",
-    "sigma",
-    "strongly_majorizes",
-    "theta",
-    "theta_cap",
-    "validate_anchors",
-    "validate_moduli",
-    "validate_schedule",
-    "varphi_suzuki1",
-    "xi",
-    "zeta",
-    "__version__",
-]

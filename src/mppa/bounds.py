@@ -13,6 +13,11 @@ bit for bit, including which stage a budget marker names:
   up front when the remaining allowance is provably smaller than the loop
   length, which is the same outcome the literal loop would reach.
 
+Each formula is written once, as a body `_name(state, ...)` that bodies of
+later formulas call with the state they share.  Its public entry point
+`name = _entry(_name)` takes the same arguments without the state, plus a
+keyword-only budget.
+
 Deep compositions (psi and above) overflow any realistic budget by design;
 the marker is the documented answer there, not a failure.
 """
@@ -25,20 +30,33 @@ from typing import Callable, Optional
 from . import schedules
 from .countfn import (BoundValue, Budget, BudgetExceededError, Closure,
                       CountFn, EvalState, _Stage, ceil_ln)
-from .schedules import BoundContext, Moduli, derive_constants, mu_fn, nu_fn
+from .schedules import Moduli, derive_constants, mu_fn, nu_fn
 
 
-def _wrap(budget: Optional[Budget], fn) -> BoundValue:
-    state = EvalState(budget)
-    try:
-        return BoundValue.exact(fn(state))
-    except BudgetExceededError as exc:
-        return BoundValue.exceeded(exc.stage)
+def _entry(body):
+    """The public entry point of a formula body: evaluate it under a fresh
+    EvalState(budget) and report the value, or the marker naming the stage
+    where the budget ran out."""
+
+    def entry(*args, budget: Optional[Budget] = None, **kwargs) -> BoundValue:
+        state = EvalState(budget)
+        try:
+            return BoundValue.exact(body(state, *args, **kwargs))
+        except BudgetExceededError as exc:
+            return BoundValue.exceeded(exc.stage)
+
+    entry.__name__ = entry.__qualname__ = body.__name__.lstrip("_")
+    entry.__doc__ = body.__doc__
+    return entry
 
 
 # --- fixed points of nearby resolvents --------------------------------------
 
-def _zeta(k: int, n: int, c: int, cmaj: CountFn, state: EvalState) -> int:
+def _zeta(state: EvalState, k: int, n: int, c: int, cmaj: CountFn) -> int:
+    """How far out a point may move a resolvent's fixed-point test: if x is
+    1/zeta-close to fixed under J_(c_n), it is 1/(k+1)-close under J_(1/c)."""
+    if c < 1:
+        raise ValueError("c must be a positive integer")
     with _Stage(state, "zeta"):
         state.tick()
         cn = cmaj(n, state)
@@ -47,37 +65,23 @@ def _zeta(k: int, n: int, c: int, cmaj: CountFn, state: EvalState) -> int:
         return state.check(cn * c * (k + 1) - 1)
 
 
-def zeta(k: int, n: int, c: int, cmaj: CountFn,
-         budget: Optional[Budget] = None) -> BoundValue:
-    """How far out a point may move a resolvent's fixed-point test: if x is
-    1/zeta-close to fixed under J_(c_n), it is 1/(k+1)-close under J_(1/c)."""
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    return _wrap(budget, lambda st: _zeta(k, n, c, cmaj, st))
-
-
 # --- metastable convergence of monotone-ish quantities -----------------------
 
-def _sigma(k: int, n: int, ldiv: CountFn, d: int, state: EvalState) -> int:
+def _sigma(state: EvalState, k: int, n: int, ldiv: CountFn, d: int) -> int:
+    """Index past which the damped recurrence has decayed its initial mass:
+    sigma(k, n) = Ldiv(n + ceil_ln(4 D (k+1))) + 1."""
+    if d < 1:
+        raise ValueError("D must be a positive integer")
     with _Stage(state, "sigma"):
         state.tick()
         log_term = ceil_ln(state.check(4 * d * (k + 1)))
         return ldiv(state.check(n + log_term), state) + 1
 
 
-def sigma(k: int, n: int, ldiv: CountFn, d: int,
-          budget: Optional[Budget] = None) -> BoundValue:
-    """Index past which the damped recurrence has decayed its initial mass:
-    sigma(k, n) = Ldiv(n + ceil_ln(4 D (k+1))) + 1."""
-    if d < 1:
-        raise ValueError("D must be a positive integer")
-    return _wrap(budget, lambda st: _sigma(k, n, ldiv, d, st))
-
-
 # --- finite pigeonhole recursion ---------------------------------------------
 
-def _theta(k: int, m_start: int, t: int, n_cells: int, f: CountFn,
-           state: EvalState) -> int:
+def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
+           f: CountFn) -> int:
     """theta(k, M, t, N, f) = M + (P-1) t + r_0 where P = N (k+1), r_P = 0
     and r_i = t + r_(i+1) + f(M + (i+1) t + r_(i+1))."""
     if t < 1 or n_cells < 1:
@@ -94,12 +98,9 @@ def _theta(k: int, m_start: int, t: int, n_cells: int, f: CountFn,
         return state.check(m_start + (p_steps - 1) * t + r)
 
 
-def theta(k: int, m_start: int, t: int, n_cells: int, f: CountFn,
-          budget: Optional[Budget] = None) -> BoundValue:
-    return _wrap(budget, lambda st: _theta(k, m_start, t, n_cells, f, st))
-
-
-def _r_const(a: int, k: int, t: int, state: EvalState) -> int:
+def _r_const(state: EvalState, a: int, k: int, t: int) -> int:
+    """Cell count R(a, k, t) = t (2t+1) a**t (k+1) for the averaged-gap
+    pigeonhole argument."""
     if a < 1 or t < 1:
         raise ValueError("R requires a >= 1 and t >= 1")
     with _Stage(state, "R"):
@@ -108,15 +109,11 @@ def _r_const(a: int, k: int, t: int, state: EvalState) -> int:
         return state.check(state.check(t * (2 * t + 1)) * power * (k + 1))
 
 
-def r_const(a: int, k: int, t: int, budget: Optional[Budget] = None) -> BoundValue:
-    """Cell count R(a, k, t) = t (2t+1) a**t (k+1) for the averaged-gap
-    pigeonhole argument."""
-    return _wrap(budget, lambda st: _r_const(a, k, t, st))
-
-
 # --- projection-style rates ---------------------------------------------------
 
-def _proj(k: int, f: CountFn, n: int, state: EvalState) -> int:
+def _proj_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
+    """Metastability rate f**(N^2 (k+1)) (0) for the projection argument
+    under exact monotone-functional interpretation of inner convexity."""
     if n < 1:
         raise ValueError("proj requires N >= 1")
     with _Stage(state, "proj"):
@@ -130,14 +127,9 @@ def _proj(k: int, f: CountFn, n: int, state: EvalState) -> int:
         return v
 
 
-def proj_bound(k: int, f: CountFn, n: int,
-               budget: Optional[Budget] = None) -> BoundValue:
-    """Metastability rate f**(N^2 (k+1)) (0) for the projection argument
-    under exact monotone-functional interpretation of inner convexity."""
-    return _wrap(budget, lambda st: _proj(k, f, n, st))
-
-
-def _proj3(k: int, f: CountFn, n: int, state: EvalState) -> int:
+def _proj3_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
+    """Metastability rate for the projection argument when only an
+    approximate witness of the infimum is available."""
     if n < 1:
         raise ValueError("proj3 requires N >= 1")
     with _Stage(state, "proj3"):
@@ -152,76 +144,54 @@ def _proj3(k: int, f: CountFn, n: int, state: EvalState) -> int:
         return state.check(24 * n * (v + 1) * (v + 1))
 
 
-def proj3_bound(k: int, f: CountFn, n: int,
-                budget: Optional[Budget] = None) -> BoundValue:
-    """Metastability rate for the projection argument when only an
-    approximate witness of the infimum is available."""
-    return _wrap(budget, lambda st: _proj3(k, f, n, st))
-
-
 # --- averaged-gap metastability (Suzuki-style lemmas) -------------------------
 
-def _varphi_suzuki1(k: int, f: CountFn, l: int, t: int, a: int, nu: CountFn,
-                    n_bound: int, state: EvalState) -> int:
+def _varphi_suzuki1(state: EvalState, k: int, f: CountFn, l: int, t: int,
+                    a: int, nu: CountFn, n_bound: int) -> int:
+    """Witness bound for the three-way averaged-gap approximation: some
+    m in [l, varphi] and cell p < R(a,k,t) N satisfy the gap sandwich."""
+    if l < 0:
+        raise ValueError("l must be a natural number")
     with _Stage(state, "varphi_suzuki1"):
         state.tick()
-        r_cells = _r_const(a, k, t, state)
+        r_cells = _r_const(state, a, k, t)
         m_start = max(a, l, nu(r_cells - 1, state))
 
         def g(m, st):
             return state.check(t + f(m, st))
 
-        return _theta(r_cells - 1, m_start, t, n_bound,
-                      Closure(name="varphi_suzuki1.g", fn=g), state)
+        return _theta(state, r_cells - 1, m_start, t, n_bound,
+                      Closure(name="varphi_suzuki1.g", fn=g))
 
 
-def varphi_suzuki1(k: int, f: CountFn, l: int, t: int, a: int, nu: CountFn,
-                   n_bound: int, budget: Optional[Budget] = None) -> BoundValue:
-    """Witness bound for the three-way averaged-gap approximation: some
-    m in [l, varphi] and cell p < R(a,k,t) N satisfy the gap sandwich."""
-    if l < 0:
-        raise ValueError("l must be a natural number")
-    return _wrap(budget, lambda st: _varphi_suzuki1(k, f, l, t, a, nu, n_bound, st))
-
-
-def _chi_tilde(k: int, f: CountFn, a: int, nu: CountFn, n_bound: int,
-               state: EvalState) -> int:
+def _chi_tilde(state: EvalState, k: int, f: CountFn, a: int, nu: CountFn,
+               n_bound: int) -> int:
+    """Rate of metastability for the gap |w_n - z_n| between iterates and
+    their averaged companions, given a rate nu for the gap differences."""
     if n_bound < 1:
         raise ValueError("chi_tilde requires N >= 1")
     with _Stage(state, "chi_tilde"):
         state.tick()
         t = max(state.check(2 * n_bound * a * (k + 1)), 1)
-        return _varphi_suzuki1(k, f, a, t, a, nu, 2 * n_bound, state)
+        return _varphi_suzuki1(state, k, f, a, t, a, nu, 2 * n_bound)
 
 
-def chi_tilde(k: int, f: CountFn, a: int, nu: CountFn, n_bound: int,
-              budget: Optional[Budget] = None) -> BoundValue:
-    """Rate of metastability for the gap |w_n - z_n| between iterates and
-    their averaged companions, given a rate nu for the gap differences."""
-    return _wrap(budget, lambda st: _chi_tilde(k, f, a, nu, n_bound, st))
-
-
-def _chi0(k: int, f: CountFn, moduli: Moduli, constant_c: bool,
-          state: EvalState) -> int:
+def _chi0(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+          constant_c: bool = False) -> int:
+    """chi_tilde instantiated with the iteration's own envelopes: the gap
+    |w_n - z_n| is metastable with ball radius 2 a N0 + N1 + N3."""
     with _Stage(state, "chi0"):
         state.tick()
         n0 = moduli.N2 + moduli.N3
         n_bound = 2 * moduli.a * n0 + moduli.N1 + moduli.N3
-        return _chi_tilde(k, f, moduli.a, nu_fn(moduli, constant_c),
-                          n_bound, state)
-
-
-def chi0(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-         budget: Optional[Budget] = None) -> BoundValue:
-    """chi_tilde instantiated with the iteration's own envelopes: the gap
-    |w_n - z_n| is metastable with ball radius 2 a N0 + N1 + N3."""
-    return _wrap(budget, lambda st: _chi0(k, f, moduli, constant_c, st))
+        return _chi_tilde(state, k, f, moduli.a, nu_fn(moduli, constant_c),
+                          n_bound)
 
 
 # --- residual rates ------------------------------------------------------------
 
-def _residual(mu_level: int, chi_level: int, f: CountFn, moduli: Moduli,
-              constant_c: bool, state: EvalState) -> int:
+def _residual(state: EvalState, mu_level: int, chi_level: int, f: CountFn,
+              moduli: Moduli, constant_c: bool) -> int:
     """max(mu(mu_level), chi0(chi_level, f~)) with f~(m) = mu + f(max(mu, m)):
     the two resolvent residual rates differ only in their two levels."""
     with _Stage(state, "xi"):
@@ -231,51 +201,36 @@ def _residual(mu_level: int, chi_level: int, f: CountFn, moduli: Moduli,
         def shifted(m, st):
             return state.check(mu_val + f(max(mu_val, m), st))
 
-        chi_val = _chi0(state.check(chi_level),
+        chi_val = _chi0(state, state.check(chi_level),
                         Closure(name="xi.f_tilde", fn=shifted), moduli,
-                        constant_c, state)
+                        constant_c)
         return max(mu_val, chi_val)
 
 
-def _xi(k: int, f: CountFn, moduli: Moduli, constant_c: bool,
-        state: EvalState) -> int:
-    return _residual(2 * k + 1, 4 * moduli.a * (k + 1), f, moduli,
-                     constant_c, state)
-
-
-def xi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-       budget: Optional[Budget] = None) -> BoundValue:
+def _xi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+        constant_c: bool = False) -> int:
     """Rate of metastability for the fixed-parameter residual
     |J_(1/c)(z_n) - z_n|: max(mu(2k+1), chi0(4a(k+1), f~_(2k+1)))."""
-    return _wrap(budget, lambda st: _xi(k, f, moduli, constant_c, st))
+    return _residual(state, 2 * k + 1, 4 * moduli.a * (k + 1), f, moduli,
+                     constant_c)
 
 
-def res_jn(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-           budget: Optional[Budget] = None) -> BoundValue:
+def _res_jn(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+            constant_c: bool = False) -> int:
     """Rate of metastability for the running residual |J_(c_n)(z_n) - z_n|:
     max(mu(k), chi0(2a(k+1), f~_k))."""
-    return _wrap(budget, lambda st: _residual(
-        k, 2 * moduli.a * (k + 1), f, moduli, constant_c, st))
-
-
-def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-               budget: Optional[Budget] = None) -> tuple:
-    """Rates for the three asymptotic-regularity residuals at level k:
-    step size |z_(n+1) - z_n|, running residual |J_(c_n)(z_n) - z_n|, and
-    fixed residual |J_(1/c)(z_n) - z_n|."""
-    return (chi0(k, f, moduli, constant_c=constant_c, budget=budget),
-            res_jn(k, f, moduli, constant_c=constant_c, budget=budget),
-            xi(k, f, moduli, constant_c=constant_c, budget=budget))
+    return _residual(state, k, 2 * moduli.a * (k + 1), f, moduli, constant_c)
 
 
 # --- removal of the sequential weak compactness argument ----------------------
 
-def _psi(k: int, f: CountFn, moduli: Moduli, n_ball: int, constant_c: bool,
-         state: EvalState) -> int:
-    """psi(k, f) = xi(24 N (g_hat**R (0) + 1)^2, f + 1) with
-    R = N^4 (k+1)^2 and g_hat(m) = max(f(xi(24N(m+1)^2, f+1)), 24N(m+1)^2)."""
-    if n_ball < 1:
-        raise ValueError("psi requires N >= 1")
+def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+         constant_c: bool = False) -> int:
+    """Rate of metastability for the distance to the pinned resolvent value
+    |z_n - J_(1/c)(z_n)| relative to inner products against ball points:
+    psi(k, f) = xi(24 N (g_hat**R (0) + 1)^2, f + 1) with R = N^4 (k+1)^2
+    and g_hat(m) = max(f(xi(24N(m+1)^2, f+1)), 24N(m+1)^2)."""
+    n_ball = derive_constants(moduli).N
     with _Stage(state, "psi"):
         state.tick()
         f1 = Closure(name="succ_of", fn=lambda m, st: f(m, st) + 1)
@@ -285,50 +240,39 @@ def _psi(k: int, f: CountFn, moduli: Moduli, n_ball: int, constant_c: bool,
         for _ in range(r):
             state.tick()
             blown = state.check(24 * n_ball * (v + 1) * (v + 1))
-            inner = _xi(blown, f1, moduli, constant_c, state)
+            inner = _xi(state, blown, f1, moduli, constant_c)
             v = max(f(inner, state), blown)
         k_top = state.check(24 * n_ball * (v + 1) * (v + 1))
-        return _xi(k_top, f1, moduli, constant_c, state)
+        return _xi(state, k_top, f1, moduli, constant_c)
 
 
-def psi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-        budget: Optional[Budget] = None) -> BoundValue:
-    """Rate of metastability for the distance to the pinned resolvent value
-    |z_n - J_(1/c)(z_n)| relative to inner products against ball points."""
-    n_ball = derive_constants(moduli).N
-    return _wrap(budget, lambda st: _psi(k, f, moduli, n_ball, constant_c, st))
-
-
-def _psi_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
-             constant_c: bool, state: EvalState) -> int:
+def _psi_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+             constant_c: bool = False) -> int:
     """Psi(k, f) = psi(2k+1, h) where h folds the fixed-point transfer:
     h(m) = zeta((1 + 4N)(f(m) + 1) - 1, f(m))."""
+    n_ball = derive_constants(moduli).N
     with _Stage(state, "Psi"):
         state.tick()
-        n_ball = ctx.N
 
         def h(m, st):
             fm = f(m, st)
-            return _zeta(state.check((1 + 4 * n_ball) * (fm + 1) - 1), fm,
-                         moduli.c, moduli.Cmaj, st)
+            return _zeta(st, state.check((1 + 4 * n_ball) * (fm + 1) - 1), fm,
+                         moduli.c, moduli.Cmaj)
 
-        return _psi(2 * k + 1, Closure(name="Psi.h", fn=h), moduli, n_ball,
-                    constant_c, state)
-
-
-def psi_cap(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-            budget: Optional[Budget] = None) -> BoundValue:
-    ctx = derive_constants(moduli)
-    return _wrap(budget, lambda st: _psi_cap(k, f, moduli, ctx, constant_c, st))
+        return _psi(state, 2 * k + 1, Closure(name="Psi.h", fn=h), moduli,
+                    constant_c)
 
 
 # --- the main recursion ---------------------------------------------------------
 
-def _theta_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
-               constant_c: bool, state: EvalState) -> int:
-    """Theta(k, f) = Ldiv(h(Psi(4k+3, g))) + 1 with
+def _theta_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+               constant_c: bool = False) -> int:
+    """The outer recursion assembling the full metastability rate from Psi,
+    the divergence rate Ldiv, the error-tail rate G and the squared-radius
+    constant D of the moduli: Theta(k, f) = Ldiv(h(Psi(4k+3, g))) + 1 with
     h(m) = max(m, G(4k+3) + 1) + ceil_ln(4 D (k+1)) and
     g(m) = 4 (k+1) (f(Ldiv(h(m)) + 1) + 1)."""
+    ctx = derive_constants(moduli)
     ldiv = moduli.Ldiv
     with _Stage(state, "Theta"):
         state.tick()
@@ -343,24 +287,17 @@ def _theta_cap(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
             inner = ldiv(hm, st) + 1
             return st.check(4 * (k + 1) * (f(inner, st) + 1))
 
-        witness = _psi_cap(state.check(4 * k + 3),
-                           Closure(name="Theta.g", fn=g), moduli, ctx,
-                           constant_c, state)
+        witness = _psi_cap(state, state.check(4 * k + 3),
+                           Closure(name="Theta.g", fn=g), moduli, constant_c)
         return state.check(ldiv(h(witness, state), state) + 1)
 
 
-def theta_cap(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-              budget: Optional[Budget] = None) -> BoundValue:
-    """The outer recursion assembling the full metastability rate from Psi,
-    the divergence rate Ldiv, the error-tail rate G and the squared-radius
-    constant D of the moduli."""
-    ctx = derive_constants(moduli)
-    return _wrap(budget, lambda st: _theta_cap(k, f, moduli, ctx, constant_c,
-                                               st))
-
-
-def _phi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
-         constant_c: bool, state: EvalState) -> int:
+def _phi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
+         constant_c: bool = False) -> int:
+    """Headline rate of metastability of the iteration itself, assembled
+    from the gap rate chi0 through Psi and the outer recursion Theta:
+    phi(k, f) = Theta(4(k+1)^2 - 1, m -> m + f^maj(m)).  Counting functions
+    are monotone by representation, so f^maj = f."""
     with _Stage(state, "phi"):
         state.tick()
         level = state.check(4 * (k + 1) * (k + 1) - 1)
@@ -368,18 +305,37 @@ def _phi(k: int, f: CountFn, moduli: Moduli, ctx: BoundContext,
         def bumped(m, st):
             return st.check(m + f(m, st))
 
-        return _theta_cap(level, Closure(name="phi.bumped", fn=bumped),
-                          moduli, ctx, constant_c, state)
+        return _theta_cap(state, level, Closure(name="phi.bumped", fn=bumped),
+                          moduli, constant_c)
 
 
-def phi(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
-        budget: Optional[Budget] = None) -> BoundValue:
-    """Headline rate of metastability of the iteration itself, assembled
-    from the gap rate chi0 through Psi and the outer recursion Theta:
-    phi(k, f) = Theta(4(k+1)^2 - 1, m -> m + f^maj(m)).  Counting functions
-    are monotone by representation, so f^maj = f."""
-    ctx = derive_constants(moduli)
-    return _wrap(budget, lambda st: _phi(k, f, moduli, ctx, constant_c, st))
+# --- the budgeted entry points ------------------------------------------------
+
+zeta = _entry(_zeta)
+sigma = _entry(_sigma)
+theta = _entry(_theta)
+r_const = _entry(_r_const)
+proj_bound = _entry(_proj_bound)
+proj3_bound = _entry(_proj3_bound)
+varphi_suzuki1 = _entry(_varphi_suzuki1)
+chi_tilde = _entry(_chi_tilde)
+chi0 = _entry(_chi0)
+xi = _entry(_xi)
+res_jn = _entry(_res_jn)
+psi = _entry(_psi)
+psi_cap = _entry(_psi_cap)
+theta_cap = _entry(_theta_cap)
+phi = _entry(_phi)
+
+
+def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
+               budget: Optional[Budget] = None) -> tuple:
+    """Rates for the three asymptotic-regularity residuals at level k:
+    step size |z_(n+1) - z_n|, running residual |J_(c_n)(z_n) - z_n|, and
+    fixed residual |J_(1/c)(z_n) - z_n|."""
+    return (chi0(k, f, moduli, constant_c=constant_c, budget=budget),
+            res_jn(k, f, moduli, constant_c=constant_c, budget=budget),
+            xi(k, f, moduli, constant_c=constant_c, budget=budget))
 
 
 # --- the registry of named bounds --------------------------------------------
@@ -397,41 +353,41 @@ class NamedBound:
 # it runs, so a wrapper installed on one of them sees the call.
 BOUNDS = {
     "zeta": NamedBound((), lambda k, n, moduli, budget, **_:
-                       zeta(k, n, moduli.c, moduli.Cmaj, budget)),
+                       zeta(k, n, moduli.c, moduli.Cmaj, budget=budget)),
     "sigma": NamedBound((), lambda k, n, d, moduli, budget, **_:
-                        sigma(k, n, moduli.Ldiv, d, budget)),
+                        sigma(k, n, moduli.Ldiv, d, budget=budget)),
     "theta": NamedBound(("f",), lambda k, n, t, n_arg, f, budget, **_:
-                        theta(k, n, t, n_arg, f, budget)),
+                        theta(k, n, t, n_arg, f, budget=budget)),
     "R": NamedBound((), lambda k, t, a, budget, **_:
-                    r_const(a, k, t, budget)),
+                    r_const(a, k, t, budget=budget)),
     "proj": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
-                       proj_bound(k, f, n_arg, budget)),
+                       proj_bound(k, f, n_arg, budget=budget)),
     "proj3": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
-                        proj3_bound(k, f, n_arg, budget)),
+                        proj3_bound(k, f, n_arg, budget=budget)),
     "varphi_suzuki1": NamedBound(
         ("f", "nu", "l"), lambda k, l, t, a, n_arg, f, nu, budget, **_:
-        varphi_suzuki1(k, f, l, t, a, nu, n_arg, budget)),
+        varphi_suzuki1(k, f, l, t, a, nu, n_arg, budget=budget)),
     "chi_tilde": NamedBound(
         ("f", "nu"), lambda k, a, n_arg, f, nu, budget, **_:
-        chi_tilde(k, f, a, nu, n_arg, budget)),
+        chi_tilde(k, f, a, nu, n_arg, budget=budget)),
     "chi0": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                       chi0(k, f, moduli, constant_c, budget)),
+                       chi0(k, f, moduli, constant_c, budget=budget)),
     "nu": NamedBound((), lambda k, moduli, constant_c, budget, **_:
                      schedules.nu(moduli, k, constant_c, budget)),
     "mu": NamedBound((), lambda k, moduli, budget, **_:
                      schedules.mu(moduli, k, budget)),
     "xi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                     xi(k, f, moduli, constant_c, budget)),
+                     xi(k, f, moduli, constant_c, budget=budget)),
     "res_Jn": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                         res_jn(k, f, moduli, constant_c, budget)),
+                         res_jn(k, f, moduli, constant_c, budget=budget)),
     "psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      psi(k, f, moduli, constant_c, budget)),
+                      psi(k, f, moduli, constant_c, budget=budget)),
     "Psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      psi_cap(k, f, moduli, constant_c, budget)),
+                      psi_cap(k, f, moduli, constant_c, budget=budget)),
     "Theta": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                        theta_cap(k, f, moduli, constant_c, budget)),
+                        theta_cap(k, f, moduli, constant_c, budget=budget)),
     "phi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      phi(k, f, moduli, constant_c, budget)),
+                      phi(k, f, moduli, constant_c, budget=budget)),
 }
 
 

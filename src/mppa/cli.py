@@ -90,11 +90,9 @@ def cmd_bound(args) -> int:
     ctx = derive_constants(moduli)
     budget = cfg.budget()
     try:
-        # --d overrides D for sigma only; Theta derives its own D
         bv = bounds.bound(name, k=args.k, n=args.n, t=args.t, a=moduli.a,
-                          d=ctx.D if args.d is None else args.d, n_arg=ctx.N,
-                          f=f, moduli=moduli, constant_c=cfg.constant_c,
-                          budget=budget)
+                          d=ctx.D, n_arg=ctx.N, f=f, moduli=moduli,
+                          constant_c=cfg.constant_c, budget=budget)
     except ValueError as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return 2
@@ -114,11 +112,6 @@ def cmd_oracle(args) -> int:
     writer.writerow(["lemma", "trials", "passes", "status"])
     failed = False
     for lemma in lemmas:
-        if args.trials == 0:
-            print(f"notice: 0 trials requested for {lemma}, vacuous PASS",
-                  file=sys.stderr)
-            writer.writerow([lemma, "0", "0", "PASS"])
-            continue
         result = run_suite(lemma, seed=args.seed, trials=args.trials)
         writer.writerow([result.lemma, str(result.trials),
                          str(result.passes),
@@ -363,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--k", type=_natural, default=0)
     p_bound.add_argument("--n", type=_natural, default=0)
     p_bound.add_argument("--t", type=int, default=1)
-    p_bound.add_argument("--d", type=int, default=None,
-                         help="override the derived constant D (sigma only)")
     p_bound.add_argument("--fspec", default=None)
     p_bound.set_defaults(fn=cmd_bound)
 

@@ -90,15 +90,11 @@ def parse_fspec(text: str) -> CountFn:
     if head != "table":
         return ctor(*(int(v) for v in args))
     values = tuple(int(v) for v in args[0].split(","))
-    hull = []
-    top = 0
-    for v in values:
-        top = max(top, v)
-        hull.append(top)
-    if tuple(hull) != values:
+    table = ctor(values)
+    if table.values != values:
         log.warning("non-monotone table %s majorized to %s",
-                    list(values), hull)
-    return ctor(values)
+                    list(values), list(table.values))
+    return table
 
 
 def render_fspec(fn: CountFn) -> str:

@@ -149,7 +149,7 @@ small_f = st.one_of(
        small_f)
 @settings(max_examples=80, deadline=None)
 def test_theta_matches_brute_force(k, m_start, t, n_cells, f):
-    got = bounds.theta(k, m_start, t, n_cells, f, BIG)
+    got = bounds.theta(k, m_start, t, n_cells, f, budget=BIG)
     if got.is_exact:
         assert got.value == brute_theta(k, m_start, t, n_cells, f)
 
@@ -187,7 +187,7 @@ def test_proj_is_iterated_f(k, n, f):
     v = 0
     for _ in range(n * n * (k + 1)):
         v = fv(v)
-    assert exact(bounds.proj_bound(k, f, n, BIG)) == v
+    assert exact(bounds.proj_bound(k, f, n, budget=BIG)) == v
 
 
 # --- structural properties ------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_res_jn_is_the_middle_of_res_bounds(mod, k, f_spec, constant_c,
     moduli, f = moduli_from(mod), count_fn(f_spec)
     patch, log = logged_states()
     with patch:
-        alone = bounds.res_jn(k, f, moduli, constant_c, budget)
+        alone = bounds.res_jn(k, f, moduli, constant_c, budget=budget)
         ticks = log[-1].calls
         triple = bounds.res_bounds(k, f, moduli, constant_c, budget)
     assert len(log) == 4

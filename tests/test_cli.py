@@ -334,21 +334,13 @@ def test_run_bad_config_reports_each_error(tmp_path, capsys, config_b_text):
     (["bound", "{a}", "R", "--k", "3", "--t", "2"], "R,3,,160"),
     (["bound", "{a}", "nu", "--k", "1"], "nu,1,,416"),
     (["bound", "{a}", "mu", "--k", "0"], "mu,0,,72"),
+    (["bound", "{a}", "sigma", "--k", "0", "--n", "0"], "sigma,0,,4388"),
 ])
 def test_bound_rows(tmp_path, capsys, config_a_text, argv, row):
     cfg = write_cfg(tmp_path, config_a_text)
     argv = [a.replace("{a}", str(cfg)) for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == f"name,k,f_spec,value\n{row}\n"
-
-
-def test_bound_sigma_with_override(tmp_path, capsys, config_a_text):
-    # the derived D = 4N^2 is never 1, so window width 1 takes --d
-    cfg = write_cfg(tmp_path, config_a_text.replace("L = expceil 4",
-                                                    "L = id"))
-    assert main(["bound", str(cfg), "sigma", "--k", "0", "--n", "0",
-                 "--d", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[1] == "sigma,0,,3"
 
 
 def test_bound_needs_fspec(tmp_path, capsys, config_a_text):
@@ -371,8 +363,9 @@ def test_bound_bad_fspec(tmp_path, capsys, config_a_text):
 
 def test_bound_domain_error(tmp_path, capsys, config_a_text):
     cfg = write_cfg(tmp_path, config_a_text)
-    assert main(["bound", str(cfg), "sigma", "--d", "0"]) == 2
-    assert "bound error" in capsys.readouterr().err
+    assert main(["bound", str(cfg), "R", "--t", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "bound error: R requires a >= 1 and t >= 1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -463,10 +456,9 @@ def test_oracle_single_lemma(capsys):
 
 
 def test_oracle_zero_trials(capsys):
-    assert main(["oracle", "--lemma", "xu", "--trials", "0"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[1] == "xu,0,0,PASS"
-    assert "vacuous" in captured.err
+    # zero trials would pass vacuously, so it is refused like -1
+    assert main(["oracle", "--lemma", "xu", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be positive\n"
 
 
 def test_oracle_all_lemmas(capsys):
