@@ -11,7 +11,9 @@ bit for bit, including which stage a budget marker names:
   value is reused;
 * every loop ticks the call counter once per step and aborts to the marker
   up front when the remaining allowance is provably smaller than the loop
-  length, which is the same outcome the literal loop would reach.
+  length, which is the same outcome the literal loop would reach;
+* a loop evaluated in closed form (theta with a constant counterfunction)
+  charges the ticks the literal loop charges and raises where it raises.
 
 Each formula is written once, as a body `_name(state, ...)` that bodies of
 later formulas call with the state they share.  Its public entry point
@@ -29,7 +31,7 @@ from typing import Callable, Optional
 
 from . import schedules
 from .countfn import (BoundValue, Budget, BudgetExceededError, Closure,
-                      CountFn, EvalState, _Stage, ceil_ln)
+                      CountFn, EvalState, Shift, _Stage, ceil_ln)
 from .schedules import Moduli, derive_constants, mu_fn, nu_fn
 
 
@@ -90,12 +92,49 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
         state.tick()
         p_steps = state.check(n_cells * (k + 1))
         state.require(p_steps)
+        form = f.constant_form()
+        if form is not None and p_steps >= 1 \
+                and form[0] <= 1 << state.magnitude_bits:
+            return _theta_constant(state, m_start, t, p_steps, *form)
         r = 0
         for i in range(p_steps - 1, -1, -1):
             state.tick()
             arg = state.check(m_start + (i + 1) * t + r)
             r = state.check(t + r + f(arg, state))
         return state.check(m_start + (p_steps - 1) * t + r)
+
+
+def _theta_constant(state: EvalState, m_start: int, t: int, p_steps: int,
+                    c: int, ticks: int) -> int:
+    """theta's loop for f constant at c <= cap, charging `ticks` ticks per
+    call, in closed form: the value the literal loop returns, or the marker
+    it raises, and the calls it leaves charged.
+
+    Step j of the loop (r = j (t+c) on entry) does, in order: one tick, the
+    check of its argument M + P t + j c, f's ticks (f's own checks pass, as
+    c <= cap) and the check of r = (j+1)(t+c).  The loop ends at the first
+    of three events: the call cap trips, an argument check fails, or an r
+    check fails."""
+    cap = 1 << state.magnitude_bits
+    per_step = 1 + ticks
+    calls0 = state.calls
+    # (step, order within the step, calls charged when it raises)
+    j, q = divmod(state.max_calls - calls0, per_step)
+    events = [(j, 0 if q == 0 else 2, state.max_calls + 1)]
+    first_arg = m_start + p_steps * t
+    if abs(first_arg) > cap:
+        events.append((0, 1, calls0 + 1))
+    elif c:
+        j = (cap - first_arg) // c + 1
+        events.append((j, 1, calls0 + j * per_step + 1))
+    j = cap // (t + c)
+    events.append((j, 3, calls0 + (j + 1) * per_step))
+    step, _, calls = min(events)
+    if step < p_steps:
+        state.calls = calls
+        raise BudgetExceededError(state.stage)
+    state.calls += p_steps * per_step
+    return state.check(m_start + (p_steps - 1) * t + p_steps * (t + c))
 
 
 def _r_const(state: EvalState, a: int, k: int, t: int) -> int:
@@ -156,12 +195,7 @@ def _varphi_suzuki1(state: EvalState, k: int, f: CountFn, l: int, t: int,
         state.tick()
         r_cells = _r_const(state, a, k, t)
         m_start = max(a, l, nu(r_cells - 1, state))
-
-        def g(m, st):
-            return state.check(t + f(m, st))
-
-        return _theta(state, r_cells - 1, m_start, t, n_bound,
-                      Closure(name="varphi_suzuki1.g", fn=g))
+        return _theta(state, r_cells - 1, m_start, t, n_bound, Shift(f, t))
 
 
 def _chi_tilde(state: EvalState, k: int, f: CountFn, a: int, nu: CountFn,
@@ -197,13 +231,8 @@ def _residual(state: EvalState, mu_level: int, chi_level: int, f: CountFn,
     with _Stage(state, "xi"):
         state.tick()
         mu_val = mu_fn(moduli)(mu_level, state)
-
-        def shifted(m, st):
-            return state.check(mu_val + f(max(mu_val, m), st))
-
         chi_val = _chi0(state, state.check(chi_level),
-                        Closure(name="xi.f_tilde", fn=shifted), moduli,
-                        constant_c)
+                        Shift(f, mu_val, floor=mu_val), moduli, constant_c)
         return max(mu_val, chi_val)
 
 
@@ -233,7 +262,7 @@ def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
     n_ball = derive_constants(moduli).N
     with _Stage(state, "psi"):
         state.tick()
-        f1 = Closure(name="succ_of", fn=lambda m, st: f(m, st) + 1)
+        f1 = Shift(f, 1)
         r = state.check(state.checked_pow(n_ball, 4) * (k + 1) * (k + 1))
         state.require(r)
         v = 0

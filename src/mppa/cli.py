@@ -108,6 +108,9 @@ def cmd_bound(args) -> int:
 
 def cmd_oracle(args) -> int:
     lemmas = [args.lemma] if args.lemma else list(LEMMAS)
+    if args.trials is not None and args.trials < 1:
+        # refused before the header, so stdout stays empty
+        raise ValueError("trials must be positive")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["lemma", "trials", "passes", "status"])
     failed = False
@@ -348,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None,
                        help="output directory (default: <config stem>_out)")
-    p_run.set_defaults(fn=cmd_run)
 
     p_bound = subs.add_parser("bound", help="evaluate one named bound")
     p_bound.add_argument("config")
@@ -357,28 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=_natural, default=0)
     p_bound.add_argument("--t", type=int, default=1)
     p_bound.add_argument("--fspec", default=None)
-    p_bound.set_defaults(fn=cmd_bound)
 
     p_oracle = subs.add_parser("oracle", help="run brute-force lemma suites")
     p_oracle.add_argument("--lemma", choices=LEMMAS, default=None)
     p_oracle.add_argument("--seed", type=int, default=7)
     p_oracle.add_argument("--trials", type=int, default=None)
-    p_oracle.set_defaults(fn=cmd_oracle)
 
     p_verify = subs.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("config")
-    p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up at call time, so a wrapper installed on cmd_<name> sees it
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

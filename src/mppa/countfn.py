@@ -176,6 +176,15 @@ class CountFn:
         each call charges one tick, else None."""
         return None
 
+    def constant_form(self) -> Optional[tuple]:
+        """(value, ticks) when every call returns value and charges ticks
+        ticks, with every magnitude check on the way at most value, and no
+        call enters a stage of its own; else None."""
+        form = self.affine_form()
+        if form is not None and form[0] == 0:
+            return form[1], 1
+        return None
+
 
 @dataclass(frozen=True)
 class Const(CountFn):
@@ -290,6 +299,30 @@ class ExpCeil(CountFn):
             if c_lo == c_hi:
                 return c_lo
             prec *= 2
+
+
+@dataclass(frozen=True)
+class Shift(CountFn):
+    """n -> offset + f(max(floor, n)): f raised by a natural offset and
+    held at its value at floor below floor."""
+
+    f: CountFn
+    offset: int
+    floor: int = 0
+
+    def __post_init__(self):
+        if self.offset < 0 or self.floor < 0:
+            raise ValueError("shift offset and floor must be natural numbers")
+
+    def _eval(self, n, state):
+        return self.offset + self.f(max(self.floor, n), state)
+
+    def constant_form(self):
+        form = self.f.constant_form()
+        if form is None:
+            return None
+        value, ticks = form
+        return self.offset + value, ticks + 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mppa import bounds, refeval
 from mppa.acceptance import _T1, moduli_from
 from mppa.config import count_fn
-from mppa.countfn import (Affine, BoundValue, Budget, Const, EvalState,
-                          ExpCeil, Identity, Table, ceil_ln, evaluate)
+from mppa.countfn import (Affine, BoundValue, Budget, Const, CountFn,
+                          EvalState, ExpCeil, Identity, Shift, Table, ceil_ln,
+                          evaluate)
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
 
@@ -152,6 +153,62 @@ def test_theta_matches_brute_force(k, m_start, t, n_cells, f):
     got = bounds.theta(k, m_start, t, n_cells, f, budget=BIG)
     if got.is_exact:
         assert got.value == brute_theta(k, m_start, t, n_cells, f)
+
+
+# --- theta's closed form for a constant counterfunction ----------------------
+
+
+def theta_both_ways(k, m_start, t, n_cells, g, budget):
+    """theta with g's constant form, then with every form hidden (the same
+    nodes and ticks, so the literal loop runs): each render and final
+    EvalState.calls."""
+    patch, log = logged_states()
+    with patch:
+        fast = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
+        with mock.patch.object(CountFn, "constant_form", lambda self: None), \
+                mock.patch.object(Shift, "constant_form", lambda self: None):
+            literal = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
+    return (fast.render(), log[0].calls), (literal.render(), log[1].calls)
+
+
+@st.composite
+def constant_fns(draw):
+    """Const or Affine(0, o) under 0 to 2 Shift levels."""
+    value = draw(st.integers(0, 40) | st.integers(0, 2 ** 14))
+    g = draw(st.sampled_from((Const(value), Affine(0, value))))
+    for _ in range(draw(st.integers(0, 2))):
+        g = Shift(g, draw(st.integers(0, 40) | st.integers(0, 2 ** 12)),
+                  floor=draw(st.integers(0, 3)))
+    return g
+
+
+@given(st.integers(0, 3), st.integers(0, 40) | st.integers(0, 2 ** 15),
+       st.integers(1, 4), st.integers(1, 6), constant_fns(),
+       st.builds(Budget, st.integers(4, 14), st.integers(0, 150)))
+@settings(max_examples=400, deadline=None)
+def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
+                                               budget):
+    fast, literal = theta_both_ways(k, m_start, t, n_cells, g, budget)
+    assert fast == literal
+
+
+# One case per way the loop can end: (g, k, M, t, N, budget, render, calls).
+@pytest.mark.parametrize("g,k,m_start,t,n_cells,budget,render,calls", [
+    (Const(0), 0, 0, 1, 3, Budget(4, 100), "5", 7),
+    (Shift(Affine(0, 1), 2, floor=3), 1, 0, 2, 2, Budget(8, 100), "26", 13),
+    (Const(0), 0, 0, 1, 3, Budget(4, 5), "BUDGET_EXCEEDED(theta)", 6),
+    (Const(0), 0, 0, 1, 3, Budget(4, 4), "BUDGET_EXCEEDED(theta)", 5),
+    (Shift(Shift(Const(1), 2), 1), 1, 0, 2, 2, Budget(8, 11),
+     "BUDGET_EXCEEDED(theta)", 12),
+    (Const(2), 0, 8, 1, 4, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 8),
+    (Const(5), 0, 0, 1, 4, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 7),
+    (Const(0), 0, 0, 1, 3, Budget(4, 3), "BUDGET_EXCEEDED(theta)", 1),
+], ids=["exact", "exact-shifted", "cap-at-loop-tick", "cap-in-g",
+        "cap-in-nested-g", "arg-check", "r-check", "refused-up-front"])
+def test_theta_closed_form_events(g, k, m_start, t, n_cells, budget, render,
+                                  calls):
+    fast, literal = theta_both_ways(k, m_start, t, n_cells, g, budget)
+    assert fast == literal == (render, calls)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6),

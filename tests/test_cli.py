@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import itertools
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -458,7 +461,9 @@ def test_oracle_single_lemma(capsys):
 def test_oracle_zero_trials(capsys):
     # zero trials would pass vacuously, so it is refused like -1
     assert main(["oracle", "--lemma", "xu", "--trials", "0"]) == 2
-    assert capsys.readouterr().err == "error: trials must be positive\n"
+    out, err = capsys.readouterr()
+    assert err == "error: trials must be positive\n"
+    assert out == ""
 
 
 def test_oracle_all_lemmas(capsys):
@@ -497,6 +502,27 @@ def test_help_exits_cleanly(capsys):
 
 
 # --- README --------------------------------------------------------------------
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(
+        tmp_path, capsys, config_a_text):
+    # main builds its parser once; later calls, with other subcommands and
+    # after a usage error, must not see anything an earlier call left
+    cfg = str(write_cfg(tmp_path, config_a_text))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (["bound", cfg, "theta", "--t", "1", "--fspec", "id"],
+                 ["oracle", "--lemma", "ratap", "--trials", "50"],
+                 ["oracle", "--lemma", "nope"],
+                 ["bound", cfg, "R", "--t", "0"],
+                 ["bound", cfg, "proj", "--k", "1", "--fspec", "const 2"]):
+        fresh = subprocess.run([sys.executable, "-m", "mppa.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout,
+                                  fresh.stderr), argv
 
 
 def test_readme_examples(monkeypatch, capsys):

@@ -12,8 +12,8 @@ from mppa.bounds import sigma
 from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
                           BoundValue, Budget, BudgetExceededError, Closure,
                           Composed, Const, CountFn, EvalState, ExpCeil,
-                          Identity, Table, ceil_ln, evaluate, evaluate_each,
-                          strongly_majorizes)
+                          Identity, Shift, Table, ceil_ln, evaluate,
+                          evaluate_each, strongly_majorizes)
 
 
 def val(f: CountFn, n: int, budget=None) -> int:
@@ -371,6 +371,29 @@ def test_affine_forms():
     for f in (Table((1, 2)), ExpCeil(1),
               Composed(Identity(), Identity()), staged(Const(0))):
         assert f.affine_form() is None
+
+
+def test_shift_node():
+    assert val(Shift(Identity(), 3), 4) == 7
+    assert val(Shift(Identity(), 3, floor=5), 2) == 8
+    assert val(Shift(Identity(), 3, floor=5), 7) == 10
+    state = EvalState()
+    assert Shift(Shift(Const(1), 2), 0)(9, state) == 3
+    assert state.calls == 3        # one tick per node, like a Closure
+    for offset, floor in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Shift(Const(0), offset, floor)
+
+
+def test_constant_forms():
+    assert Const(4).constant_form() == (4, 1)
+    assert Affine(0, 3).constant_form() == (3, 1)
+    assert Shift(Const(2), 3).constant_form() == (5, 2)
+    assert Shift(Shift(Affine(0, 1), 1, floor=4), 2).constant_form() == (4, 3)
+    for f in (Identity(), Affine(2, 3), Table((2, 2)), ExpCeil(1),
+              Composed(Const(1), Const(2)), staged(Const(0)),
+              Shift(Identity(), 1), Shift(staged(Const(0)), 1)):
+        assert f.constant_form() is None
 
 
 def test_evaluate_each_is_lazy():
