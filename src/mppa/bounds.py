@@ -86,8 +86,8 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
            f: CountFn) -> int:
     """theta(k, M, t, N, f) = M + (P-1) t + r_0 where P = N (k+1), r_P = 0
     and r_i = t + r_(i+1) + f(M + (i+1) t + r_(i+1))."""
-    if t < 1 or n_cells < 1:
-        raise ValueError("theta requires t >= 1 and N >= 1")
+    if k < 0 or t < 1 or n_cells < 1:
+        raise ValueError("theta requires k >= 0, t >= 1 and N >= 1")
     with _Stage(state, "theta"):
         state.tick()
         p_steps = state.check(n_cells * (k + 1))

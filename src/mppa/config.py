@@ -3,17 +3,18 @@
 Format: `[section]` headers with `key = value` pairs, `#` comments, vectors
 as comma-separated reals and matrix rows separated by `;`.  Counting
 functions use a small textual grammar (`const K`, `id`, `affine A B`,
-`table v0,v1,...`, `expceil A`).  Parsing collects located errors instead
-of stopping at the first; serialization is canonical so that
-parse(serialize(parse(text))) == parse(text).
+`table v0,v1,...`, `expceil A`).  `_SECTIONS` declares every key once,
+with its parser and text form; parse_config and serialize_config walk it.
+Parsing collects located errors instead of stopping at the first;
+serialization is canonical: parse(serialize(parse(text))) == parse(text).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 from .countfn import (Affine, Budget, Const, CountFn, ExpCeil, Identity,
                       Table)
@@ -24,15 +25,15 @@ from .schedules import (ConstantSeq, GeometricError, HarmonicSeq, Moduli,
 
 log = logging.getLogger(__name__)
 
-REQUIRED_SECTIONS = ("problem", "iteration", "moduli", "run")
-
-_PROBLEM_KEYS = {
-    "quadratic_prox": {"center", "weight"},
-    "ball_projection": {"center", "radius"},
-    "box_projection": {"lo", "hi"},
-    "linear_psd": {"matrix"},
-    "rotation2d": set(),
-}
+# Each problem kind's operator and the keys of its arguments, in key order.
+_OPERATORS = {op.kind: (op, keys) for op, keys in (
+    (QuadraticProx, ("center", "weight")),
+    (BallProjection, ("center", "radius")),
+    (BoxProjection, ("lo", "hi")),
+    (LinearPSD, ("matrix",)),
+    (Rotation2D, ()),
+)}
+_ARG_KEYS = {key for _, keys in _OPERATORS.values() for key in keys}
 
 
 class ConfigError(Exception):
@@ -51,8 +52,17 @@ def _fmt_vec(v) -> str:
     return ",".join(_fmt(x) for x in v)
 
 
-# --- counting function grammar ----------------------------------------------
+def _fmt_nats(v) -> str:
+    return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
+
+def _render_args(heads: dict, obj, fmt) -> str:
+    """`head arg ...`: obj's head in heads, then its fields written by fmt."""
+    return " ".join([heads[type(obj)],
+                     *(fmt(getattr(obj, f.name)) for f in fields(obj))])
+
+
+# --- counting function grammar ----------------------------------------------
 
 # Counting-function constructors by head: (constructor, argument count,
 # the message for a wrong count).
@@ -63,6 +73,7 @@ _FN_KINDS = {
     "expceil": (ExpCeil, 1, "expceil takes one argument"),
     "table": (Table, 1, "table takes one comma-separated argument"),
 }
+_FN_HEADS = {ctor: head for head, (ctor, _, _) in _FN_KINDS.items()}
 
 
 def _constructor(head: str, args) -> type:
@@ -98,90 +109,58 @@ def parse_fspec(text: str) -> CountFn:
 
 
 def render_fspec(fn: CountFn) -> str:
-    if isinstance(fn, Identity):
-        return "id"
-    if isinstance(fn, Const):
-        return f"const {fn.value}"
-    if isinstance(fn, Affine):
-        return f"affine {fn.slope} {fn.offset}"
-    if isinstance(fn, ExpCeil):
-        return f"expceil {fn.scale}"
-    if isinstance(fn, Table):
-        return "table " + ",".join(str(v) for v in fn.values)
-    raise ValueError(f"no textual form for {type(fn).__name__}")
+    return _render_args(_FN_HEADS, fn, _fmt_nats)
 
 
 # --- sequence family grammar ---------------------------------------------------
+
+# Scalar families by head; their arguments are their fields, as reals.
+_FAMILIES = {"const": ConstantSeq, "harmonic": HarmonicSeq}
+_FAMILY_HEADS = {cls: head for head, cls in _FAMILIES.items()}
 
 
 def _parse_family(text: str):
     parts = text.split()
     if not parts:
         raise ValueError("empty family")
-    if parts[0] == "const" and len(parts) == 2:
-        return ConstantSeq(value=float(parts[1]))
-    if parts[0] == "harmonic" and len(parts) == 2:
-        return HarmonicSeq(shift=float(parts[1]))
-    raise ValueError(f"unknown scalar family: {text!r}")
+    cls = _FAMILIES.get(parts[0])
+    if cls is None or len(parts) != 1 + len(fields(cls)):
+        raise ValueError(f"unknown scalar family: {text!r}")
+    return cls(*(_float(v) for v in parts[1:]))
 
 
-def _render_family(fam) -> str:
-    if isinstance(fam, ConstantSeq):
-        return f"const {_fmt(fam.value)}"
-    if isinstance(fam, HarmonicSeq):
-        return f"harmonic {_fmt(fam.shift)}"
-    raise ValueError(f"no textual form for {type(fam).__name__}")
-
-
-def _parse_error_family(text: str, dim: int):
+def _parse_error_family(text: str):
+    """The error family as a function of the operator's dimension, which
+    `zero` takes and `geometric R b1,...,bd` must have."""
     parts = text.split()
     if parts == ["zero"]:
-        return ZeroError(dim=dim)
+        return ZeroError
     if parts and parts[0] == "geometric" and len(parts) == 3:
-        base = tuple(float(x) for x in parts[2].split(","))
-        return GeometricError(ratio=float(parts[1]), base=base)
+        fam = GeometricError(ratio=_float(parts[1]), base=_vec(parts[2]))
+        return lambda dim: fam
     raise ValueError(f"unknown error family: {text!r}")
 
 
 def _render_error_family(fam) -> str:
-    if isinstance(fam, ZeroError):
-        return "zero"
     if isinstance(fam, GeometricError):
         return f"geometric {_fmt(fam.ratio)} {_fmt_vec(fam.base)}"
-    raise ValueError(f"no textual form for {type(fam).__name__}")
+    return "zero"
 
 
 # --- config dataclasses ----------------------------------------------------------
 
-
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A kind, its operator's arguments as (key, value) pairs, s, target."""
+
     kind: str
-    center: Optional[tuple] = None
-    weight: Optional[float] = None
-    radius: Optional[float] = None
-    lo: Optional[tuple] = None
-    hi: Optional[tuple] = None
-    matrix: Optional[tuple] = None
+    args: tuple = ()
     s: Optional[tuple] = None
     target: Optional[tuple] = None
 
     def build(self) -> ResolventOperator:
-        if self.kind == "quadratic_prox":
-            weight = 1.0 if self.weight is None else self.weight
-            return QuadraticProx(center=self.center, weight=weight,
-                                 zero_set_witness=self.s)
-        if self.kind == "ball_projection":
-            return BallProjection(center=self.center, radius=self.radius,
-                                  zero_set_witness=self.s)
-        if self.kind == "box_projection":
-            return BoxProjection(lo=self.lo, hi=self.hi,
-                                 zero_set_witness=self.s)
-        if self.kind == "linear_psd":
-            return LinearPSD(matrix=self.matrix, zero_set_witness=self.s)
-        if self.kind == "rotation2d":
-            return Rotation2D()
-        raise ValueError(f"unknown problem kind: {self.kind!r}")
+        op, _ = _OPERATORS[self.kind]
+        return op(**dict(self.args), zero_set_witness=self.s)
 
 
 @dataclass(frozen=True)
@@ -194,8 +173,7 @@ class IterationSpec:
     error: object
 
     def build(self) -> Schedule:
-        return Schedule(lam=self.lam, gamma=self.gamma, c=self.c,
-                        error=self.error)
+        return Schedule(self.lam, self.gamma, self.c, self.error)
 
 
 @dataclass(frozen=True)
@@ -219,75 +197,17 @@ class ExperimentConfig:
         return isinstance(self.iteration.c, ConstantSeq)
 
     def budget(self) -> Budget:
-        base = Budget()
-        bits = base.magnitude_bits if self.run.budget_bits is None \
-            else self.run.budget_bits
-        calls = base.max_calls if self.run.budget_calls is None \
-            else self.run.budget_calls
-        return Budget(magnitude_bits=bits, max_calls=calls)
+        caps = {"magnitude_bits": self.run.budget_bits,
+                "max_calls": self.run.budget_calls}
+        return Budget(**{k: v for k, v in caps.items() if v is not None})
 
 
-# --- parsing ----------------------------------------------------------------------
+# --- keys --------------------------------------------------------------------
 
-
-def _split_sections(text: str):
-    """Section name -> {key: (line_number, raw_value)}, plus located errors."""
-    sections = {}
-    errors = []
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in REQUIRED_SECTIONS:
-                errors.append(f"line {lineno}: unknown section [{name}]")
-                current = None
-                continue
-            if name in sections:
-                errors.append(f"line {lineno}: duplicate section [{name}]")
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected key = value")
-            continue
-        if current is None:
-            errors.append(f"line {lineno}: key outside any section")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in current:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
-        current[key] = (lineno, value)
-    return sections, errors
-
-
-class _Section:
-    """One section's keys with consumption tracking for unknown-key errors."""
-
-    def __init__(self, name, data, errors):
-        self.name = name
-        self.data = dict(data)
-        self.errors = errors
-
-    def take(self, key, parser, required=False, default=None):
-        if key not in self.data:
-            if required:
-                self.errors.append(
-                    f"missing key {key!r} in [{self.name}]")
-            return default
-        lineno, raw = self.data.pop(key)
-        try:
-            return parser(raw)
-        except (ValueError, TypeError) as exc:
-            self.errors.append(f"line {lineno}: {key}: {exc}")
-            return default
-
-    def finish(self):
-        for key, (lineno, _) in sorted(self.data.items(),
-                                       key=lambda kv: kv[1][0]):
-            self.errors.append(
-                f"line {lineno}: unknown key {key!r} in [{self.name}]")
+def _kind(raw: str) -> str:
+    if raw not in _OPERATORS:
+        raise ValueError(f"unknown problem kind: {raw!r}")
+    return raw
 
 
 def _float(raw: str) -> float:
@@ -302,8 +222,7 @@ def _vec(raw: str) -> tuple:
 
 
 def _matrix(raw: str) -> tuple:
-    return tuple(tuple(_float(x) for x in row.split(","))
-                 for row in raw.split(";"))
+    return tuple(_vec(row) for row in raw.split(";"))
 
 
 def _nat(raw: str) -> int:
@@ -313,101 +232,170 @@ def _nat(raw: str) -> int:
     return v
 
 
-def _nat_list(raw: str) -> tuple:
-    return tuple(_nat(x) for x in raw.split(","))
-
-
 def _fspec_list(raw: str) -> tuple:
-    specs = [part.strip() for part in raw.split(";")]
-    return tuple(render_fspec(parse_fspec(s)) for s in specs)
+    return tuple(render_fspec(parse_fspec(s)) for s in raw.split(";"))
+
+
+class _Key(NamedTuple):
+    """A config key: its parser and text form, whether it must appear, the
+    spec field holding it (default: the key), and whether its value must
+    have the operator's dimension."""
+
+    key: str
+    parse: Callable
+    render: Callable
+    required: bool = True
+    field: Optional[str] = None
+    sized: bool = False
+
+    @property
+    def attr(self) -> str:
+        return self.field or self.key
+
+
+_VEC = (_vec, _fmt_vec)
+_REAL = (_float, _fmt)
+_NAT = (_nat, _fmt_nats)
+_FN = (parse_fspec, render_fspec)
+_SEQ = (_parse_family, lambda fam: _render_args(_FAMILY_HEADS, fam, _fmt))
+
+# Each section's spec class and its keys in canonical order.  An operator
+# key (one of _ARG_KEYS) applies only to the kinds that _OPERATORS gives it.
+_SECTIONS = {
+    "problem": (ProblemSpec, (
+        _Key("kind", _kind, str), _Key("center", *_VEC),
+        _Key("weight", *_REAL, required=False), _Key("radius", *_REAL),
+        _Key("lo", *_VEC), _Key("hi", *_VEC),
+        _Key("matrix", _matrix, lambda rows: ";".join(map(_fmt_vec, rows))),
+        _Key("s", *_VEC, required=False),
+        _Key("target", *_VEC, required=False, sized=True))),
+    "iteration": (IterationSpec, (
+        _Key("u", *_VEC, sized=True), _Key("z0", *_VEC, sized=True),
+        _Key("lam", *_SEQ), _Key("gamma", *_SEQ), _Key("c", *_SEQ),
+        _Key("error", _parse_error_family, _render_error_family,
+             sized=True))),
+    "moduli": (Moduli, (
+        _Key("a", *_NAT), _Key("c", *_NAT), _Key("Cmaj", *_FN),
+        _Key("ell", *_FN), _Key("L", *_FN, field="Ldiv"),
+        _Key("Gamma", *_FN), _Key("E", *_FN),
+        _Key("N1", *_NAT), _Key("N2", *_NAT), _Key("N3", *_NAT))),
+    "run": (RunSpec, (
+        _Key("horizon", *_NAT),
+        _Key("ks", lambda raw: tuple(map(_nat, raw.split(","))), _fmt_nats),
+        _Key("fs", _fspec_list, "; ".join, field="fspecs"),
+        _Key("budget_bits", *_NAT, required=False),
+        _Key("budget_calls", *_NAT, required=False))),
+}
+
+
+# --- parsing ----------------------------------------------------------------------
+
+def _split_sections(text: str):
+    """Section name -> {key: (line_number, raw_value)}, plus located errors."""
+    sections, errors, current = {}, [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                errors.append(f"line {lineno}: unknown section [{name}]")
+            elif name in sections:
+                errors.append(f"line {lineno}: duplicate section [{name}]")
+            current = sections.setdefault(name, {}) \
+                if name in _SECTIONS else None
+            continue
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected key = value")
+            continue
+        if current is None:
+            errors.append(f"line {lineno}: key outside any section")
+            continue
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in current:
+            errors.append(f"line {lineno}: duplicate key {key!r}")
+        current[key] = (lineno, value)
+    return sections, errors
+
+
+def _parse_section(name: str, data: dict, errors: list) -> dict:
+    """The section's spec fields from its {key: (line, raw)} data, plus its
+    located errors.  An unknown kind requires and refuses no operator key."""
+    _, rows = _SECTIONS[name]
+    values = {}
+    for row in rows:
+        required, applies = row.required, True
+        if row.key in _ARG_KEYS:
+            kind = values["kind"]
+            applies = kind is None or row.key in _OPERATORS[kind][1]
+            required = required and kind is not None and applies
+        value = None
+        if row.key in data:
+            lineno, raw = data[row.key]
+            try:
+                value = row.parse(raw)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"line {lineno}: {row.key}: {exc}")
+        elif required:
+            errors.append(f"missing key {row.key!r} in [{name}]")
+        if value is not None and not applies:
+            errors.append(f"key {row.key!r} does not apply to kind {kind!r}")
+        elif row.key not in _ARG_KEYS:
+            values[row.attr] = value
+        elif value is not None:
+            values["args"] = values.get("args", ()) + ((row.key, value),)
+    known = {row.key for row in rows}
+    for lineno, key in sorted((lineno, key) for key, (lineno, _)
+                              in data.items() if key not in known):
+        errors.append(f"line {lineno}: unknown key {key!r} in [{name}]")
+    return values
+
+
+def _fit(cfg: ExperimentConfig, sections: dict) -> ExperimentConfig:
+    """Build the operator, then fit every sized value to its dimension: a
+    vector must have it, and an error family is made with it."""
+    try:
+        dim = cfg.problem.build().dim
+    except ValueError as exc:
+        raise ConfigError([f"problem: {exc}"]) from None
+    specs, errors = {}, []
+    for name, (_, rows) in _SECTIONS.items():
+        spec, fitted = getattr(cfg, name), {}
+        for row in rows:
+            value = getattr(spec, row.attr) if row.sized else None
+            if value is None:
+                continue
+            if callable(value):
+                value = fitted[row.attr] = value(dim)
+            size = len(value) if isinstance(value, tuple) else value.dim
+            if size != dim:
+                errors.append(f"line {sections[name][row.key][0]}: {row.key}: "
+                              f"dimension {size}, the operator's is {dim}")
+        specs[name] = replace(spec, **fitted)
+    if errors:
+        raise ConfigError(errors)
+    return ExperimentConfig(**specs)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     sections, errors = _split_sections(text)
-    for name in REQUIRED_SECTIONS:
-        if name not in sections:
-            errors.append(f"missing section [{name}]")
+    errors += [f"missing section [{name}]" for name in _SECTIONS
+               if name not in sections]
     if errors:
         raise ConfigError(errors)
-
-    prob = _Section("problem", sections["problem"], errors)
-    kind = prob.take("kind", str, required=True)
-    if kind is not None and kind not in _PROBLEM_KEYS:
-        errors.append(f"unknown problem kind: {kind!r}")
-        kind = None
-    allowed = _PROBLEM_KEYS.get(kind, set())
-    fields = {}
-    for key, parser in (("center", _vec), ("weight", _float),
-                        ("radius", _float), ("lo", _vec), ("hi", _vec),
-                        ("matrix", _matrix)):
-        required = kind is not None and key in allowed and key != "weight"
-        value = prob.take(key, parser, required=required)
-        if value is not None and kind is not None and key not in allowed:
-            errors.append(f"key {key!r} does not apply to kind {kind!r}")
-            value = None
-        fields[key] = value
-    s_decl = prob.take("s", _vec)
-    target = prob.take("target", _vec)
-    prob.finish()
-
-    it = _Section("iteration", sections["iteration"], errors)
-    u = it.take("u", _vec, required=True)
-    z0 = it.take("z0", _vec, required=True)
-    lam = it.take("lam", _parse_family, required=True)
-    gamma = it.take("gamma", _parse_family, required=True)
-    cfam = it.take("c", _parse_family, required=True)
-    err_raw = it.take("error", str, required=True)
-    it.finish()
-    error_fam = None
-    if err_raw is not None and z0 is not None:
+    values = {name: _parse_section(name, sections[name], errors)
+              for name in _SECTIONS}
+    if errors:
+        raise ConfigError(errors)
+    specs = {}
+    for name, (cls, _) in _SECTIONS.items():
         try:
-            error_fam = _parse_error_family(err_raw, dim=len(z0))
+            specs[name] = cls(**values[name])
         except ValueError as exc:
-            errors.append(f"error: {exc}")
-
-    mod = _Section("moduli", sections["moduli"], errors)
-    a = mod.take("a", _nat, required=True)
-    c_int = mod.take("c", _nat, required=True)
-    cmaj = mod.take("Cmaj", parse_fspec, required=True)
-    ell = mod.take("ell", parse_fspec, required=True)
-    ldiv = mod.take("L", parse_fspec, required=True)
-    gam_rate = mod.take("Gamma", parse_fspec, required=True)
-    e_rate = mod.take("E", parse_fspec, required=True)
-    n1 = mod.take("N1", _nat, required=True)
-    n2 = mod.take("N2", _nat, required=True)
-    n3 = mod.take("N3", _nat, required=True)
-    mod.finish()
-
-    runs = _Section("run", sections["run"], errors)
-    horizon = runs.take("horizon", _nat, required=True)
-    ks = runs.take("ks", _nat_list, required=True)
-    fspecs = runs.take("fs", _fspec_list, required=True)
-    budget_bits = runs.take("budget_bits", _nat)
-    budget_calls = runs.take("budget_calls", _nat)
-    runs.finish()
-
-    if errors:
-        raise ConfigError(errors)
-
-    problem = ProblemSpec(kind=kind, s=s_decl, target=target, **fields)
-    iteration = IterationSpec(u=u, z0=z0, lam=lam, gamma=gamma, c=cfam,
-                              error=error_fam)
-    try:
-        moduli = Moduli(a=a, c=c_int, Cmaj=cmaj, ell=ell, Ldiv=ldiv,
-                        Gamma=gam_rate, E=e_rate, N1=n1, N2=n2, N3=n3)
-    except ValueError as exc:
-        raise ConfigError([f"moduli: {exc}"]) from None
-    run = RunSpec(horizon=horizon, ks=ks, fspecs=fspecs,
-                  budget_bits=budget_bits, budget_calls=budget_calls)
-    cfg = ExperimentConfig(problem=problem, iteration=iteration,
-                           moduli=moduli, run=run)
-
-    try:
-        cfg.problem.build()
-    except ValueError as exc:
-        raise ConfigError([f"problem: {exc}"]) from None
-    schedule = cfg.iteration.build()
-    found = validate_schedule(schedule, horizon)
+            raise ConfigError([f"{name}: {exc}"]) from None
+    cfg = _fit(ExperimentConfig(**specs), sections)
+    found = validate_schedule(cfg.iteration.build(), cfg.run.horizon)
     if found:
         raise ConfigError(found)
     return cfg
@@ -415,61 +403,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 # --- serialization -----------------------------------------------------------------
 
-
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["[problem]", f"kind = {cfg.problem.kind}"]
-    for key in ("center", "weight", "radius", "lo", "hi"):
-        value = getattr(cfg.problem, key)
-        if value is None:
-            continue
-        text = _fmt(value) if key in ("weight", "radius") else _fmt_vec(value)
-        lines.append(f"{key} = {text}")
-    if cfg.problem.matrix is not None:
-        rows = ";".join(_fmt_vec(row) for row in cfg.problem.matrix)
-        lines.append(f"matrix = {rows}")
-    if cfg.problem.s is not None:
-        lines.append(f"s = {_fmt_vec(cfg.problem.s)}")
-    if cfg.problem.target is not None:
-        lines.append(f"target = {_fmt_vec(cfg.problem.target)}")
-
-    it = cfg.iteration
-    lines += [
-        "",
-        "[iteration]",
-        f"u = {_fmt_vec(it.u)}",
-        f"z0 = {_fmt_vec(it.z0)}",
-        f"lam = {_render_family(it.lam)}",
-        f"gamma = {_render_family(it.gamma)}",
-        f"c = {_render_family(it.c)}",
-        f"error = {_render_error_family(it.error)}",
-    ]
-
-    m = cfg.moduli
-    lines += [
-        "",
-        "[moduli]",
-        f"a = {m.a}",
-        f"c = {m.c}",
-        f"Cmaj = {render_fspec(m.Cmaj)}",
-        f"ell = {render_fspec(m.ell)}",
-        f"L = {render_fspec(m.Ldiv)}",
-        f"Gamma = {render_fspec(m.Gamma)}",
-        f"E = {render_fspec(m.E)}",
-        f"N1 = {m.N1}",
-        f"N2 = {m.N2}",
-        f"N3 = {m.N3}",
-    ]
-
-    r = cfg.run
-    lines += [
-        "",
-        "[run]",
-        f"horizon = {r.horizon}",
-        "ks = " + ",".join(str(k) for k in r.ks),
-        "fs = " + "; ".join(r.fspecs),
-    ]
-    if r.budget_bits is not None:
-        lines.append(f"budget_bits = {r.budget_bits}")
-    if r.budget_calls is not None:
-        lines.append(f"budget_calls = {r.budget_calls}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for name, (_, rows) in _SECTIONS.items():
+        spec = getattr(cfg, name)
+        values = {**vars(spec), **dict(getattr(spec, "args", ()))}
+        blocks.append("\n".join([f"[{name}]"] + [
+            f"{row.key} = {row.render(values[row.attr])}"
+            for row in rows if values.get(row.attr) is not None]))
+    return "\n\n".join(blocks) + "\n"

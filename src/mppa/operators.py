@@ -265,8 +265,10 @@ class Rotation2D(ResolventOperator):
 
     kind = "rotation2d"
 
-    def __init__(self):
-        super().__init__(2, np.zeros(2))
+    def __init__(self, zero_set_witness=None):
+        if zero_set_witness is None:
+            zero_set_witness = np.zeros(2)
+        super().__init__(2, zero_set_witness)
 
     def _resolve_floats(self, c, x):
         x0, x1 = x

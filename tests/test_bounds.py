@@ -55,6 +55,16 @@ def test_theta_pins():
         bounds.theta(0, 0, 1, 0, Identity())
 
 
+def test_theta_rejects_a_negative_k():
+    # a loop of N (k + 1) <= 0 steps: once a value for a meaningless input
+    # (3 at k = -2), once a BoundValue error (-1 at k = -1)
+    for call in (lambda: bounds.theta(-2, 5, 1, 1, Const(0)),
+                 lambda: bounds.theta(-1, 0, 1, 1, Const(0)),
+                 lambda: bounds.bound("theta", k=-1, f=Const(0))):
+        with pytest.raises(ValueError, match="theta requires k >= 0"):
+            call()
+
+
 def test_r_const_pins():
     assert exact(bounds.r_const(2, 0, 1)) == 6
     assert exact(bounds.r_const(3, 2, 4)) == 8748

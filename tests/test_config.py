@@ -1,6 +1,9 @@
 """Config grammar: located errors, canonical round-trips, budget plumbing."""
 
+import hashlib
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,12 @@ from mppa.config import (ConfigError, count_fn, parse_config, parse_fspec,
                          render_fspec, serialize_config)
 from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
                           Const, ExpCeil, Identity, Table)
+from mppa.schedules import GeometricError, ZeroError
+from test_cli import GENERATED
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_A_TEXT = (REPO / "configs" / "experiment_a.cfg").read_text("utf-8")
+CONFIG_B_TEXT = (REPO / "configs" / "experiment_b.cfg").read_text("utf-8")
 
 
 def errors_of(text) -> list:
@@ -66,10 +75,73 @@ def test_fspec_majorizes_tables(caplog):
 # --- whole-file parsing ------------------------------------------------------------
 
 
-def test_round_trip_is_canonical(config_a_text, config_b_text):
-    for text in (config_a_text, config_b_text):
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+# Every problem kind, quadratic_prox with and without its optional weight,
+# both error families and both budget keys.
+ROUND_TRIPS = {
+    "quadratic_prox": CONFIG_A_TEXT,
+    "quadratic_prox_no_weight": CONFIG_A_TEXT.replace("weight = 1\n", ""),
+    "ball_projection": CONFIG_B_TEXT,
+    "budget_keys": CONFIG_B_TEXT + "budget_bits = 512\nbudget_calls = 12345\n",
+    **GENERATED,
+}
+
+
+def test_round_trip_is_canonical():
+    for name, source in ROUND_TRIPS.items():
+        cfg = parse_config(source)
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg, name
+        assert serialize_config(parse_config(text)) == text, name
+
+
+def test_round_trips_cover_the_grammar():
+    from mppa.config import _OPERATORS
+    cfgs = [parse_config(text) for text in ROUND_TRIPS.values()]
+    assert {cfg.problem.kind for cfg in cfgs} == set(_OPERATORS)
+    assert {type(cfg.iteration.error) for cfg in cfgs} \
+        == {ZeroError, GeometricError}
+    assert any(cfg.run.budget_bits is not None
+               and cfg.run.budget_calls is not None for cfg in cfgs)
+    unweighted = parse_config(ROUND_TRIPS["quadratic_prox_no_weight"])
+    assert unweighted.problem.args == (("center", (1.0, -1.0)),)
+    assert unweighted.problem.build().weight == 1.0
+
+
+# sha256 of serialize_config on the shipped configs: a change to a key's
+# text form shows here
+SERIALIZED = {
+    "a": "9bd29e996d432d3b8692293ef8d046bd2a69075158941831c141d51a9f9ec3c8",
+    "b": "a30ba63025139ee6f03fd60d64a5c8a7740198130b8b49e2a019d3d171d932f5",
+}
+
+
+def test_serialized_bytes_are_pinned():
+    for name, text in (("a", CONFIG_A_TEXT), ("b", CONFIG_B_TEXT)):
+        out = serialize_config(parse_config(text)).encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == SERIALIZED[name]
+
+
+def test_readme_documents_the_grammar():
+    from mppa.config import (_FAMILIES, _FN_KINDS, _OPERATORS, _SECTIONS,
+                             _render_error_family)
+    readme = (REPO / "README.md").read_text("utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    errors = (ZeroError(1), GeometricError(ratio=0.5, base=(1.0,)))
+    heads = [*_FN_KINDS, *_FAMILIES,
+             *(_render_error_family(fam).split()[0] for fam in errors)]
+    for head in heads:
+        assert re.search(rf"\b{head}\b", section), head
+    # a key is shown in the example or named in the text
+    for _, rows in _SECTIONS.values():
+        for row in rows:
+            assert f"\n{row.key} = " in section \
+                or f"`{row.key}`" in section, row.key
+    # the table gives each kind's keys
+    for kind, (_, args) in _OPERATORS.items():
+        lines = [line for line in section.splitlines()
+                 if line.startswith(f"| `{kind}` |")]
+        assert len(lines) == 1, kind
+        assert all(f"`{key}`" in lines[0] for key in args), kind
 
 
 def test_inline_b_matches_shipped_config(config_b_text):
@@ -135,6 +207,40 @@ def test_witness_is_checked_at_parse_time(config_b_text):
     text = config_b_text.replace("s = 1,0", "s = 5,0")
     errs = errors_of(text)
     assert any("problem:" in e for e in errs)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("gamma = const 0.5", "gamma = const nan", "line 16: gamma"),
+    ("c = const 1", "c = const inf", "line 17: c"),
+    ("error = zero", "error = geometric 0.5 nan,0", "line 18: error"),
+])
+def test_families_take_finite_reals(config_a_text, old, new, line):
+    # each once parsed, to fail later without a line: an invalid schedule
+    # at n=0, a Cmaj violation, a point with non-finite coordinates
+    errs = errors_of(config_a_text.replace(old, new))
+    assert errs == [f"{line}: value must be finite"]
+
+
+def test_rotation_witness_is_checked_at_parse_time():
+    # the origin is the only zero of the quarter turn
+    text = GENERATED["rotation2d_0"].replace("s = 0,0", "s = 5,0")
+    assert errors_of(text) == [
+        "problem: declared zero is not fixed by the resolvent at c=0.1 "
+        "(residual 4.975e-01)"]
+
+
+@pytest.mark.parametrize("key, old, new, line, dim", [
+    ("u", "u = 3,2", "u = 3", 13, 1),
+    ("z0", "z0 = 0,0", "z0 = 0,0,0", 14, 3),
+    ("target", "target = 1,-1", "target = 1,-1,0", 10, 3),
+    # a base of length 3 under a 2-d z0 once ran with the wrong components
+    ("error", "error = zero", "error = geometric 0.5 1,0,1", 18, 3),
+])
+def test_dimensions_are_checked_at_parse_time(config_a_text, key, old, new,
+                                               line, dim):
+    errs = errors_of(config_a_text.replace(old, new))
+    assert errs == [f"line {line}: {key}: dimension {dim}, "
+                    "the operator's is 2"]
 
 
 # --- parsed structure ----------------------------------------------------------------
