@@ -263,23 +263,25 @@ BATTERY = (
 )
 
 
-def moduli_from(mod: dict) -> Moduli:
+def moduli_from(mod: dict, constant_c: bool = False) -> Moduli:
     return Moduli(a=mod["a"], c=mod["c"], Cmaj=count_fn(mod["Cmaj"]),
                   ell=count_fn(mod["ell"]), Ldiv=count_fn(mod["L"]),
                   Gamma=count_fn(mod["Gamma"]), E=count_fn(mod["E"]),
-                  N1=mod["N1"], N2=mod["N2"], N3=mod["N3"])
+                  N1=mod["N1"], N2=mod["N2"], N3=mod["N3"],
+                  constant_c=constant_c)
 
 
 def production_bound(inst: dict, budget: Optional[Budget] = None) -> BoundValue:
     """Evaluate one battery instance through the production calculus: the
     same dict refeval.ref_bound takes, its specs built into counting
-    functions and Moduli."""
+    functions and its moduli and constant_c into Moduli."""
     args = dict(inst)
     for key in ("f", "nu"):
         if key in args:
             args[key] = count_fn(args[key])
+    constant_c = args.pop("constant_c", False)
     if "mod" in args:
-        args["moduli"] = moduli_from(args.pop("mod"))
+        args["moduli"] = moduli_from(args.pop("mod"), constant_c)
     return bounds.bound(budget=budget, **args)
 
 

@@ -18,7 +18,8 @@ bit for bit, including which stage a budget marker names:
 Each formula is written once, as a body `_name(state, ...)` that bodies of
 later formulas call with the state they share.  Its public entry point
 `name = _entry(_name)` takes the same arguments without the state, plus a
-keyword-only budget.
+keyword-only budget.  The threshold rates nu and mu enter other formulas
+as counting functions of k (`_rate`), and their entry points evaluate them.
 
 Deep compositions (psi and above) overflow any realistic budget by design;
 the marker is the documented answer there, not a failure.
@@ -29,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import schedules
 from .countfn import (BoundValue, Budget, BudgetExceededError, Closure,
-                      CountFn, EvalState, Shift, _Stage, ceil_ln)
-from .schedules import Moduli, derive_constants, mu_fn, nu_fn
+                      CountFn, EvalState, Shift, _Stage, ceil_ln, evaluate)
+from .schedules import Moduli, derive_constants
 
 
 def _entry(body):
@@ -65,6 +65,46 @@ def _zeta(state: EvalState, k: int, n: int, c: int, cmaj: CountFn) -> int:
         if cn < 1:
             raise ValueError("Cmaj must be >= 1 everywhere")
         return state.check(cn * c * (k + 1) - 1)
+
+
+# --- threshold rates -----------------------------------------------------------
+
+def _nu(state: EvalState, k: int, moduli: Moduli) -> int:
+    """Threshold rate: past nu(k), consecutive averaged points w_n separate
+    from consecutive iterates by at most 1/(k+1).
+
+    The general form needs the c-step rate Gamma; when the moduli state a
+    constant resolvent parameter, the Gamma term drops and the remaining
+    coefficients shrink."""
+    a = moduli.a
+    n0 = moduli.N2 + moduli.N3
+    nsum = n0 + moduli.N1 + moduli.N3
+    with _Stage(state, "nu"):
+        if moduli.constant_c:
+            lv = moduli.ell(state.check(8 * a * nsum * (k + 1)), state)
+            ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
+            return max(lv, ev)
+        gv = moduli.Gamma(state.check(10 * a * moduli.c * n0 * (k + 1)), state)
+        lv = moduli.ell(state.check(10 * a * nsum * (k + 1)), state)
+        ev = moduli.E(state.check(5 * a * (k + 1)), state) + 1
+        return max(gv, lv, ev)
+
+
+def _mu(state: EvalState, k: int, moduli: Moduli) -> int:
+    """Threshold rate past which the two resolvent residuals (running
+    parameter versus fixed parameter 1/c) stay within 1/(k+1) of each other."""
+    a = moduli.a
+    n0 = moduli.N2 + moduli.N3
+    with _Stage(state, "mu"):
+        lv = moduli.ell(state.check(4 * a * (k + 1) * (n0 + moduli.N3)), state)
+        ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
+        return max(lv, ev)
+
+
+def _rate(body, moduli: Moduli) -> CountFn:
+    """The threshold rate k -> body(k) of the moduli, as a counting function."""
+    return Closure(name=body.__name__.lstrip("_"),
+                   fn=lambda k, state: body(state, k, moduli))
 
 
 # --- metastable convergence of monotone-ish quantities -----------------------
@@ -210,51 +250,45 @@ def _chi_tilde(state: EvalState, k: int, f: CountFn, a: int, nu: CountFn,
         return _varphi_suzuki1(state, k, f, a, t, a, nu, 2 * n_bound)
 
 
-def _chi0(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-          constant_c: bool = False) -> int:
+def _chi0(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """chi_tilde instantiated with the iteration's own envelopes: the gap
     |w_n - z_n| is metastable with ball radius 2 a N0 + N1 + N3."""
     with _Stage(state, "chi0"):
         state.tick()
         n0 = moduli.N2 + moduli.N3
         n_bound = 2 * moduli.a * n0 + moduli.N1 + moduli.N3
-        return _chi_tilde(state, k, f, moduli.a, nu_fn(moduli, constant_c),
-                          n_bound)
+        return _chi_tilde(state, k, f, moduli.a, _rate(_nu, moduli), n_bound)
 
 
 # --- residual rates ------------------------------------------------------------
 
 def _residual(state: EvalState, mu_level: int, chi_level: int, f: CountFn,
-              moduli: Moduli, constant_c: bool) -> int:
+              moduli: Moduli) -> int:
     """max(mu(mu_level), chi0(chi_level, f~)) with f~(m) = mu + f(max(mu, m)):
     the two resolvent residual rates differ only in their two levels."""
     with _Stage(state, "xi"):
         state.tick()
-        mu_val = mu_fn(moduli)(mu_level, state)
+        mu_val = _rate(_mu, moduli)(mu_level, state)
         chi_val = _chi0(state, state.check(chi_level),
-                        Shift(f, mu_val, floor=mu_val), moduli, constant_c)
+                        Shift(f, mu_val, floor=mu_val), moduli)
         return max(mu_val, chi_val)
 
 
-def _xi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-        constant_c: bool = False) -> int:
+def _xi(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Rate of metastability for the fixed-parameter residual
     |J_(1/c)(z_n) - z_n|: max(mu(2k+1), chi0(4a(k+1), f~_(2k+1)))."""
-    return _residual(state, 2 * k + 1, 4 * moduli.a * (k + 1), f, moduli,
-                     constant_c)
+    return _residual(state, 2 * k + 1, 4 * moduli.a * (k + 1), f, moduli)
 
 
-def _res_jn(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-            constant_c: bool = False) -> int:
+def _res_jn(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Rate of metastability for the running residual |J_(c_n)(z_n) - z_n|:
     max(mu(k), chi0(2a(k+1), f~_k))."""
-    return _residual(state, k, 2 * moduli.a * (k + 1), f, moduli, constant_c)
+    return _residual(state, k, 2 * moduli.a * (k + 1), f, moduli)
 
 
 # --- removal of the sequential weak compactness argument ----------------------
 
-def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-         constant_c: bool = False) -> int:
+def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Rate of metastability for the distance to the pinned resolvent value
     |z_n - J_(1/c)(z_n)| relative to inner products against ball points:
     psi(k, f) = xi(24 N (g_hat**R (0) + 1)^2, f + 1) with R = N^4 (k+1)^2
@@ -269,14 +303,13 @@ def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
         for _ in range(r):
             state.tick()
             blown = state.check(24 * n_ball * (v + 1) * (v + 1))
-            inner = _xi(state, blown, f1, moduli, constant_c)
+            inner = _xi(state, blown, f1, moduli)
             v = max(f(inner, state), blown)
         k_top = state.check(24 * n_ball * (v + 1) * (v + 1))
-        return _xi(state, k_top, f1, moduli, constant_c)
+        return _xi(state, k_top, f1, moduli)
 
 
-def _psi_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-             constant_c: bool = False) -> int:
+def _psi_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Psi(k, f) = psi(2k+1, h) where h folds the fixed-point transfer:
     h(m) = zeta((1 + 4N)(f(m) + 1) - 1, f(m))."""
     n_ball = derive_constants(moduli).N
@@ -288,14 +321,12 @@ def _psi_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
             return _zeta(st, state.check((1 + 4 * n_ball) * (fm + 1) - 1), fm,
                          moduli.c, moduli.Cmaj)
 
-        return _psi(state, 2 * k + 1, Closure(name="Psi.h", fn=h), moduli,
-                    constant_c)
+        return _psi(state, 2 * k + 1, Closure(name="Psi.h", fn=h), moduli)
 
 
 # --- the main recursion ---------------------------------------------------------
 
-def _theta_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-               constant_c: bool = False) -> int:
+def _theta_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """The outer recursion assembling the full metastability rate from Psi,
     the divergence rate Ldiv, the error-tail rate G and the squared-radius
     constant D of the moduli: Theta(k, f) = Ldiv(h(Psi(4k+3, g))) + 1 with
@@ -317,12 +348,11 @@ def _theta_cap(state: EvalState, k: int, f: CountFn, moduli: Moduli,
             return st.check(4 * (k + 1) * (f(inner, st) + 1))
 
         witness = _psi_cap(state, state.check(4 * k + 3),
-                           Closure(name="Theta.g", fn=g), moduli, constant_c)
+                           Closure(name="Theta.g", fn=g), moduli)
         return state.check(ldiv(h(witness, state), state) + 1)
 
 
-def _phi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
-         constant_c: bool = False) -> int:
+def _phi(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Headline rate of metastability of the iteration itself, assembled
     from the gap rate chi0 through Psi and the outer recursion Theta:
     phi(k, f) = Theta(4(k+1)^2 - 1, m -> m + f^maj(m)).  Counting functions
@@ -335,7 +365,7 @@ def _phi(state: EvalState, k: int, f: CountFn, moduli: Moduli,
             return st.check(m + f(m, st))
 
         return _theta_cap(state, level, Closure(name="phi.bumped", fn=bumped),
-                          moduli, constant_c)
+                          moduli)
 
 
 # --- the budgeted entry points ------------------------------------------------
@@ -357,14 +387,24 @@ theta_cap = _entry(_theta_cap)
 phi = _entry(_phi)
 
 
-def res_bounds(k: int, f: CountFn, moduli: Moduli, constant_c: bool = False,
+def nu(k: int, moduli: Moduli, *, budget: Optional[Budget] = None) -> BoundValue:
+    """The threshold rate nu of the moduli at k."""
+    return evaluate(_rate(_nu, moduli), k, budget)
+
+
+def mu(k: int, moduli: Moduli, *, budget: Optional[Budget] = None) -> BoundValue:
+    """The threshold rate mu of the moduli at k."""
+    return evaluate(_rate(_mu, moduli), k, budget)
+
+
+def res_bounds(k: int, f: CountFn, moduli: Moduli,
                budget: Optional[Budget] = None) -> tuple:
     """Rates for the three asymptotic-regularity residuals at level k:
     step size |z_(n+1) - z_n|, running residual |J_(c_n)(z_n) - z_n|, and
     fixed residual |J_(1/c)(z_n) - z_n|."""
-    return (chi0(k, f, moduli, constant_c=constant_c, budget=budget),
-            res_jn(k, f, moduli, constant_c=constant_c, budget=budget),
-            xi(k, f, moduli, constant_c=constant_c, budget=budget))
+    return (chi0(k, f, moduli, budget=budget),
+            res_jn(k, f, moduli, budget=budget),
+            xi(k, f, moduli, budget=budget))
 
 
 # --- the registry of named bounds --------------------------------------------
@@ -399,31 +439,30 @@ BOUNDS = {
     "chi_tilde": NamedBound(
         ("f", "nu"), lambda k, a, n_arg, f, nu, budget, **_:
         chi_tilde(k, f, a, nu, n_arg, budget=budget)),
-    "chi0": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                       chi0(k, f, moduli, constant_c, budget=budget)),
-    "nu": NamedBound((), lambda k, moduli, constant_c, budget, **_:
-                     schedules.nu(moduli, k, constant_c, budget)),
+    "chi0": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                       chi0(k, f, moduli, budget=budget)),
+    "nu": NamedBound((), lambda k, moduli, budget, **_:
+                     nu(k, moduli, budget=budget)),
     "mu": NamedBound((), lambda k, moduli, budget, **_:
-                     schedules.mu(moduli, k, budget)),
-    "xi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                     xi(k, f, moduli, constant_c, budget=budget)),
-    "res_Jn": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                         res_jn(k, f, moduli, constant_c, budget=budget)),
-    "psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      psi(k, f, moduli, constant_c, budget=budget)),
-    "Psi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      psi_cap(k, f, moduli, constant_c, budget=budget)),
-    "Theta": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                        theta_cap(k, f, moduli, constant_c, budget=budget)),
-    "phi": NamedBound(("f",), lambda k, f, moduli, constant_c, budget, **_:
-                      phi(k, f, moduli, constant_c, budget=budget)),
+                     mu(k, moduli, budget=budget)),
+    "xi": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                     xi(k, f, moduli, budget=budget)),
+    "res_Jn": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                         res_jn(k, f, moduli, budget=budget)),
+    "psi": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                      psi(k, f, moduli, budget=budget)),
+    "Psi": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                      psi_cap(k, f, moduli, budget=budget)),
+    "Theta": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                        theta_cap(k, f, moduli, budget=budget)),
+    "phi": NamedBound(("f",), lambda k, f, moduli, budget, **_:
+                      phi(k, f, moduli, budget=budget)),
 }
 
 
 def bound(name: str, *, k: int, n: int = 0, t: int = 1, l: int = 0,
           a: int = 1, d: int = 1, n_arg: int = 1, f: Optional[CountFn] = None,
           nu: Optional[CountFn] = None, moduli: Optional[Moduli] = None,
-          constant_c: bool = False,
           budget: Optional[Budget] = None) -> BoundValue:
     """Evaluate the bound BOUNDS names.  The arguments and their defaults
     are those of refeval.ref_bound, with counting functions and Moduli in
@@ -432,5 +471,4 @@ def bound(name: str, *, k: int, n: int = 0, t: int = 1, l: int = 0,
     if name not in BOUNDS:
         raise ValueError(f"unknown bound name: {name!r}")
     return BOUNDS[name].formula(k=k, n=n, t=t, l=l, a=a, d=d, n_arg=n_arg,
-                                f=f, nu=nu, moduli=moduli,
-                                constant_c=constant_c, budget=budget)
+                                f=f, nu=nu, moduli=moduli, budget=budget)

@@ -28,7 +28,7 @@ from .iteration import (Trace, asymptotic_residuals, boundedness_check,
                         write_trace_csv)
 from .operators import INEQ_TOL, SLACK, check_resolvent_identity
 from .oracle import SUITES, run_suite
-from .schedules import (ModuliReport, derive_constants, nu, validate_anchors,
+from .schedules import (ModuliReport, derive_constants, validate_anchors,
                         validate_moduli)
 
 # The named bounds whose inputs a config and --fspec (the f) supply.
@@ -92,7 +92,7 @@ def cmd_bound(args) -> int:
     try:
         bv = bounds.bound(name, k=args.k, n=args.n, t=args.t, a=moduli.a,
                           d=ctx.D, n_arg=ctx.N, f=f, moduli=moduli,
-                          constant_c=cfg.constant_c, budget=budget)
+                          budget=budget)
     except ValueError as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return 2
@@ -163,13 +163,10 @@ def _property_rows(trace, cfg: ExperimentConfig, budget) -> tuple:
     for k in cfg.run.ks:
         for spec in cfg.run.fspecs:
             f = parse_fspec(spec)
-            bv = bounds.phi(k, f, cfg.moduli, constant_c=cfg.constant_c,
-                            budget=budget)
+            bv = bounds.phi(k, f, cfg.moduli, budget=budget)
             meta_rows.append([str(k), spec] + _judged(
                 empirical_metastability, trace.z, k, f, bv, budget))
-            triple = bounds.res_bounds(k, f, cfg.moduli,
-                                       constant_c=cfg.constant_c,
-                                       budget=budget)
+            triple = bounds.res_bounds(k, f, cfg.moduli, budget=budget)
             for name, bv in zip(("dz", "res_Jn", "res_J"), triple):
                 res_rows.append([name, str(k), spec] + _judged(
                     empirical_window_index, curves[name], k, f, bv, budget))
@@ -216,7 +213,7 @@ def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
     if trace.horizon >= 2:
         nu_values = {}
         for k in range(6):
-            bv = nu(moduli, k, cfg.constant_c, budget)
+            bv = bounds.nu(k, moduli, budget=budget)
             if bv.is_exact:
                 nu_values[k] = bv.value
         found = gap_decrease_check(trace, nu_values)

@@ -192,10 +192,6 @@ class ExperimentConfig:
     moduli: Moduli
     run: RunSpec
 
-    @property
-    def constant_c(self) -> bool:
-        return isinstance(self.iteration.c, ConstantSeq)
-
     def budget(self) -> Budget:
         caps = {"magnitude_bits": self.run.budget_bits,
                 "max_calls": self.run.budget_calls}
@@ -388,6 +384,9 @@ def parse_config(text: str) -> ExperimentConfig:
               for name in _SECTIONS}
     if errors:
         raise ConfigError(errors)
+    # the one hypothesis no key states: whether c_n is constant
+    values["moduli"]["constant_c"] = isinstance(values["iteration"]["c"],
+                                                ConstantSeq)
     specs = {}
     for name, (cls, _) in _SECTIONS.items():
         try:

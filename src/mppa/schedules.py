@@ -20,9 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .countfn import (Affine, BoundValue, Budget, BudgetExceededError,
-                      Closure, Composed, CountFn, _Stage, evaluate,
-                      evaluate_each)
+from .countfn import (Affine, Budget, BudgetExceededError, Composed, CountFn,
+                      evaluate, evaluate_each)
 from .operators import SLACK, as_point, norm
 
 # Integers at least this large exceed every finite float.
@@ -130,6 +129,8 @@ class Moduli:
     a bounds gamma_n away from 0 and 1 (1/a <= gamma_n <= 1 - 1/a), c is the
     reciprocal floor for c_n (c_n >= 1/c), Cmaj majorizes the running maximum
     of c_n, and N1 >= |u|, N2 >= error mass + 1, N3 >= max(|u - s|, |z0 - s|).
+    constant_c states that c_n is constant; parse_config derives it from the
+    config's c family.
     """
 
     a: int
@@ -142,6 +143,7 @@ class Moduli:
     N1: int
     N2: int
     N3: int
+    constant_c: bool = False
 
     def __post_init__(self):
         # a = 1 makes the gamma band empty, which any schedule check will
@@ -272,6 +274,12 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
             f"Cmaj fails at n={n}: {cmaj[n]} "
             f"< running max {float(c_runmax[n])!r}")
 
+    changed = np.nonzero(cs != cs[0])[0]
+    if moduli.constant_c and changed.size:
+        n = int(changed[0])
+        violations.append(
+            f"c_n not constant at n={n}: {float(cs[n])!r} != {float(cs[0])!r}")
+
     for k, gk in enumerate(_rate_values(moduli.Gamma, k_cap + 1, budget)):
         if gk < cdiff_sufmax.size and cdiff_sufmax[gk] > 1.0 / (k + 1) + SLACK:
             violations.append(
@@ -311,55 +319,3 @@ def validate_anchors(moduli: Moduli, schedule: Schedule, u, z0, s,
     if moduli.N3 + SLACK < need:
         problems.append(f"N3={moduli.N3} < max(|u-s|, |z0-s|)={need!r}")
     return problems
-
-
-def nu_fn(moduli: Moduli, constant_c: bool = False) -> CountFn:
-    """Threshold rate: past nu(k), consecutive averaged points w_n separate
-    from consecutive iterates by at most 1/(k+1).
-
-    The general form needs the c-step rate Gamma; with a constant resolvent
-    parameter the Gamma term drops and the remaining coefficients shrink.
-    """
-    a = moduli.a
-    n0 = moduli.N2 + moduli.N3
-    nsum = n0 + moduli.N1 + moduli.N3
-
-    if constant_c:
-        def fn(k, state):
-            with _Stage(state, "nu"):
-                lv = moduli.ell(state.check(8 * a * nsum * (k + 1)), state)
-                ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
-                return max(lv, ev)
-    else:
-        def fn(k, state):
-            with _Stage(state, "nu"):
-                gv = moduli.Gamma(state.check(10 * a * moduli.c * n0 * (k + 1)), state)
-                lv = moduli.ell(state.check(10 * a * nsum * (k + 1)), state)
-                ev = moduli.E(state.check(5 * a * (k + 1)), state) + 1
-                return max(gv, lv, ev)
-
-    return Closure(name="nu", fn=fn)
-
-
-def mu_fn(moduli: Moduli) -> CountFn:
-    """Threshold rate past which the two resolvent residuals (running
-    parameter versus fixed parameter 1/c) stay within 1/(k+1) of each other."""
-    a = moduli.a
-    n0 = moduli.N2 + moduli.N3
-
-    def fn(k, state):
-        with _Stage(state, "mu"):
-            lv = moduli.ell(state.check(4 * a * (k + 1) * (n0 + moduli.N3)), state)
-            ev = moduli.E(state.check(4 * a * (k + 1)), state) + 1
-            return max(lv, ev)
-
-    return Closure(name="mu", fn=fn)
-
-
-def nu(moduli: Moduli, k: int, constant_c: bool = False,
-       budget: Optional[Budget] = None) -> BoundValue:
-    return evaluate(nu_fn(moduli, constant_c), k, budget)
-
-
-def mu(moduli: Moduli, k: int, budget: Optional[Budget] = None) -> BoundValue:
-    return evaluate(mu_fn(moduli), k, budget)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mppa import acceptance, bounds, cli
+from mppa import acceptance, bounds
 from mppa.acceptance import (EXPERIMENT_B_TEXT, CriterionResult,
                              criterion_asymptotic, criterion_diagnostics,
                              criterion_equivalence, criterion_experiment_a,
@@ -21,7 +21,6 @@ from mppa.cli import main, run_experiment
 from mppa.config import parse_config
 from mppa.countfn import BoundValue
 from mppa.oracle import run_suite
-from mppa.schedules import nu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,14 +124,15 @@ def test_diagnostics_reads_nu_with_the_configs_c(monkeypatch, config_a_text,
             .replace("ks = 0,1,2,3,4,5,6,7,8,9", "ks = 0")
             .replace("fs = const 0; const 10; id", "fs = const 0"))
     cfg = parse_config(text)
-    assert not cfg.constant_c
+    assert not cfg.moduli.constant_c
     seen = []
+    nu = bounds.nu
 
-    def recording_nu(moduli, k, constant_c, budget=None):
-        seen.append(constant_c)
-        return nu(moduli, k, constant_c, budget)
+    def recording_nu(k, moduli, *, budget=None):
+        seen.append(moduli.constant_c)
+        return nu(k, moduli, budget=budget)
 
-    monkeypatch.setattr(cli, "nu", recording_nu)
+    monkeypatch.setattr(bounds, "nu", recording_nu)
     res = criterion_diagnostics(run_experiment(cfg), exp_b)
     assert res.passed, res.detail
     assert seen == [False] * 6

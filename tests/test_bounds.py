@@ -1,5 +1,6 @@
 """The bound calculus: hand pins, closed-form oracles, marker stages."""
 
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -12,8 +13,22 @@ from mppa.config import count_fn
 from mppa.countfn import (Affine, BoundValue, Budget, Const, CountFn,
                           EvalState, ExpCeil, Identity, Shift, Table, ceil_ln,
                           evaluate)
+from mppa.schedules import Moduli
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
+
+MODULI_A = Moduli(a=2, c=1, Cmaj=Const(1), ell=Identity(), Ldiv=ExpCeil(4),
+                  Gamma=Const(0), E=Const(0), N1=4, N2=1, N3=4)
+
+
+def constant_c(moduli: Moduli) -> Moduli:
+    return dataclasses.replace(moduli, constant_c=True)
+
+
+@pytest.fixture(scope="module")
+def toy_cc(toy_moduli) -> Moduli:
+    """The toy moduli with c_n stated constant."""
+    return constant_c(toy_moduli)
 
 
 def exact(bv):
@@ -90,43 +105,68 @@ def test_varphi_chi_validation():
         bounds.chi_tilde(0, Const(0), 1, Const(0), 0)
 
 
-def test_res_bounds_triple(toy_moduli):
-    dz, jn, j = bounds.res_bounds(0, Const(0), toy_moduli, constant_c=True,
-                                  budget=BIG)
+def test_res_bounds_triple(toy_cc):
+    dz, jn, j = bounds.res_bounds(0, Const(0), toy_cc, budget=BIG)
     assert exact(dz) == 139188
     assert exact(jn) == 11605212
     assert exact(j) == 90023940
     # the fixed-residual slot is just xi
-    assert exact(bounds.xi(0, Const(0), toy_moduli, constant_c=True,
-                           budget=BIG)) == 90023940
+    assert exact(bounds.xi(0, Const(0), toy_cc, budget=BIG)) == 90023940
 
 
 # --- marker stages -----------------------------------------------------------------
 
 
-def test_marker_stages(toy_moduli):
+def test_marker_stages(toy_cc):
     assert bounds.r_const(2, 0, 5000).stage == "R"
     assert bounds.theta(10 ** 7, 0, 1, 2, Const(0)).stage == "theta"
     assert bounds.proj3_bound(0, Identity(), 2).stage == "proj3"
     for fn in (bounds.psi, bounds.psi_cap, bounds.phi):
-        bv = fn(0, Const(0), toy_moduli, constant_c=True)
+        bv = fn(0, Const(0), toy_cc)
         assert not bv.is_exact
         assert bv.stage == "theta"
 
 
 def test_phi_marker_stages_on_experiment_moduli():
-    from mppa.schedules import Moduli
-    moduli = Moduli(a=2, c=1, Cmaj=Const(1), ell=Identity(), Ldiv=ExpCeil(4),
-                    Gamma=Const(0), E=Const(0), N1=4, N2=1, N3=4)
-    assert bounds.phi(0, Const(0), moduli, constant_c=True).stage == "R"
-    assert bounds.phi(1, Const(0), moduli, constant_c=True).stage == "psi"
+    moduli = constant_c(MODULI_A)
+    assert bounds.phi(0, Const(0), moduli).stage == "R"
+    assert bounds.phi(1, Const(0), moduli).stage == "psi"
 
 
-def test_theta_cap_wiring(toy_moduli):
-    bv = bounds.theta_cap(0, Const(0), toy_moduli, constant_c=True)
+def test_theta_cap_wiring(toy_cc):
+    bv = bounds.theta_cap(0, Const(0), toy_cc)
     assert bv.stage == "theta"
-    assert bounds.bound("Theta", k=0, f=Const(0), moduli=toy_moduli,
-                        constant_c=True) == bv
+    assert bounds.bound("Theta", k=0, f=Const(0), moduli=toy_cc) == bv
+
+
+# --- threshold rates -----------------------------------------------------------------
+
+
+def test_nu_mu_pins(toy_moduli, toy_moduli2):
+    def nus(moduli):
+        return [bounds.nu(k, moduli).value for k in range(3)]
+
+    def mus(moduli):
+        return [bounds.mu(k, moduli).value for k in range(3)]
+
+    assert nus(constant_c(toy_moduli)) == [32, 64, 96]
+    assert nus(toy_moduli) == [40, 80, 120]
+    assert mus(toy_moduli) == [12, 24, 36]
+    assert bounds.mu(5, toy_moduli).value == 72
+    assert nus(constant_c(toy_moduli2)) == [64, 128, 192]
+    assert nus(toy_moduli2) == [80, 160, 240]
+    assert mus(toy_moduli2) == [24, 48, 72]
+    assert nus(constant_c(MODULI_A)) == [208, 416, 624]
+    assert nus(MODULI_A) == [260, 520, 780]
+    assert mus(MODULI_A) == [72, 144, 216]
+
+
+def test_nu_mu_respect_budget(toy_moduli):
+    bv = bounds.nu(10 ** 500, toy_moduli, budget=Budget(magnitude_bits=64))
+    assert not bv.is_exact
+    assert bv.stage == "nu"
+    bv = bounds.mu(10 ** 500, toy_moduli, budget=Budget(magnitude_bits=64))
+    assert bv.stage == "mu"
 
 
 # --- closed-form oracles -------------------------------------------------------------
@@ -268,10 +308,10 @@ def test_zeta_monotone_in_k(k):
     assert lo <= hi
 
 
-def test_bounds_never_share_state(toy_moduli):
+def test_bounds_never_share_state(toy_cc):
     # Two consecutive top-level evaluations must agree: budgets are per call.
-    first = bounds.chi0(0, Const(0), toy_moduli, constant_c=True, budget=BIG)
-    second = bounds.chi0(0, Const(0), toy_moduli, constant_c=True, budget=BIG)
+    first = bounds.chi0(0, Const(0), toy_cc, budget=BIG)
+    second = bounds.chi0(0, Const(0), toy_cc, budget=BIG)
     assert first == second
     assert exact(first) == 139188
 
@@ -314,12 +354,12 @@ def logged_states():
 @settings(max_examples=40, deadline=None)
 def test_res_jn_is_the_middle_of_res_bounds(mod, k, f_spec, constant_c,
                                             budget):
-    moduli, f = moduli_from(mod), count_fn(f_spec)
+    moduli, f = moduli_from(mod, constant_c), count_fn(f_spec)
     patch, log = logged_states()
     with patch:
-        alone = bounds.res_jn(k, f, moduli, constant_c, budget=budget)
+        alone = bounds.res_jn(k, f, moduli, budget=budget)
         ticks = log[-1].calls
-        triple = bounds.res_bounds(k, f, moduli, constant_c, budget)
+        triple = bounds.res_bounds(k, f, moduli, budget)
     assert len(log) == 4
     assert alone == triple[1]
     assert ticks == log[2].calls

@@ -103,12 +103,12 @@ PARITY = (
          refeval.make_fn(("affine", 1, 0)), 1),
      135239930216522, 124),
     ("chi0(0,const0,T1,cc)",
-     lambda st: _chi0(st, 0, Const(0), moduli_from(_T1), True),
+     lambda st: _chi0(st, 0, Const(0), moduli_from(_T1, True)),
      lambda st: refeval.ref_chi0(st, 0, refeval.make_fn(("const", 0)),
                                  _ref_mod(_T1), True),
      139188, 10808),
     ("xi(0,const1,T1,cc)",
-     lambda st: _xi(st, 0, Const(1), moduli_from(_T1), True),
+     lambda st: _xi(st, 0, Const(1), moduli_from(_T1, True)),
      lambda st: refeval.ref_xi(st, 0, refeval.make_fn(("const", 1)),
                                _ref_mod(_T1), True),
      90459540, 1742412),

@@ -346,6 +346,16 @@ def test_bound_rows(tmp_path, capsys, config_a_text, argv, row):
     assert capsys.readouterr().out == f"name,k,f_spec,value\n{row}\n"
 
 
+@pytest.mark.parametrize("stem, value", [("experiment_a", "832"),
+                                         ("experiment_b", "448")])
+def test_library_and_cli_read_the_same_moduli(request, capsys, stem, value):
+    # both shipped configs have c = const, which the parsed moduli state
+    cfg = request.getfixturevalue("cfg_" + stem[-1])
+    assert bounds.bound("nu", k=3, moduli=cfg.moduli).render() == value
+    assert main(["bound", str(CONFIGS / f"{stem}.cfg"), "nu", "--k", "3"]) == 0
+    assert capsys.readouterr().out == f"name,k,f_spec,value\nnu,3,,{value}\n"
+
+
 def test_bound_needs_fspec(tmp_path, capsys, config_a_text):
     cfg = write_cfg(tmp_path, config_a_text)
     assert main(["bound", str(cfg), "theta"]) == 2

@@ -253,7 +253,7 @@ def test_experiment_a_structure(cfg_a):
     assert cfg_a.run.horizon == 10000
     assert cfg_a.run.ks == tuple(range(10))
     assert cfg_a.run.fspecs == ("const 0", "const 10", "id")
-    assert cfg_a.constant_c
+    assert cfg_a.moduli.constant_c
 
 
 def test_budget_resolution(config_b_text):

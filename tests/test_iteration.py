@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mppa import bounds
 from mppa.config import parse_fspec
 from mppa.countfn import (Affine, Budget, BudgetExceededError, Closure, Const,
                           Identity, Table, evaluate)
@@ -22,7 +23,7 @@ from mppa.iteration import (_TRACE_BLOCK, Trace, _window_diameter,
 from mppa.operators import (SLACK, BallProjection, BoxProjection, LinearPSD,
                             QuadraticProx, Rotation2D)
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq,
-                            Schedule, ZeroError, derive_constants, nu)
+                            Schedule, ZeroError, derive_constants)
 
 
 def quadratic_trace(horizon=200) -> Trace:
@@ -506,7 +507,7 @@ def test_diagnostics_match_scalar_forms_on_shipped_configs(name, request):
                 cfg.iteration.z0, cfg.run.horizon, c=cfg.moduli.c,
                 s=cfg.problem.s, target=cfg.problem.target)
     ctx = derive_constants(cfg.moduli)
-    nu_values = {k: nu(cfg.moduli, k, cfg.constant_c, cfg.budget()).value
+    nu_values = {k: bounds.nu(k, cfg.moduli, budget=cfg.budget()).value
                  for k in range(6)}
     assert_diagnostics_match(trace, trace.s, ctx.M1, cfg.moduli.c, ctx.N0,
                              nu_values)

@@ -7,7 +7,7 @@ import pytest
 
 from mppa.countfn import Affine, Budget, Const, ExpCeil, Identity, evaluate
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq, Moduli,
-                            Schedule, ZeroError, derive_constants, mu, nu,
+                            Schedule, ZeroError, derive_constants,
                             validate_anchors, validate_moduli,
                             validate_schedule)
 
@@ -96,30 +96,6 @@ def test_g_rate_composition():
     # G = E(M2 n + M2); with E = const 0 it is identically zero.
     assert evaluate(ctx.G, 0).value == 0
     assert evaluate(ctx.G, 11).value == 0
-
-
-# --- threshold rates -----------------------------------------------------------------
-
-
-def test_nu_mu_pins(toy_moduli, toy_moduli2):
-    assert [nu(toy_moduli, k, True).value for k in range(3)] == [32, 64, 96]
-    assert [nu(toy_moduli, k, False).value for k in range(3)] == [40, 80, 120]
-    assert [mu(toy_moduli, k).value for k in range(3)] == [12, 24, 36]
-    assert mu(toy_moduli, 5).value == 72
-    assert [nu(toy_moduli2, k, True).value for k in range(3)] == [64, 128, 192]
-    assert [nu(toy_moduli2, k, False).value for k in range(3)] == [80, 160, 240]
-    assert [mu(toy_moduli2, k).value for k in range(3)] == [24, 48, 72]
-    assert [nu(MODULI_A, k, True).value for k in range(3)] == [208, 416, 624]
-    assert [nu(MODULI_A, k, False).value for k in range(3)] == [260, 520, 780]
-    assert [mu(MODULI_A, k).value for k in range(3)] == [72, 144, 216]
-
-
-def test_nu_mu_respect_budget(toy_moduli):
-    bv = nu(toy_moduli, 10 ** 500, budget=Budget(magnitude_bits=64))
-    assert not bv.is_exact
-    assert bv.stage == "nu"
-    bv = mu(toy_moduli, 10 ** 500, budget=Budget(magnitude_bits=64))
-    assert bv.stage == "mu"
 
 
 # --- hypothesis validators ------------------------------------------------------------
@@ -222,6 +198,20 @@ def test_validate_moduli_catches_error_tail():
     sched = make_schedule(error=GeometricError(ratio=0.5, base=(4.0, 0.0)))
     report = validate_moduli(sched, MODULI_A, horizon=100, k_cap=8)
     assert any("error tail" in v for v in report.violations)
+
+
+def test_validate_moduli_checks_constant_c():
+    # c_n = 1/(n+1) first leaves c_0 at n = 1; every other hypothesis holds
+    moduli = Moduli(a=2, c=200, Cmaj=Const(1), ell=Identity(),
+                    Ldiv=ExpCeil(4), Gamma=Identity(), E=Const(0),
+                    N1=4, N2=1, N3=4, constant_c=True)
+    sched = make_schedule(c=HarmonicSeq(shift=1.0))
+    report = validate_moduli(sched, moduli, horizon=100, k_cap=12)
+    assert report.violations == ["c_n not constant at n=1: 0.5 != 1.0"]
+    unstated = dataclasses.replace(moduli, constant_c=False)
+    assert validate_moduli(sched, unstated, horizon=100, k_cap=12).ok
+    stated = dataclasses.replace(MODULI_A, constant_c=True)
+    assert validate_moduli(make_schedule(), stated, horizon=100, k_cap=12).ok
 
 
 def test_validate_moduli_requires_horizon():
