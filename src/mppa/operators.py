@@ -25,6 +25,10 @@ _WITNESS_CS = (0.1, 1.0, 10.0)
 # Rows per stacked LinearPSD solve: bounds the (rows, dim, dim) systems array.
 _SOLVE_CHUNK = 256
 
+# cond(I + cA) past which LinearPSD resolves through the eigendecomposition
+# of A: a solve's rounding grows as cond * eps, about 1e-8 (INEQ_TOL) here.
+_SPECTRAL_COND = 1e8
+
 
 def as_point(coords) -> np.ndarray:
     """Validate and convert to a 1-d float64 vector of length >= 1."""
@@ -209,7 +213,12 @@ class LinearPSD(ResolventOperator):
     """Linear operator x -> A x with A symmetric positive semidefinite.
 
     J_c solves (I + cA) y = x; the system matrix is positive definite for
-    every c > 0, so the solve cannot be singular.
+    every c > 0, so the solve cannot be singular in exact arithmetic.  In
+    floats I + cA rounds towards the singular cA as c grows, so past a
+    condition number of _SPECTRAL_COND, J_c is Q diag(1/(1 + c lam)) Q^T x
+    for the eigendecomposition A = Q diag(lam) Q^T, whose rounding does not
+    grow with c.  Both forms agree with their row-batched versions bit for
+    bit.
     """
 
     kind = "linear_psd"
@@ -222,12 +231,17 @@ class LinearPSD(ResolventOperator):
             raise ValueError("matrix has non-finite entries")
         if not np.allclose(mat, mat.T, atol=SLACK):
             raise ValueError("matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(mat)
+        eigs, self._vecs = np.linalg.eigh(mat)
         if eigs.min() < -SLACK:
             raise ValueError("matrix must be positive semidefinite")
+        # eigenvalues within rounding of 0 (numpy's matrix_rank tolerance)
+        # belong to the kernel: c times their rounding would grow with c
+        tol = max(float(eigs[-1]), 0.0) * mat.shape[0] * np.finfo(float).eps
+        self._eigs = np.where(eigs > tol, eigs, 0.0)
+        self._eig_lo, self._eig_hi = float(self._eigs[0]), float(self._eigs[-1])
         self.matrix = mat
-        # the last (c, I + cA) built by _resolve, so a constant c builds once
-        self._system = (None, None)
+        # the last c _resolve saw, and its I + cA, or None where J_c is spectral
+        self._c, self._system = None, None
         if zero_set_witness is None:
             zero_set_witness = np.zeros(mat.shape[0])
         else:
@@ -236,12 +250,27 @@ class LinearPSD(ResolventOperator):
                 raise ValueError("declared zero is not in the kernel")
         super().__init__(mat.shape[0], zero_set_witness)
 
+    def _is_spectral(self, c):
+        """Whether cond(I + cA) passes _SPECTRAL_COND, for a scalar c or
+        elementwise for an array of them."""
+        return (1.0 + c * self._eig_hi) / (1.0 + c * self._eig_lo) \
+            > _SPECTRAL_COND
+
+    def _spectral_rows(self, cs, xs):
+        """Q diag(1/(1 + c lam)) Q^T x for each row, as a stack of one-row
+        products, so that a row's bits do not depend on the row count."""
+        coef = np.matmul(xs[:, None, :], self._vecs)[:, 0, :]
+        coef = coef / (1.0 + cs[:, None] * self._eigs)
+        return np.matmul(coef[:, None, :], self._vecs.T)[:, 0, :]
+
     def _resolve(self, c, x):
-        last_c, system = self._system
-        if c != last_c:
-            system = np.eye(self.dim) + c * self.matrix
-            self._system = (c, system)
-        return np.linalg.solve(system, x)
+        if c != self._c:
+            self._c = c
+            self._system = None if self._is_spectral(c) else \
+                np.eye(self.dim) + c * self.matrix
+        if self._system is None:
+            return self._spectral_rows(np.array([c]), x[None, :])[0]
+        return np.linalg.solve(self._system, x)
 
     def _resolve_rows(self, cs, xs):
         # One system and one LAPACK solve per row, as in _resolve: solving
@@ -250,9 +279,16 @@ class LinearPSD(ResolventOperator):
         out = np.empty_like(xs)
         eye = np.eye(self.dim)
         for lo in range(0, cs.shape[0], _SOLVE_CHUNK):
-            hi = lo + _SOLVE_CHUNK
-            systems = eye + cs[lo:hi, None, None] * self.matrix
-            out[lo:hi] = np.linalg.solve(systems, xs[lo:hi, :, None])[:, :, 0]
+            rows = np.s_[lo:lo + _SOLVE_CHUNK]
+            far = self._is_spectral(cs[rows])
+            if far.any():
+                idx = np.arange(lo, lo + far.size)
+                out[idx[far]] = self._spectral_rows(cs[idx[far]], xs[idx[far]])
+                rows = idx[~far]
+                if not rows.size:
+                    continue
+            systems = eye + cs[rows, None, None] * self.matrix
+            out[rows] = np.linalg.solve(systems, xs[rows][:, :, None])[:, :, 0]
         return out
 
 

@@ -3,8 +3,10 @@ calculus, on concrete finite sequences.
 
 Every lemma asserts a witness below an explicit bound.  The oracle searches
 exhaustively, checks premises before trusting any instance, and uses exact
-rational arithmetic for cell comparisons (doubles appear only in norms of
-synthetic vector pairs, guarded by a 1e-9 slack).  Sequences extend beyond
+rational arithmetic for cell comparisons.  Doubles appear only in synthetic
+vector pairs: their gaps, surpluses and norms are computed in bulk by
+`operators.row_norm`, which equals np.linalg.norm row by row, and every
+comparison of them is guarded by a 1e-9 slack.  Sequences extend beyond
 their explicit prefix by repeating the final value, which keeps every
 window well defined while staying a legitimate instance of the lemmas.
 """
@@ -21,9 +23,13 @@ import numpy as np
 from .bounds import chi_tilde, r_const, sigma, theta, varphi_suzuki1
 from .countfn import (Affine, BudgetExceededError, Const, CountFn, Identity,
                       ceil_ln, evaluate)
-from .operators import SLACK
+from .operators import SLACK, row_norm
+
 PREMISE_TOL = Fraction(1, 10 ** 12)
 CONCLUSION_TOL = Fraction(1, 10 ** 9)
+
+# Rows a SyntheticPair caches at first use; the cache doubles from there.
+_MIN_ROWS = 64
 
 
 def _exact(bound_value) -> int:
@@ -72,7 +78,12 @@ class SyntheticPair:
     """Pair (z, w) coupled by z_(n+1) = alpha_n w_n + (1 - alpha_n) z_n.
 
     w and alpha repeat their final entries; z is generated, never free, so
-    the coupling holds exactly in double precision by construction.
+    the coupling holds exactly in double precision by construction.  z is
+    stepped on a row of Python floats, coordinate by coordinate, as
+    alpha * w_i + (1 - alpha) * z_i: the operation order of that expression
+    on arrays, so every z_n has the same bits.  The rows of z and w, the
+    gaps and the surpluses are cached in arrays of at least _MIN_ROWS rows,
+    at least doubled whenever a read passes their end.
     """
 
     def __init__(self, z0, w, alpha, a: int):
@@ -94,7 +105,31 @@ class SyntheticPair:
             if x < lo - 1e-12 or x > hi + 1e-12:
                 raise ValueError(
                     f"alpha out of [1/a, 1-1/a] at index {i}: {x!r}")
-        self._z = [self.z0]
+        self._w_rows = [p.tolist() for p in self.w_list]
+        # the arrays hold indices 0..stop (the surpluses 0..stop-1), and
+        # z_stop is kept as Python floats to step on from
+        self._stop = 0
+        self._z = np.empty((0, self.z0.size))
+        self._z_last = self.z0.tolist()
+        self._cover(0)
+
+    def _cover(self, n: int) -> None:
+        """Grow the cached arrays until they hold index n."""
+        if n < self._stop:
+            return
+        stop = max(_MIN_ROWS, 2 * self._stop, n + 1)
+        last_w, last_a = len(self._w_rows) - 1, len(self.alpha) - 1
+        w = np.array([self._w_rows[min(m, last_w)] for m in range(stop + 1)])
+        rows = [self._z_last]
+        for m in range(self._stop, stop):
+            al = self.alpha[min(m, last_a)]
+            bl = 1.0 - al
+            rows.append([al * wi + bl * zi for wi, zi
+                         in zip(self._w_rows[min(m, last_w)], rows[-1])])
+        z = np.concatenate((self._z[:self._stop], np.array(rows)))
+        self._z, self._w, self._z_last, self._stop = z, w, rows[-1], stop
+        self._gaps = row_norm(w - z)
+        self._surpluses = row_norm(w[1:] - w[:-1]) - row_norm(z[1:] - z[:-1])
 
     def alpha_at(self, n: int) -> float:
         return self.alpha[min(n, len(self.alpha) - 1)]
@@ -103,20 +138,33 @@ class SyntheticPair:
         return self.w_list[min(n, len(self.w_list) - 1)]
 
     def z_at(self, n: int) -> np.ndarray:
-        while len(self._z) <= n:
-            m = len(self._z) - 1
-            al = self.alpha_at(m)
-            self._z.append(al * self.w_at(m) + (1.0 - al) * self._z[m])
+        self._cover(n)
         return self._z[n]
 
     def gap(self, n: int) -> float:
-        return float(np.linalg.norm(self.w_at(n) - self.z_at(n)))
+        """|w_n - z_n|."""
+        self._cover(n)
+        return float(self._gaps[n])
 
     def wdiff(self, n: int) -> float:
         """|w_(n+1) - w_n| - |z_(n+1) - z_n|, the almost-decrease surplus."""
-        dw = float(np.linalg.norm(self.w_at(n + 1) - self.w_at(n)))
-        dz = float(np.linalg.norm(self.z_at(n + 1) - self.z_at(n)))
-        return dw - dz
+        self._cover(n)
+        return float(self._surpluses[n])
+
+    def gaps(self, stop: int) -> np.ndarray:
+        """The gaps at n < stop."""
+        self._cover(stop - 1)
+        return self._gaps[:stop]
+
+    def surpluses(self, stop: int) -> np.ndarray:
+        """The surpluses wdiff(n) at n < stop."""
+        self._cover(stop - 1)
+        return self._surpluses[:stop]
+
+    def rows(self, stop: int) -> tuple:
+        """z_n and w_n at n < stop, one row each."""
+        self._cover(stop - 1)
+        return self._z[:stop], self._w[:stop]
 
 
 # --- rational approximation of the limsup ----------------------------------------
@@ -185,13 +233,14 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
         return None
 
     quarter = Fraction(1, 4 * (k + 1))
+    v_cap = quarter / (p + 1) + PREMISE_TOL
+    r_cap = quarter + PREMISE_TOL
     for m in range(n, p + 1):
-        if _ext(v, m) > quarter / (p + 1) + PREMISE_TOL:
+        if _ext(v, m) > v_cap:
             return None
-        if _ext(r, m) > quarter + PREMISE_TOL:
+        if _ext(r, m) > r_cap:
             return None
-    if sum((_ext(gamma, i) for i in range(n, p + 1)),
-           Fraction(0)) > quarter + PREMISE_TOL:
+    if sum((_ext(gamma, i) for i in range(n, p + 1)), Fraction(0)) > r_cap:
         return None
 
     for m in range(p + 1):
@@ -200,14 +249,15 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
         if _ext(s, m + 1) > rhs + PREMISE_TOL:
             return None
 
-    # Divergence rate, probed up to the level sigma actually consumes.
+    # Divergence rate, probed up to the level sigma actually consumes:
+    # sums[j] is lam_1 + ... + lam_j, extended as the levels ask.
     probe_hi = n + ceil_ln(4 * d * (k + 1))
+    sums = [Fraction(0)]
     for kk in range(probe_hi + 1):
         lk = _exact(evaluate(ldiv, kk))
-        total = Fraction(0)
-        for i in range(1, lk + 1):
-            total += _ext(lam, i)
-        if total < kk - PREMISE_TOL:
+        for i in range(len(sums), lk + 1):
+            sums.append(sums[-1] + _ext(lam, i))
+        if sums[lk] < kk - PREMISE_TOL:
             return None
 
     start = _exact(sigma(k, n, ldiv, d))
@@ -218,23 +268,30 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
 # --- quantitative Suzuki lemmas ------------------------------------------------------
 
 
+def _first(bad: np.ndarray) -> Optional[int]:
+    """Index of the first True entry, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
 def _check_gap_bound(pair: SyntheticPair, n_gap: int, horizon: int) -> None:
-    for n in range(horizon + 1):
-        if pair.gap(n) > n_gap + SLACK:
-            raise ValueError(f"gap exceeds N at n={n}")
+    """The gap bound N at every n in [0, horizon]."""
+    n = _first(pair.gaps(horizon + 1) > n_gap + SLACK)
+    if n is not None:
+        raise ValueError(f"gap exceeds N at n={n}")
 
 
 def _check_eqnu(pair: SyntheticPair, nu: CountFn, level: int,
                 horizon: int) -> None:
     """The almost-decrease premise at one level: for n >= nu(level) the gap
-    surplus stays below 1/(level+1), probed up to the horizon."""
+    surplus stays below 1/(level+1), probed at n < horizon."""
     start = _exact(evaluate(nu, level))
     tau = 1.0 / (level + 1)
-    for m in range(start, horizon):
-        if pair.wdiff(m) > tau + SLACK:
-            raise ValueError(
-                f"nu is not a valid almost-decrease rate: surplus at n={m} "
-                f"exceeds 1/{level + 1}")
+    m = _first(pair.surpluses(horizon)[start:] > tau + SLACK)
+    if m is not None:
+        raise ValueError(
+            f"nu is not a valid almost-decrease rate: surplus at "
+            f"n={start + m} exceeds 1/{level + 1}")
 
 
 def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
@@ -257,12 +314,15 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
     _check_eqnu(pair, nu, cells - 1, horizon)
 
     tau = 1.0 / (k + 1)
+    gaps = pair.gaps(horizon + 1)
+    z, w = pair.rows(horizon + 1)
+    probes = row_norm(w[l + t:cap + t + 1] - z[l:cap + 1]).tolist()
     for m in range(l, cap + 1):
         fm = _exact(evaluate(f, m))
-        probe = float(np.linalg.norm(pair.w_at(m + t) - pair.z_at(m)))
+        probe = probes[m - l]
         asum = 1.0 + sum(pair.alpha_at(m + i) for i in range(t))
-        gap_t = pair.gap(m + t)
-        win_max = max(pair.gap(i) for i in range(m, m + t + fm + 1))
+        gap_t = float(gaps[m + t])
+        win_max = max(gaps[m:m + t + fm + 1].tolist())
         for p in range(cells * n_gap):
             hi = (p + 1) / cells
             if probe - asum * hi < -tau - SLACK:
@@ -291,17 +351,16 @@ def suzuki2_index(pair: SyntheticPair, k: int, f: CountFn, nu: CountFn,
     t = max(2 * n_ball * pair.a * (k + 1), 1)
     cells = _exact(r_const(pair.a, k, t))
     probe_hi = min(cap, 2000)
-    for n in range(probe_hi + 1):
-        zn = float(np.linalg.norm(pair.z_at(n)))
-        wn = float(np.linalg.norm(pair.w_at(n)))
-        if zn > n_ball + SLACK or wn > n_ball + SLACK:
-            raise ValueError(f"iterate norm exceeds N at n={n}")
+    z, w = pair.rows(probe_hi + 1)
+    n = _first((row_norm(z) > n_ball + SLACK) | (row_norm(w) > n_ball + SLACK))
+    if n is not None:
+        raise ValueError(f"iterate norm exceeds N at n={n}")
     _check_eqnu(pair, nu, cells - 1, probe_hi)
 
     tau = 1.0 / (k + 1)
     for n in range(cap + 1):
         fn = _exact(evaluate(f, n))
-        if all(pair.gap(m) <= tau + SLACK for m in range(n, n + fn + 1)):
+        if (pair.gaps(n + fn + 1)[n:] <= tau + SLACK).all():
             return n
     return None
 
@@ -377,8 +436,8 @@ def _xu_instance(rng: random.Random, corrupt: bool):
     quarter = Fraction(1, 4 * (k + 1))
     v = []
     r = []
+    vcap = quarter / (p + 1)
     for m in range(length):
-        vcap = quarter / (p + 1)
         v.append(vcap * Fraction(rng.randrange(0, 10), 10))
         r.append(quarter * Fraction(rng.randrange(0, 10), 10))
     budget_g = quarter

@@ -17,7 +17,8 @@ from mppa.acceptance import _T1
 from mppa.cli import _NEEDS_F, BOUND_NAMES, _check_rows, main
 from mppa.config import count_fn, render_fspec
 from mppa.iteration import run
-from mppa.schedules import derive_constants
+from mppa.operators import QuadraticProx
+from mppa.schedules import ConstantSeq, derive_constants
 
 HEADERS = {
     "trace.csv": "n,znorm_dist_s,dz,res_Jn,res_J,dist_target",
@@ -90,6 +91,54 @@ def test_nan_row_fails_its_checks(cfg_a):
         assert status[name] == "FAIL"
 
 
+def _trace_and_rows(cfg):
+    """A run of cfg to n = 300, and the map from a trace to its checks.csv
+    statuses."""
+    schedule = cfg.iteration.build()
+    trace = run(cfg.problem.build(), schedule, cfg.iteration.u,
+                cfg.iteration.z0, 300, c=cfg.moduli.c, s=cfg.problem.s)
+    ctx = derive_constants(cfg.moduli)
+
+    def status(tr):
+        rows = _check_rows(tr, cfg, ctx, schedule, cfg.budget())
+        return {name: st for name, _, st in rows}
+    return trace, status
+
+
+def test_wbound_row_fails_on_a_far_companion(cfg_a):
+    trace, status = _trace_and_rows(cfg_a)
+    assert set(status(trace).values()) == {"PASS"}
+    # gamma_150 just below 1 throws w_150 = (z_151 - g z_150)/(1 - g) far
+    # out, while every z_n, and so the boundedness row, stays as it was
+    gam = trace.gam.copy()
+    gam[150] = 1.0 - 2.0 ** -40
+    got = status(dataclasses.replace(trace, gam=gam))
+    assert got["wbound"] == "FAIL"
+    assert got["boundedness"] == "PASS"
+
+
+class _SquaredParameterProx(QuadraticProx):
+    """Returns J_(c^2) where J_c is asked: each value still fixes the center,
+    but the family breaks the resolvent identity at unequal parameters."""
+
+    def _resolve_floats(self, c, x):
+        return super()._resolve_floats(c * c, x)
+
+    def _resolve_rows(self, cs, xs):
+        return super()._resolve_rows(cs * cs, xs)
+
+
+def test_resolvent_identity_row_fails_on_a_broken_resolvent(cfg_a):
+    # c_n = 2 against 1/c = 1, so the row compares unequal parameters
+    cfg = dataclasses.replace(cfg_a, iteration=dataclasses.replace(
+        cfg_a.iteration, c=ConstantSeq(2.0)))
+    trace, status = _trace_and_rows(cfg)
+    assert status(trace)["resolvent_identity"] == "PASS"
+    bad = _SquaredParameterProx(center=cfg.problem.build().center)
+    assert status(dataclasses.replace(trace, op=bad))["resolvent_identity"] \
+        == "FAIL"
+
+
 def test_run_is_deterministic(tmp_path, config_b_text):
     cfg = write_cfg(tmp_path, config_b_text)
     for out in ("one", "two"):
@@ -123,6 +172,25 @@ def test_run_far_start_fails_checks(tmp_path, capsys, config_a_text):
     status = {row.split(",", 1)[0]: row.rsplit(",", 1)[1] for row in rows}
     assert status["anchors"] == "FAIL"
     assert status["boundedness"] == "FAIL"
+
+
+def test_run_linear_psd_at_c_1e16(tmp_path, config_a_text):
+    # I + cA rounds to the singular cA here, which a plain solve rejects
+    text = (config_a_text
+            .replace("kind = quadratic_prox\ncenter = 1,-1\nweight = 1\n"
+                     "s = 1,-1\ntarget = 1,-1",
+                     "kind = linear_psd\nmatrix = 1,1;1,1\ns = 0,0\n"
+                     "target = 0.5,-0.5")
+            .replace("c = const 1\n", "c = const 1e16\n")
+            .replace("Cmaj = const 1\n", "Cmaj = const 10000000000000000\n")
+            .replace("horizon = 10000", "horizon = 200")
+            .replace("ks = 0,1,2,3,4,5,6,7,8,9", "ks = 0")
+            .replace("fs = const 0; const 10; id", "fs = const 0"))
+    assert "matrix = 1,1;1,1" in text and "const 1e16" in text
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    rows = (out / "checks.csv").read_text().splitlines()[1:]
+    assert all(row.rsplit(",", 1)[1] == "PASS" for row in rows)
 
 
 # sha256 of the four CSVs `mppa run` writes on the shipped configs and on
@@ -551,4 +619,4 @@ def test_readme_examples(monkeypatch, capsys):
         assert main(argv) == 0, line
         assert capsys.readouterr().out.splitlines() == shown, line
         commands.append(argv[0])
-    assert commands == ["bound", "bound", "bound", "oracle"]
+    assert commands == ["bound", "bound", "bound", "oracle", "oracle"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,6 +98,43 @@ def test_linear_psd():
         LinearPSD(matrix=((-1.0, 0.0), (0.0, 1.0)))     # not psd
     with pytest.raises(ValueError):
         LinearPSD(matrix=((1.0, 0.0),))                 # not square
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_linear_psd_tends_to_the_kernel_projection(data):
+    dim = data.draw(st.integers(min_value=2, max_value=6))
+    rank = data.draw(st.integers(min_value=1, max_value=dim - 1))
+    factor = data.draw(arrays(float, (dim, rank),
+                              elements=st.integers(-3, 3).map(float)))
+    gram = factor.T @ factor
+    # the nonzero eigenvalues of A; a well-conditioned factor, so that its
+    # range is known to rounding
+    live = np.linalg.eigvalsh(gram)
+    assume(live[0] > 1e-3 * live[-1])
+    op = LinearPSD(matrix=factor @ factor.T)
+    proj = np.eye(dim) - factor @ np.linalg.solve(gram, factor.T)
+    x = data.draw(arrays(float, dim, elements=st.floats(-1e3, 1e3)))
+    size = float(np.linalg.norm(x)) + 1.0
+    for c in (1e2, 1e6, 1e10, 1e14, 1e16, 1e20, 1e100):
+        err = float(np.linalg.norm(op.resolvent(c, x) - proj @ x))
+        # off the kernel J_c shrinks by at most 1/(1 + c lam_min); the
+        # rounding of a solve below the spectral threshold is cond * eps
+        assert err <= size * (1.0 / (1.0 + c * live[0]) + 1e-7), c
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+def test_resolve_rows_across_the_spectral_threshold(rank):
+    # one chunk mixes solved and spectral rows, and matches row by row
+    rng = np.random.default_rng(rank)
+    factor = rng.integers(-3, 4, size=(4, rank)).astype(float)
+    op = LinearPSD(matrix=factor @ factor.T)
+    cs = 10.0 ** rng.uniform(-2.0, 20.0, size=600)
+    xs = rng.uniform(-4.0, 4.0, size=(600, 4))
+    assert 0 < op._is_spectral(cs).sum() < 600
+    assert op._resolve_rows(cs, xs).tobytes() == stacked(op, cs, xs).tobytes()
+    one = np.broadcast_to(xs[0], xs.shape)
+    assert op._resolve_rows(cs, one).tobytes() == stacked(op, cs, one).tobytes()
 
 
 def test_rotation2d():
@@ -280,11 +317,11 @@ wild = st.one_of(coords, st.floats(), specials)
 @given(st.data())
 def test_resolve_floats_matches_resolve_bits(data):
     op = data.draw(operators())
-    # past about 1e14, I + cA rounds to the singular cA for a rank-deficient
-    # A, and LAPACK rejects it
-    wide_c = st.one_of(st.floats(min_value=0.0, exclude_min=True),
-                       st.sampled_from((5e-324, 1e300, np.inf)))
-    c = data.draw(params if op.kind == "linear_psd" else params | wide_c)
+    # every finite c: past about 1e14, I + cA rounds to the singular cA for
+    # a rank-deficient A, and LinearPSD resolves through eigenvectors
+    huge_c = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    wide_c = huge_c | st.sampled_from((5e-324, 1e300, np.inf))
+    c = data.draw(params | (huge_c if op.kind == "linear_psd" else wide_c))
     x = data.draw(st.lists(wild, min_size=op.dim, max_size=op.dim))
     assert_floats_match(op, c, x)
 

@@ -1,13 +1,21 @@
 """Brute-force lemma oracles: deterministic pins plus seeded suite counts."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mppa.countfn import Affine, Const, Identity
-from mppa.bounds import chi_tilde, theta, varphi_suzuki1
-from mppa.oracle import (BoundedSeq, SyntheticPair, qtXu1_check, ratap_witness,
+from mppa import oracle
+from mppa.countfn import (Affine, BudgetExceededError, Closure, Const,
+                          ExpCeil, Identity, ceil_ln, evaluate)
+from mppa.bounds import chi_tilde, sigma, theta, varphi_suzuki1
+from mppa.operators import row_norm
+from mppa.oracle import (PREMISE_TOL, CONCLUSION_TOL, BoundedSeq,
+                         SyntheticPair, qtXu1_check, ratap_witness,
                          rationalapprox2_witness, run_suite, suzuki1_witness,
                          suzuki2_index)
 
@@ -39,6 +47,132 @@ def test_synthetic_pair():
         SyntheticPair(z0=(0.0,), w=[(1.0,)], alpha=[0.9], a=2)
     with pytest.raises(ValueError):
         SyntheticPair(z0=(0.0,), w=[(1.0, 2.0)], alpha=[0.5], a=2)
+
+
+class RefPair:
+    """The per-point pair: z stepped on numpy arrays, one norm per read."""
+
+    def __init__(self, z0, w, alpha):
+        self.z0 = np.asarray(z0, dtype=float).reshape(-1)
+        self.w_list = [np.asarray(p, dtype=float).reshape(-1) for p in w]
+        self.alpha = tuple(float(x) for x in alpha)
+        self._z = [self.z0]
+
+    def alpha_at(self, n):
+        return self.alpha[min(n, len(self.alpha) - 1)]
+
+    def w_at(self, n):
+        return self.w_list[min(n, len(self.w_list) - 1)]
+
+    def z_at(self, n):
+        while len(self._z) <= n:
+            m = len(self._z) - 1
+            al = self.alpha_at(m)
+            self._z.append(al * self.w_at(m) + (1.0 - al) * self._z[m])
+        return self._z[n]
+
+    def gap(self, n):
+        return float(np.linalg.norm(self.w_at(n) - self.z_at(n)))
+
+    def wdiff(self, n):
+        dw = float(np.linalg.norm(self.w_at(n + 1) - self.w_at(n)))
+        dz = float(np.linalg.norm(self.z_at(n + 1) - self.z_at(n)))
+        return dw - dz
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_arrays_match_the_per_point_pair(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    a = data.draw(st.integers(min_value=2, max_value=6))
+    coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    z0 = data.draw(point)
+    w = data.draw(st.lists(point, min_size=1, max_size=13))
+    band = st.floats(min_value=1.0 / a, max_value=1.0 - 1.0 / a)
+    alpha = data.draw(st.lists(band, min_size=1, max_size=13))
+    # past the explicit prefix, and across the cache's first doubling
+    stop = data.draw(st.sampled_from((1, 14, 63, 64, 65, 150)))
+    pair = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
+    ref = RefPair(z0, w, alpha)
+    idx = range(stop)
+    assert _bits([pair.z_at(n) for n in idx]) == _bits([ref.z_at(n) for n in idx])
+    z_rows, w_rows = pair.rows(stop)
+    assert _bits(z_rows) == _bits([ref.z_at(n) for n in idx])
+    assert _bits(w_rows) == _bits([ref.w_at(n) for n in idx])
+    assert _bits(pair.gaps(stop)) == _bits([ref.gap(n) for n in idx])
+    assert _bits(pair.surpluses(stop)) == _bits([ref.wdiff(n) for n in idx])
+    # suzuki2's norm probe
+    assert _bits(row_norm(z_rows)) \
+        == _bits([np.linalg.norm(ref.z_at(n)) for n in idx])
+    assert _bits(row_norm(w_rows)) \
+        == _bits([np.linalg.norm(ref.w_at(n)) for n in idx])
+    # a read far past the cache, on the pair as built and after the above
+    n = data.draw(st.integers(min_value=0, max_value=300))
+    fresh = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
+    for got in (fresh, pair):
+        assert _bits(got.wdiff(n)) == _bits(ref.wdiff(n))
+        assert _bits(got.gap(n)) == _bits(ref.gap(n))
+        assert _bits(got.z_at(n)) == _bits(ref.z_at(n))
+
+
+def _pair(w):
+    """A 1-d pair with alpha = 1/2 over the given values of w."""
+    return SyntheticPair(z0=(0.0,), w=[(x,) for x in w], alpha=[0.5], a=2)
+
+
+def _spikes(where, height):
+    """w = height at the given indices and 0 elsewhere: the gap and |w_n|
+    are height exactly there, and z_(n+1) is height/2 just after."""
+    return [height if n in where else 0.0 for n in range(max(where) + 4)]
+
+
+def _steps(where):
+    """w rises by 5 at each given index: the surplus is about 5 at the index
+    before, and at most 0 elsewhere."""
+    return [5.0 * sum(n >= j for j in where) for n in range(max(where) + 4)]
+
+
+def test_gap_bound_names_the_first_violation_in_its_range():
+    with pytest.raises(ValueError, match=r"gap exceeds N at n=6$"):
+        oracle._check_gap_bound(_pair(_spikes({6, 11}, 5.0)), 1, 20)
+    # the range is 0..horizon inclusive
+    with pytest.raises(ValueError, match=r"at n=20$"):
+        oracle._check_gap_bound(_pair(_spikes({20}, 5.0)), 1, 20)
+    oracle._check_gap_bound(_pair(_spikes({21}, 5.0)), 1, 20)
+
+
+def test_eqnu_names_the_first_violation_in_its_range():
+    # level 1 gives tau = 1/2; nu = Const(3) starts the probe at n = 3
+    with pytest.raises(ValueError, match=r"surplus at n=5 exceeds 1/2$"):
+        oracle._check_eqnu(_pair(_steps({6, 12})), Const(3), 1, 20)
+    # the range is nu(level)..horizon-1: a step at j shows at n = j - 1
+    with pytest.raises(ValueError, match=r"surplus at n=3 "):
+        oracle._check_eqnu(_pair(_steps({4})), Const(3), 1, 20)
+    with pytest.raises(ValueError, match=r"surplus at n=19 "):
+        oracle._check_eqnu(_pair(_steps({20})), Const(3), 1, 20)
+    oracle._check_eqnu(_pair(_steps({3})), Const(3), 1, 20)
+    oracle._check_eqnu(_pair(_steps({21})), Const(3), 1, 20)
+
+
+def test_suzuki2_norm_probe_names_the_first_violation_in_its_range():
+    bound = chi_tilde(0, Const(0), 2, Const(0), 1)
+    probe_hi = min(bound.value, 2000)
+    assert probe_hi == 2000
+
+    def index(where):
+        return suzuki2_index(_pair(_spikes(where, 1.5)), 0, Const(0),
+                             Const(0), 1)
+    with pytest.raises(ValueError, match=r"iterate norm exceeds N at n=7$"):
+        index({7, 9})
+    # the range is 0..probe_hi inclusive
+    with pytest.raises(ValueError, match=rf"at n={probe_hi}$"):
+        index({probe_hi})
+    assert index({probe_hi + 1}) == 0
 
 
 # --- witness searches ----------------------------------------------------------------
@@ -85,6 +219,82 @@ def test_qtxu_positive_and_corrupt():
     bad[1] += 3
     assert qtXu1_check(bad, zeros, zeros, zeros, [lam] * 12,
                        Affine(2, 0), 3, 0, 0, 10) is None
+
+
+def _ext(seq, i):
+    return seq[i] if i < len(seq) else seq[-1]
+
+
+def ref_qtxu1_check(s, v, r, gamma, lam, ldiv, d, k, n, p):
+    """qtXu1_check with its tolerances rebuilt at every step and the
+    divergence probe summing lam_1..lam_L(kk) afresh for each level kk."""
+    s, v, r, gamma, lam = (tuple(Fraction(x) for x in seq)
+                           for seq in (s, v, r, gamma, lam))
+    if d < 1 or k < 0 or n < 0 or p < 0:
+        return None
+    if any(x < 0 or x > d for x in s):
+        return None
+    if any(x <= 0 or x >= 1 for x in lam):
+        return None
+    if any(x < 0 for x in gamma):
+        return None
+    quarter = Fraction(1, 4 * (k + 1))
+    for m in range(n, p + 1):
+        if _ext(v, m) > quarter / (p + 1) + PREMISE_TOL:
+            return None
+        if _ext(r, m) > quarter + PREMISE_TOL:
+            return None
+    if sum((_ext(gamma, i) for i in range(n, p + 1)),
+           Fraction(0)) > quarter + PREMISE_TOL:
+        return None
+    for m in range(p + 1):
+        rhs = (1 - _ext(lam, m)) * (_ext(s, m) + _ext(v, m)) \
+            + _ext(lam, m) * _ext(r, m) + _ext(gamma, m)
+        if _ext(s, m + 1) > rhs + PREMISE_TOL:
+            return None
+    for kk in range(n + ceil_ln(4 * d * (k + 1)) + 1):
+        value = evaluate(ldiv, kk)
+        if not value.is_exact:
+            raise BudgetExceededError(value.stage)
+        total = Fraction(0)
+        for i in range(1, value.value + 1):
+            total += _ext(lam, i)
+        if total < kk - PREMISE_TOL:
+            return None
+    start = sigma(k, n, ldiv, d).value
+    return all(_ext(s, m) <= Fraction(1, k + 1) + CONCLUSION_TOL
+               for m in range(start, p + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_qtxu_matches_the_quadratic_probe(data):
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+    corrupt = data.draw(st.booleans())
+    s, v, r, gamma, lam, ldiv, d, k, n, p = oracle._xu_instance(
+        random.Random(seed), corrupt)
+    # other divergence rates, some too slow for the lambda sums
+    ldiv = data.draw(st.sampled_from(
+        (ldiv, Const(0), Const(3), Identity(), Affine(2, 1), Affine(5, 0))))
+    if data.draw(st.booleans()):
+        frac = st.fractions(min_value=Fraction(1, 50),
+                            max_value=Fraction(49, 50), max_denominator=50)
+        lam = data.draw(st.lists(frac, min_size=1, max_size=len(s)))
+    args = (s, v, r, gamma, lam, ldiv, d, k, n, p)
+    assert qtXu1_check(*args) == ref_qtxu1_check(*args)
+
+
+def test_qtxu_probe_reads_levels_out_of_order():
+    # a rate that drops back: each level still reads its own prefix sum
+    lam = [Fraction(1, 2)] * 8
+    s = [Fraction(1, 2 ** m) for m in range(9)]
+    zeros = [0] * 8
+    zigzag = Closure("zigzag", lambda n, state: (9, 2, 12, 0, 14)[n % 5])
+    for ldiv in (zigzag, ExpCeil(2), Affine(3, 0)):
+        args = (s, zeros, zeros, zeros, lam, ldiv, 1, 0, 2, 6)
+        assert qtXu1_check(*args) == ref_qtxu1_check(*args)
+    assert qtXu1_check(s, zeros, zeros, zeros, lam, zigzag, 1, 0, 2, 6) \
+        is None
 
 
 def test_qtxu_rejects_broken_premises():
@@ -161,3 +371,57 @@ def test_run_suite_validation():
         run_suite("nope")
     with pytest.raises(ValueError):
         run_suite("ratap", trials=0)
+
+
+# --- pins recorded from the per-point pair and the quadratic probe ----------------------
+
+
+# sha256 of the reprs of run_suite(lemma, seed=s, trials=t), s = 0..59
+SUITE_DIGESTS = {
+    ("ratap", 30):
+        "a60e1e5fb07306408a908f2c9507fbf00be8b13993d8f18df3cfab91e5bb0669",
+    ("limsup2", 30):
+        "54f1b95e6ecc361f891a740c0b7b731422038302f3955e04f0d29423ecbdac58",
+    ("xu", 10):
+        "a2d23bc4c6cc71c031309328dec77a9de9e67884e789aeb9663d426d2d2b4abc",
+    ("suzuki1", 10):
+        "61abde27f2168cbf84b0ff94d00b95872e5a5a3ccdf8b4c2cb62cda0663dec9d",
+    ("suzuki2", 4):
+        "f2e9b22874da2686ad8d7f9042d298eeb76754c032976efdb7bfe624d31d7665",
+}
+
+
+@pytest.mark.parametrize("lemma,trials", SUITE_DIGESTS,
+                         ids=[lemma for lemma, _ in SUITE_DIGESTS])
+def test_suite_results_are_pinned(lemma, trials):
+    text = "\n".join(repr(run_suite(lemma, seed=s, trials=trials))
+                     for s in range(60))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == SUITE_DIGESTS[lemma, trials]
+
+
+def _outcome(search, *args):
+    try:
+        return repr(search(*args))
+    except (ValueError, BudgetExceededError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _walk_pair_lines(seed):
+    """Pair values, suzuki1 witnesses and suzuki2 indices (or the premise
+    error) on the suite's drifting pair drawn at one seed."""
+    pair, nu, n_gap = oracle._walk_pair(random.Random(seed))
+    lines = [repr((pair.gap(n), pair.wdiff(n), pair.z_at(n).tolist()))
+             for n in range(0, 40, 3)]
+    for k, l, t, c in ((0, 0, 1, 0), (1, 2, 2, 2), (2, 1, 1, 1)):
+        lines.append(_outcome(suzuki1_witness, pair, k, l, t, nu, n_gap,
+                              Const(c)))
+    for k, c, n_ball in ((0, 0, n_gap), (1, 1, 5), (0, 2, 6)):
+        lines.append(_outcome(suzuki2_index, pair, k, Const(c), nu, n_ball))
+    return lines
+
+
+def test_walk_pair_witnesses_are_pinned():
+    text = "\n".join(line for s in range(60) for line in _walk_pair_lines(s))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "32bf2917672a04f6a255d2673730a7862c5d544ee51268c5341c159a3ec16668"
