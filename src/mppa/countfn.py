@@ -374,22 +374,27 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     raise BudgetExceededError(_TOP_STAGE)
 
 
+def evaluate_prefix(f: CountFn, count: int,
+                    budget: Optional[Budget] = None) -> list:
+    """f(0), ..., f(count - 1) as evaluate_each gives them, cut before the
+    first budget marker."""
+    vals = []
+    try:
+        vals.extend(itertools.islice(evaluate_each(f, budget), count))
+    except BudgetExceededError:
+        pass
+    return vals
+
+
 def strongly_majorizes(g: CountFn, f: CountFn, upto: int = 50,
                        budget: Optional[Budget] = None) -> bool:
     """Check g <=* f pointwise on [0, upto]: f dominates g and f is
     self-majorizing on that range.  A finite probe, not a proof."""
-    prev_f = None
-    for n in range(upto + 1):
-        gv = evaluate(g, n, budget)
-        fv = evaluate(f, n, budget)
-        if not (gv.is_exact and fv.is_exact):
-            return False
-        if gv.value > fv.value:
-            return False
-        if prev_f is not None and fv.value < prev_f:
-            return False
-        prev_f = fv.value
-    return True
+    gs = evaluate_prefix(g, upto + 1, budget)
+    fs = evaluate_prefix(f, upto + 1, budget)
+    return len(gs) == len(fs) == upto + 1 \
+        and all(gv <= fv for gv, fv in zip(gs, fs)) \
+        and all(a <= b for a, b in zip(fs, fs[1:]))
 
 
 # --- exact comparisons against powers of e ---------------------------------

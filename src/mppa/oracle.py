@@ -4,11 +4,14 @@ calculus, on concrete finite sequences.
 Every lemma asserts a witness below an explicit bound.  The oracle searches
 exhaustively, checks premises before trusting any instance, and uses exact
 rational arithmetic for cell comparisons.  Doubles appear only in synthetic
-vector pairs: their gaps, surpluses and norms are computed in bulk by
-`operators.row_norm`, which equals np.linalg.norm row by row, and every
-comparison of them is guarded by a 1e-9 slack.  Sequences extend beyond
-their explicit prefix by repeating the final value, which keeps every
-window well defined while staying a legitimate instance of the lemmas.
+vector pairs of finite points: they are read only as arrays of rows, gaps
+and surpluses, computed in bulk by `operators.row_norm`, which equals
+np.linalg.norm row by row, and every comparison of them is guarded by a
+1e-9 slack.  A counterfunction read over a range of indices is read through
+`countfn.evaluate_each`, which gives the per-index values and first marker
+of `evaluate`.  Sequences extend beyond their explicit prefix by repeating
+the final value, which keeps every window well defined while staying a
+legitimate instance of the lemmas.
 """
 
 from __future__ import annotations
@@ -16,20 +19,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .bounds import chi_tilde, r_const, sigma, theta, varphi_suzuki1
 from .countfn import (Affine, BudgetExceededError, Const, CountFn, Identity,
-                      ceil_ln, evaluate)
-from .operators import SLACK, row_norm
+                      ceil_ln, evaluate, evaluate_each)
+from .operators import SLACK, as_point, row_norm
 
 PREMISE_TOL = Fraction(1, 10 ** 12)
 CONCLUSION_TOL = Fraction(1, 10 ** 9)
 
 # Rows a SyntheticPair caches at first use; the cache doubles from there.
 _MIN_ROWS = 64
+
+# How far suzuki2_index searches when its bound chi_tilde is not exact.
+_SUZUKI2_HORIZON = 4096
 
 
 def _exact(bound_value) -> int:
@@ -78,7 +85,8 @@ class SyntheticPair:
     """Pair (z, w) coupled by z_(n+1) = alpha_n w_n + (1 - alpha_n) z_n.
 
     w and alpha repeat their final entries; z is generated, never free, so
-    the coupling holds exactly in double precision by construction.  z is
+    the coupling holds exactly in double precision by construction.  z0 and
+    the w points must be finite, and alpha must lie in [1/a, 1 - 1/a].  z is
     stepped on a row of Python floats, coordinate by coordinate, as
     alpha * w_i + (1 - alpha) * z_i: the operation order of that expression
     on arrays, so every z_n has the same bits.  The rows of z and w, the
@@ -90,27 +98,26 @@ class SyntheticPair:
         if a < 1:
             raise ValueError("a must be a positive integer")
         self.a = int(a)
-        self.z0 = np.asarray(z0, dtype=float).reshape(-1)
-        self.w_list = [np.asarray(p, dtype=float).reshape(-1) for p in w]
-        if not self.w_list:
+        z0 = as_point(z0)
+        self._w_rows = [as_point(p).tolist() for p in w]
+        if not self._w_rows:
             raise ValueError("w must contain at least one point")
-        for p in self.w_list:
-            if p.shape != self.z0.shape:
-                raise ValueError("w entries must match the dimension of z0")
+        if any(len(p) != z0.size for p in self._w_rows):
+            raise ValueError("w entries must match the dimension of z0")
         self.alpha = tuple(float(x) for x in alpha)
         if not self.alpha:
             raise ValueError("alpha must contain at least one value")
         lo, hi = 1.0 / self.a, 1.0 - 1.0 / self.a
         for i, x in enumerate(self.alpha):
-            if x < lo - 1e-12 or x > hi + 1e-12:
+            # written so that NaN fails it
+            if not lo - 1e-12 <= x <= hi + 1e-12:
                 raise ValueError(
                     f"alpha out of [1/a, 1-1/a] at index {i}: {x!r}")
-        self._w_rows = [p.tolist() for p in self.w_list]
         # the arrays hold indices 0..stop (the surpluses 0..stop-1), and
         # z_stop is kept as Python floats to step on from
         self._stop = 0
-        self._z = np.empty((0, self.z0.size))
-        self._z_last = self.z0.tolist()
+        self._z = np.empty((0, z0.size))
+        self._z_last = z0.tolist()
         self._cover(0)
 
     def _cover(self, n: int) -> None:
@@ -134,30 +141,14 @@ class SyntheticPair:
     def alpha_at(self, n: int) -> float:
         return self.alpha[min(n, len(self.alpha) - 1)]
 
-    def w_at(self, n: int) -> np.ndarray:
-        return self.w_list[min(n, len(self.w_list) - 1)]
-
-    def z_at(self, n: int) -> np.ndarray:
-        self._cover(n)
-        return self._z[n]
-
-    def gap(self, n: int) -> float:
-        """|w_n - z_n|."""
-        self._cover(n)
-        return float(self._gaps[n])
-
-    def wdiff(self, n: int) -> float:
-        """|w_(n+1) - w_n| - |z_(n+1) - z_n|, the almost-decrease surplus."""
-        self._cover(n)
-        return float(self._surpluses[n])
-
     def gaps(self, stop: int) -> np.ndarray:
-        """The gaps at n < stop."""
+        """The gaps |w_n - z_n| at n < stop."""
         self._cover(stop - 1)
         return self._gaps[:stop]
 
     def surpluses(self, stop: int) -> np.ndarray:
-        """The surpluses wdiff(n) at n < stop."""
+        """The almost-decrease surpluses |w_(n+1) - w_n| - |z_(n+1) - z_n|
+        at n < stop."""
         self._cover(stop - 1)
         return self._surpluses[:stop]
 
@@ -191,9 +182,10 @@ def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
         raise ValueError("t must be at least 1")
     cap = _exact(theta(k, m_start, t, xs.bound, f))
     cells = xs.bound * (k + 1)
-    for m in range(m_start, cap + 1):
+    fs = islice(evaluate_each(f), m_start, cap + 1)
+    for m, fm in zip(range(m_start, cap + 1), fs):
         probe = xs.at(m + t)
-        win = xs.window(m, m + _exact(evaluate(f, m)))
+        win = xs.window(m, m + fm)
         for p in range(cells):
             if probe >= Fraction(p, k + 1) and \
                     all(x <= Fraction(p + 1, k + 1) for x in win):
@@ -253,8 +245,7 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
     # sums[j] is lam_1 + ... + lam_j, extended as the levels ask.
     probe_hi = n + ceil_ln(4 * d * (k + 1))
     sums = [Fraction(0)]
-    for kk in range(probe_hi + 1):
-        lk = _exact(evaluate(ldiv, kk))
+    for kk, lk in zip(range(probe_hi + 1), evaluate_each(ldiv)):
         for i in range(len(sums), lk + 1):
             sums.append(sums[-1] + _ext(lam, i))
         if sums[lk] < kk - PREMISE_TOL:
@@ -308,7 +299,8 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
         raise ValueError("t must be at least 1")
     cells = _exact(r_const(pair.a, k, t))
     cap = _exact(varphi_suzuki1(k, f, l, t, pair.a, nu, n_gap))
-    fmax = max(_exact(evaluate(f, m)) for m in range(l, cap + 1))
+    fs = list(islice(evaluate_each(f), l, cap + 1))
+    fmax = max(fs)
     horizon = cap + t + fmax + 2
     _check_gap_bound(pair, n_gap, horizon)
     _check_eqnu(pair, nu, cells - 1, horizon)
@@ -317,8 +309,7 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
     gaps = pair.gaps(horizon + 1)
     z, w = pair.rows(horizon + 1)
     probes = row_norm(w[l + t:cap + t + 1] - z[l:cap + 1]).tolist()
-    for m in range(l, cap + 1):
-        fm = _exact(evaluate(f, m))
+    for m, fm in zip(range(l, cap + 1), fs):
         probe = probes[m - l]
         asum = 1.0 + sum(pair.alpha_at(m + i) for i in range(t))
         gap_t = float(gaps[m + t])
@@ -336,17 +327,17 @@ def suzuki1_witness(pair: SyntheticPair, k: int, l: int, t: int,
 
 
 def suzuki2_index(pair: SyntheticPair, k: int, f: CountFn, nu: CountFn,
-                  n_ball: int, horizon: int = 4096) -> Optional[int]:
+                  n_ball: int) -> Optional[int]:
     """Least n whose window [n, n+f(n)] keeps the companion gap below
     1/(k+1).
 
     Searches up to the bound chi_tilde(k, f) when that is exact within
-    budget, otherwise up to `horizon`.  Premise checks mirror the lemma:
-    norms bounded by N, the alpha band held by construction, and the
+    budget, otherwise up to _SUZUKI2_HORIZON.  Premise checks mirror the
+    lemma: norms bounded by N, the alpha band held by construction, and the
     almost-decrease rate probed at the level the proof consumes.
     """
     bound = chi_tilde(k, f, pair.a, nu, n_ball)
-    cap = bound.value if bound.is_exact else horizon
+    cap = bound.value if bound.is_exact else _SUZUKI2_HORIZON
 
     t = max(2 * n_ball * pair.a * (k + 1), 1)
     cells = _exact(r_const(pair.a, k, t))
@@ -358,8 +349,7 @@ def suzuki2_index(pair: SyntheticPair, k: int, f: CountFn, nu: CountFn,
     _check_eqnu(pair, nu, cells - 1, probe_hi)
 
     tau = 1.0 / (k + 1)
-    for n in range(cap + 1):
-        fn = _exact(evaluate(f, n))
+    for n, fn in zip(range(cap + 1), evaluate_each(f)):
         if (pair.gaps(n + fn + 1)[n:] <= tau + SLACK).all():
             return n
     return None
@@ -499,7 +489,7 @@ def _walk_pair(rng: random.Random):
     z0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(dim)])
     pair = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
     nu = Affine(slope=int(-(-sig // 1)), offset=int(-(-sig // 1)))
-    gap_max = max(pair.gap(n) for n in range(len(w) + 2))
+    gap_max = float(pair.gaps(len(w) + 2).max())
     n_gap = max(1, int(-(-gap_max // 1)))
     return pair, nu, n_gap
 

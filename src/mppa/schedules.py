@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .countfn import (Affine, Budget, BudgetExceededError, Composed, CountFn,
-                      evaluate, evaluate_each)
+from .countfn import (Affine, Budget, Composed, CountFn, evaluate,
+                      evaluate_prefix)
 from .operators import SLACK, as_point, norm
 
 # Integers at least this large exceed every finite float.
@@ -189,17 +188,6 @@ class ModuliReport:
         return not self.violations
 
 
-def _rate_values(fn: CountFn, count: int, budget: Optional[Budget]) -> list:
-    """fn(0), ..., fn(count - 1), cut before the first budget marker."""
-    vals = []
-    try:
-        for v in islice(evaluate_each(fn, budget), count):
-            vals.append(v)
-    except BudgetExceededError:
-        pass
-    return vals
-
-
 def _as_floats(values: list) -> np.ndarray:
     """The integers as floats, each rounded as float(v) rounds it; those
     past the float range become the largest float, which still majorizes
@@ -233,7 +221,7 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
     enorms = (np.linalg.norm(errs, axis=1) if errs.size else np.zeros(0))
     ecumsum = np.cumsum(enorms)
 
-    for k, lk in enumerate(_rate_values(moduli.ell, k_cap + 1, budget)):
+    for k, lk in enumerate(evaluate_prefix(moduli.ell, k_cap + 1, budget)):
         if lk <= horizon and lam_sufmax[lk] > 1.0 / (k + 1) + SLACK:
             n = lk + int(np.argmax(lam[lk:] > 1.0 / (k + 1) + SLACK))
             violations.append(
@@ -241,7 +229,7 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
                 f"lambda_{n}={float(lam[n])!r} > 1/{k + 1}")
             break
 
-    for k, Lk in enumerate(_rate_values(moduli.Ldiv, k_cap + 1, budget)):
+    for k, Lk in enumerate(evaluate_prefix(moduli.Ldiv, k_cap + 1, budget)):
         if Lk > horizon:
             break
         total = float(lam_cumsum[Lk] - lam_cumsum[0]) if Lk >= 1 else 0.0
@@ -266,7 +254,7 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
             f"c_n below 1/{moduli.c} at n={n}: {float(cs[n])!r}")
 
     c_runmax = np.maximum.accumulate(cs)
-    cmaj = _rate_values(moduli.Cmaj, horizon + 1, budget)
+    cmaj = evaluate_prefix(moduli.Cmaj, horizon + 1, budget)
     bad = np.nonzero(_as_floats(cmaj) + SLACK < c_runmax[:len(cmaj)])[0]
     if bad.size:
         n = int(bad[0])
@@ -280,14 +268,14 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
         violations.append(
             f"c_n not constant at n={n}: {float(cs[n])!r} != {float(cs[0])!r}")
 
-    for k, gk in enumerate(_rate_values(moduli.Gamma, k_cap + 1, budget)):
+    for k, gk in enumerate(evaluate_prefix(moduli.Gamma, k_cap + 1, budget)):
         if gk < cdiff_sufmax.size and cdiff_sufmax[gk] > 1.0 / (k + 1) + SLACK:
             violations.append(
                 f"c-step rate fails at k={k}: |c_(n+1) - c_n| exceeds 1/{k + 1} "
                 f"at some n >= {gk}")
             break
 
-    for k, ek in enumerate(_rate_values(moduli.E, k_cap + 1, budget)):
+    for k, ek in enumerate(evaluate_prefix(moduli.E, k_cap + 1, budget)):
         if ek >= ecumsum.size:
             break
         tail = float(ecumsum[-1] - ecumsum[ek])

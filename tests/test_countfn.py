@@ -346,6 +346,22 @@ def test_evaluate_each_matches_per_n_loop(f, budget):
     assert bulk_prefix(f, budget, 300) == per_n_prefix(f, budget, 300)
 
 
+@given(st.data(), budgets, st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_strongly_majorizes_matches_per_n_loop(data, budget, upto):
+    values = st.lists(st.integers(0, 2 ** 9), min_size=1, max_size=5)
+    zigzag = values.map(lambda vs: Closure(
+        name="zigzag", fn=lambda n, state: vs[n % len(vs)]))
+    f = data.draw(st.one_of(count_fns(), zigzag))
+    g = data.draw(st.one_of(count_fns(), st.just(f)))
+    gs, g_stage = per_n_prefix(g, budget, upto + 1)
+    fs, f_stage = per_n_prefix(f, budget, upto + 1)
+    want = g_stage is None and f_stage is None \
+        and all(gv <= fv for gv, fv in zip(gs, fs)) \
+        and all(a <= b for a, b in zip(fs, fs[1:]))
+    assert strongly_majorizes(g, f, upto, budget) == want
+
+
 @pytest.mark.parametrize("f,budget,stage_at", [
     (Const(256), Budget(8), None),
     (Const(257), Budget(8), 0),

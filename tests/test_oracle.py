@@ -40,13 +40,28 @@ def test_bounded_seq():
 
 def test_synthetic_pair():
     pair = SyntheticPair(z0=(0.0,), w=[(1.0,)], alpha=[0.5], a=2)
-    assert pair.z_at(1) == pytest.approx(0.5)
-    assert pair.z_at(2) == pytest.approx(0.75)
-    assert pair.gap(2) == pytest.approx(0.25)
+    z, w = pair.rows(3)
+    assert z[1:, 0].tolist() == pytest.approx([0.5, 0.75])
+    assert w[:, 0].tolist() == [1.0, 1.0, 1.0]
+    assert pair.gaps(3)[2] == pytest.approx(0.25)
     with pytest.raises(ValueError):
         SyntheticPair(z0=(0.0,), w=[(1.0,)], alpha=[0.9], a=2)
     with pytest.raises(ValueError):
         SyntheticPair(z0=(0.0,), w=[(1.0, 2.0)], alpha=[0.5], a=2)
+
+
+def test_synthetic_pair_rejects_non_finite_input():
+    nan = float("nan")
+    # a NaN gap would pass every premise check, which compares with >
+    with pytest.raises(ValueError, match="non-finite"):
+        SyntheticPair(z0=(0.0,), w=[(nan,)], alpha=[0.5], a=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        SyntheticPair(z0=(nan,), w=[(1.0,)], alpha=[0.5], a=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        SyntheticPair(z0=(0.0,), w=[(0.0,), (float("inf"),)], alpha=[0.5],
+                      a=2)
+    with pytest.raises(ValueError, match=r"alpha out of .* index 0: nan"):
+        SyntheticPair(z0=(0.0,), w=[(1.0,)], alpha=[nan], a=2)
 
 
 class RefPair:
@@ -100,7 +115,6 @@ def test_pair_arrays_match_the_per_point_pair(data):
     pair = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
     ref = RefPair(z0, w, alpha)
     idx = range(stop)
-    assert _bits([pair.z_at(n) for n in idx]) == _bits([ref.z_at(n) for n in idx])
     z_rows, w_rows = pair.rows(stop)
     assert _bits(z_rows) == _bits([ref.z_at(n) for n in idx])
     assert _bits(w_rows) == _bits([ref.w_at(n) for n in idx])
@@ -115,9 +129,9 @@ def test_pair_arrays_match_the_per_point_pair(data):
     n = data.draw(st.integers(min_value=0, max_value=300))
     fresh = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
     for got in (fresh, pair):
-        assert _bits(got.wdiff(n)) == _bits(ref.wdiff(n))
-        assert _bits(got.gap(n)) == _bits(ref.gap(n))
-        assert _bits(got.z_at(n)) == _bits(ref.z_at(n))
+        assert _bits(got.surpluses(n + 1)[n]) == _bits(ref.wdiff(n))
+        assert _bits(got.gaps(n + 1)[n]) == _bits(ref.gap(n))
+        assert _bits(got.rows(n + 1)[0][n]) == _bits(ref.z_at(n))
 
 
 def _pair(w):
@@ -345,6 +359,65 @@ def test_suzuki2_rejects_norm_violation():
         suzuki2_index(pair, 0, Const(0), Const(0), 1)
 
 
+def _spike(slope, at):
+    """n -> slope * n, except at one index, where it passes the magnitude
+    cap under a stage of its own.  Not monotone: a monotone counterfunction
+    whose bound is exact stays below the cap on the bound's search range."""
+
+    def fn(n, state):
+        if n != at:
+            return slope * n
+        prev, state.stage = state.stage, "spike"
+        try:
+            return state.check(1 << 5000)
+        finally:
+            state.stage = prev
+
+    return Closure(name="spike", fn=fn)
+
+
+def _halving(length):
+    """s_m = 2**-m with lambda = 1/2 and no error terms."""
+    s = [Fraction(1, 2 ** m) for m in range(length + 1)]
+    zeros = [0] * length
+    return s, zeros, zeros, zeros, [Fraction(1, 2)] * length
+
+
+# lemma -> (search of a counterfunction, slope such that the search gives
+# the result on n -> slope * n, spike indices inside the search range,
+# spike indices past the last index the search and its bound read)
+SEARCHES = {
+    # w steps from 0 to 1 at n = 5, inside the window [m, 2m + 1] of every
+    # m >= 2 the search reads; varphi is 772 with each spike below
+    "suzuki1": (lambda f: suzuki1_witness(
+        SyntheticPair(z0=(0.0,), w=[(0.0,)] * 5 + [(1.0,)], alpha=[0.5], a=2),
+        0, 2, 1, Const(5), 1, f), 1, (4, 5), (2, 4, 772), (773,)),
+    # the search starts at m = 2 and stops at the witness m = 3
+    "limsup2": (lambda f: rationalapprox2_witness(
+        BoundedSeq(values=("0.5", "0.25", 1, 0), bound=1), 1, 2, 1, f),
+        0, (0, 3), (2, 3), (5,)),
+    # z = 0, 1, 1.5, ... towards w = 2: the index is 1
+    "suzuki2": (lambda f: suzuki2_index(
+        SyntheticPair(z0=(0.0,), w=[(2.0,)], alpha=[0.5], a=2), 0, f,
+        Const(0), 2), 0, 1, (0, 1), (2,)),
+    # the divergence probe reads levels 0..2
+    "xu": (lambda f: qtXu1_check(*_halving(12), f, 1, 0, 0, 10),
+           2, True, (0, 1, 2), (3,)),
+}
+
+
+@pytest.mark.parametrize("lemma", SEARCHES)
+def test_a_marker_in_a_search_range_ends_the_search(lemma):
+    search, slope, want, inside, past = SEARCHES[lemma]
+    assert search(Affine(slope, 0)) == want
+    for at in past:
+        assert search(_spike(slope, at)) == want
+    for at in inside:
+        with pytest.raises(BudgetExceededError) as exc:
+            search(_spike(slope, at))
+        assert exc.value.stage == "spike"
+
+
 # --- seeded suites ---------------------------------------------------------------------
 
 
@@ -411,7 +484,8 @@ def _walk_pair_lines(seed):
     """Pair values, suzuki1 witnesses and suzuki2 indices (or the premise
     error) on the suite's drifting pair drawn at one seed."""
     pair, nu, n_gap = oracle._walk_pair(random.Random(seed))
-    lines = [repr((pair.gap(n), pair.wdiff(n), pair.z_at(n).tolist()))
+    gaps, surpluses, (z, _) = pair.gaps(40), pair.surpluses(40), pair.rows(40)
+    lines = [repr((float(gaps[n]), float(surpluses[n]), z[n].tolist()))
              for n in range(0, 40, 3)]
     for k, l, t, c in ((0, 0, 1, 0), (1, 2, 2, 2), (2, 1, 1, 1)):
         lines.append(_outcome(suzuki1_witness, pair, k, l, t, nu, n_gap,
