@@ -2,24 +2,29 @@
 calculus, on concrete finite sequences.
 
 Every lemma asserts a witness below an explicit bound.  The oracle searches
-exhaustively, checks premises before trusting any instance, and uses exact
-rational arithmetic for cell comparisons.  Doubles appear only in synthetic
-vector pairs of finite points: they are read only as arrays of rows, gaps
-and surpluses, computed in bulk by `operators.row_norm`, which equals
-np.linalg.norm row by row, and every comparison of them is guarded by a
-1e-9 slack.  A counterfunction read over a range of indices is read through
-`countfn.evaluate_each`, which gives the per-index values and first marker
-of `evaluate`.  Sequences extend beyond their explicit prefix by repeating
-the final value, which keeps every window well defined while staying a
-legitimate instance of the lemmas.
+exhaustively, checks premises before trusting any instance, and keeps every
+rational comparison exact by comparing integer numerators over a common
+denominator: `qtXu1_check` puts s, v, r and gamma over one denominator and
+lam over its own, and cross-multiplies each cap, transition and tolerance;
+the ratap and limsup2 witnesses take the least cell in closed form from the
+numerator and denominator of the window's maximum.  Doubles appear only in
+synthetic vector pairs of finite points: they are read only as arrays of
+rows, gaps and surpluses, computed in bulk by `operators.row_norm`, which
+equals np.linalg.norm row by row, and every comparison of them is guarded
+by a 1e-9 slack.  A counterfunction read over a range of indices is read
+through `countfn.evaluate_each`, which gives the per-index values and first
+marker of `evaluate`.  Sequences extend beyond their explicit prefix by
+repeating the final value, which keeps every window well defined while
+staying a legitimate instance of the lemmas.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Optional
 
 import numpy as np
@@ -58,11 +63,12 @@ class BoundedSeq:
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("bound must be a natural number")
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
+                     for v in self.values)
         if not vals:
             raise ValueError("at least one value is required")
         for i, v in enumerate(vals):
-            if v < 0 or v > self.bound:
+            if v.numerator < 0 or v.numerator > self.bound * v.denominator:
                 raise ValueError(f"value out of [0, N] at index {i}: {v}")
         object.__setattr__(self, "values", vals)
 
@@ -161,16 +167,22 @@ class SyntheticPair:
 # --- rational approximation of the limsup ----------------------------------------
 
 
+def _least_cell(top, k: int) -> int:
+    """Least p >= 0 with top <= (p+1)/(k+1), from top's numerator and
+    denominator: p = max(0, ceil(top (k+1)) - 1).
+
+    Every cell condition of the limsup lemmas reads a window only through
+    its maximum top: the window stays below the upper edge (p+1)/(k+1)
+    exactly when p is at least this, and then p/(k+1) <= top as well."""
+    return max(0, -(-top.numerator * (k + 1) // top.denominator) - 1)
+
+
 def ratap_witness(xs: BoundedSeq, k: int, n: int, f: CountFn) -> Optional[int]:
     """Least p < N(k+1) whose cell [p/(k+1), (p+1)/(k+1)] is entered on the
     window [n, n+f(n)] while no window value exceeds its upper edge."""
     win = xs.window(n, n + _exact(evaluate(f, n)))
-    for p in range(xs.bound * (k + 1)):
-        lower = Fraction(p, k + 1)
-        upper = Fraction(p + 1, k + 1)
-        if any(x >= lower for x in win) and all(x <= upper for x in win):
-            return p
-    return None
+    p = _least_cell(max(win), k)
+    return p if p < xs.bound * (k + 1) else None
 
 
 def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
@@ -185,19 +197,36 @@ def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
     fs = islice(evaluate_each(f), m_start, cap + 1)
     for m, fm in zip(range(m_start, cap + 1), fs):
         probe = xs.at(m + t)
-        win = xs.window(m, m + fm)
-        for p in range(cells):
-            if probe >= Fraction(p, k + 1) and \
-                    all(x <= Fraction(p + 1, k + 1) for x in win):
-                return p, m
+        # the least cell above the window; x_(m+t) >= p/(k+1) only gets
+        # harder as p grows, so no later cell can pass where it fails
+        p = _least_cell(max(xs.window(m, m + fm)), k)
+        if p < cells and probe.numerator * (k + 1) >= p * probe.denominator:
+            return p, m
     return None
 
 
 # --- quantitative recurrence lemma ------------------------------------------------
 
 
-def _ext(seq: tuple, i: int) -> Fraction:
+def _ext(seq, i: int):
     return seq[i] if i < len(seq) else seq[-1]
+
+
+def _fractions(name: str, seq) -> tuple:
+    vals = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in seq)
+    if not vals:
+        raise ValueError(f"{name}: at least one value is required")
+    return vals
+
+
+def _over(den: int, seq: tuple) -> list:
+    """The numerators of seq over den, a multiple of every denominator."""
+    return [x.numerator * (den // x.denominator) for x in seq]
+
+
+def _top(seq: list, lo: int, hi: int):
+    """The largest of _ext(seq, i) for i in [lo, hi], hi >= lo."""
+    return max(seq[min(lo, len(seq) - 1):hi + 1])
 
 
 def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
@@ -209,51 +238,69 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
     up to the level sigma uses); any failure returns None (indeterminate)
     so a broken instance can never produce a false positive.  On verified
     premises returns whether s_m <= 1/(k+1) for every m in [sigma(k,n), p].
+
+    Each comparison is exact on integers: s, v, r and gamma become
+    numerators over one common denominator, lam over its own, and every
+    inequality, with its tolerance, is multiplied out.
     """
-    s = tuple(Fraction(x) for x in s)
-    v = tuple(Fraction(x) for x in v)
-    r = tuple(Fraction(x) for x in r)
-    gamma = tuple(Fraction(x) for x in gamma)
-    lam = tuple(Fraction(x) for x in lam)
+    s, v, r, gamma, lam = (_fractions(name, seq) for name, seq in (
+        ("s", s), ("v", v), ("r", r), ("gamma", gamma), ("lam", lam)))
     if d < 1 or k < 0 or n < 0 or p < 0:
         return None
-    if any(x < 0 or x > d for x in s):
+    den = math.lcm(*(x.denominator for seq in (s, v, r, gamma) for x in seq))
+    sn, vn, rn, gn = (_over(den, seq) for seq in (s, v, r, gamma))
+    if min(sn) < 0 or max(sn) > d * den:
         return None
-    if any(x <= 0 or x >= 1 for x in lam):
+    if any(x.numerator <= 0 or x.numerator >= x.denominator for x in lam):
         return None
-    if any(x < 0 for x in gamma):
-        return None
-
-    quarter = Fraction(1, 4 * (k + 1))
-    v_cap = quarter / (p + 1) + PREMISE_TOL
-    r_cap = quarter + PREMISE_TOL
-    for m in range(n, p + 1):
-        if _ext(v, m) > v_cap:
-            return None
-        if _ext(r, m) > r_cap:
-            return None
-    if sum((_ext(gamma, i) for i in range(n, p + 1)), Fraction(0)) > r_cap:
+    if min(gn) < 0:
         return None
 
-    for m in range(p + 1):
-        rhs = (1 - _ext(lam, m)) * (_ext(s, m) + _ext(v, m)) \
-            + _ext(lam, m) * _ext(r, m) + _ext(gamma, m)
-        if _ext(s, m + 1) > rhs + PREMISE_TOL:
+    # The quarter-cell caps, with q = 4(k+1) and T = 1/PREMISE_TOL: each
+    # v_m at most 1/(q (p+1)) + 1/T, each r_m and the gamma mass at most
+    # 1/q + 1/T, multiplied by den q (p+1) T and by den q T.
+    q, tol = 4 * (k + 1), PREMISE_TOL.denominator
+    r_cap = (tol + q) * den
+    if p >= n:
+        if _top(vn, n, p) * q * (p + 1) * tol > (tol + q * (p + 1)) * den:
+            return None
+        if _top(rn, n, p) * q * tol > r_cap:
+            return None
+    g_sum = sum(gn[n:p + 1]) + max(0, p + 1 - max(n, len(gn))) * gn[-1]
+    if g_sum * q * tol > r_cap:
+        return None
+
+    # s_(m+1) at most (1 - a/b)(s_m + v_m) + (a/b) r_m + gamma_m + 1/T,
+    # with lam_m = a/b, multiplied by den b T.  Past every explicit prefix
+    # each m repeats the check at the last one.
+    last = max(map(len, (s, v, r, gamma, lam))) - 1
+    for m in range(min(p, last) + 1):
+        lam_m = _ext(lam, m)
+        a, b = lam_m.numerator, lam_m.denominator
+        rhs = (b - a) * (_ext(sn, m) + _ext(vn, m)) + a * _ext(rn, m) \
+            + b * _ext(gn, m)
+        if _ext(sn, m + 1) * b * tol > rhs * tol + b * den:
             return None
 
     # Divergence rate, probed up to the level sigma actually consumes:
-    # sums[j] is lam_1 + ... + lam_j, extended as the levels ask.
+    # sums[j] is lam_1 + ... + lam_j over lam's common denominator; past
+    # the end of lam each level adds the last value once more.
+    lden = math.lcm(*(x.denominator for x in lam))
+    lamn = _over(lden, lam)
+    sums = list(accumulate(lamn[1:], initial=0))
     probe_hi = n + ceil_ln(4 * d * (k + 1))
-    sums = [Fraction(0)]
     for kk, lk in zip(range(probe_hi + 1), evaluate_each(ldiv)):
-        for i in range(len(sums), lk + 1):
-            sums.append(sums[-1] + _ext(lam, i))
-        if sums[lk] < kk - PREMISE_TOL:
+        total = sums[lk] if lk < len(sums) else \
+            sums[-1] + (lk - len(sums) + 1) * lamn[-1]
+        if total * tol < (kk * tol - 1) * lden:
             return None
 
     start = _exact(sigma(k, n, ldiv, d))
-    return all(_ext(s, m) <= Fraction(1, k + 1) + CONCLUSION_TOL
-               for m in range(start, p + 1))
+    if start > p:
+        return True
+    # s_m at most 1/(k+1) + 1/C, C = 1/CONCLUSION_TOL, times den (k+1) C
+    ctol = CONCLUSION_TOL.denominator
+    return _top(sn, start, p) * (k + 1) * ctol <= (ctol + k + 1) * den
 
 
 # --- quantitative Suzuki lemmas ------------------------------------------------------
@@ -416,38 +463,46 @@ def _suite_limsup2(rng: random.Random, trials: int):
 
 
 def _xu_instance(rng: random.Random, corrupt: bool):
-    lam_val = Fraction(1, rng.choice((2, 3, 4)))
-    ldiv = Affine(slope=lam_val.denominator, offset=0)
+    big_l = rng.choice((2, 3, 4))
+    ldiv = Affine(slope=big_l, offset=0)
     k = rng.randrange(0, 3)
     n = rng.randrange(0, 6)
     p = n + rng.randrange(0, 31)
     length = p + rng.randrange(2, 8)
 
-    quarter = Fraction(1, 4 * (k + 1))
+    # Integers over den: v_m is i/10 of the cap 1/(q (p+1)), r_m is i/10 of
+    # 1/q, each gamma_m takes j/12 of the rest of the budget 1/q (length - 1
+    # times), and each step of the s recurrence divides by L once, with
+    # lam = 1/L.  den holds every one of those factors, so each division is
+    # exact.
+    q = 4 * (k + 1)
+    den = 20 * q * (p + 1) * 12 ** (length - 1) * big_l ** length
+    v_unit, r_unit = den // (10 * q * (p + 1)), den // (10 * q)
     v = []
     r = []
-    vcap = quarter / (p + 1)
     for m in range(length):
-        v.append(vcap * Fraction(rng.randrange(0, 10), 10))
-        r.append(quarter * Fraction(rng.randrange(0, 10), 10))
-    budget_g = quarter
+        v.append(v_unit * rng.randrange(0, 10))
+        r.append(r_unit * rng.randrange(0, 10))
+    budget_g = den // q
     gamma = []
     for _ in range(length - 1):
-        take = budget_g * Fraction(rng.randrange(0, 4), 12)
+        take = budget_g * rng.randrange(0, 4) // 12
         gamma.append(take)
         budget_g -= take
-    gamma.append(Fraction(0))
+    gamma.append(0)
 
-    s = [Fraction(rng.randrange(0, 4), 2)]
+    s = [den // 2 * rng.randrange(0, 4)]
     for m in range(length):
-        s.append((1 - lam_val) * (s[m] + v[m]) + lam_val * r[m] + gamma[m])
-    d = max(1, int(-(-max(s) // 1)))
+        s.append(((big_l - 1) * (s[m] + v[m]) + r[m]) // big_l + gamma[m])
+    d = max(1, -(-max(s) // den))
     if corrupt:
         # Land the broken transition inside [0, p] so the probe sees it.
         bump = rng.randrange(1, p + 2)
-        s[bump] += d + 1
+        s[bump] += (d + 1) * den
         d = d * 2 + 2
-    lam = [lam_val] * length
+    s, v, r, gamma = ([Fraction(x, den) for x in seq]
+                      for seq in (s, v, r, gamma))
+    lam = [Fraction(1, big_l)] * length
     return s, v, r, gamma, lam, ldiv, d, k, n, p
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mppa import oracle
 from mppa.countfn import (Affine, BudgetExceededError, Closure, Const,
-                          ExpCeil, Identity, ceil_ln, evaluate)
+                          ExpCeil, Identity, ceil_ln, evaluate, evaluate_each)
 from mppa.bounds import chi_tilde, sigma, theta, varphi_suzuki1
 from mppa.operators import row_norm
 from mppa.oracle import (PREMISE_TOL, CONCLUSION_TOL, BoundedSeq,
@@ -221,6 +222,81 @@ def test_rationalapprox2_witness_below_theta():
     assert p < xs.bound * (k + 1)
 
 
+def ref_ratap_witness(xs, k, n, f):
+    """ratap_witness as a scan over every cell and every window value."""
+    win = xs.window(n, n + oracle._exact(evaluate(f, n)))
+    for p in range(xs.bound * (k + 1)):
+        lower = Fraction(p, k + 1)
+        upper = Fraction(p + 1, k + 1)
+        if any(x >= lower for x in win) and all(x <= upper for x in win):
+            return p
+    return None
+
+
+def ref_rationalapprox2_witness(xs, k, m_start, t, f):
+    """rationalapprox2_witness as a scan over every cell at every m."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    cap = oracle._exact(theta(k, m_start, t, xs.bound, f))
+    cells = xs.bound * (k + 1)
+    fs = islice(evaluate_each(f), m_start, cap + 1)
+    for m, fm in zip(range(m_start, cap + 1), fs):
+        probe = xs.at(m + t)
+        win = xs.window(m, m + fm)
+        for p in range(cells):
+            if probe >= Fraction(p, k + 1) and \
+                    all(x <= Fraction(p + 1, k + 1) for x in win):
+                return p, m
+    return None
+
+
+# (numerator, denominator choice) pairs; choice 0 is k+1, a cell edge
+_raw_values = st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                                 st.integers(min_value=0, max_value=12)),
+                       min_size=1, max_size=12)
+
+
+@st.composite
+def cell_seqs(draw):
+    """A BoundedSeq of bound 0..3 and a k in 0..5, with values on the cell
+    edges p/(k+1) of that k as well as off them."""
+    bound = draw(st.integers(min_value=0, max_value=3))
+    k = draw(st.integers(min_value=0, max_value=5))
+    values = []
+    for num, choice in draw(_raw_values):
+        den = choice or k + 1
+        values.append(Fraction(num % (bound * den + 1), den))
+    return BoundedSeq(values=tuple(values), bound=bound), k
+
+
+count_fns = st.one_of(
+    st.integers(min_value=0, max_value=4).map(Const),
+    st.just(Identity()),
+    st.builds(Affine, st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=3)),
+    # raises a marker at one index (_spike is defined further down)
+    st.builds(lambda slope, at: _spike(slope, at),
+              st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=14)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_seqs(), st.integers(min_value=0, max_value=12), count_fns)
+def test_ratap_witness_matches_the_cell_scan(seq_k, n, f):
+    xs, k = seq_k
+    assert _outcome(ratap_witness, xs, k, n, f) \
+        == _outcome(ref_ratap_witness, xs, k, n, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_seqs(), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=1, max_value=3), count_fns)
+def test_rationalapprox2_witness_matches_the_cell_scan(seq_k, m_start, t, f):
+    xs, k = seq_k
+    assert _outcome(rationalapprox2_witness, xs, k, m_start, t, f) \
+        == _outcome(ref_rationalapprox2_witness, xs, k, m_start, t, f)
+
+
 def test_qtxu_positive_and_corrupt():
     lam = Fraction(1, 2)
     s = [Fraction(1)]
@@ -294,8 +370,72 @@ def test_qtxu_matches_the_quadratic_probe(data):
         frac = st.fractions(min_value=Fraction(1, 50),
                             max_value=Fraction(49, 50), max_denominator=50)
         lam = data.draw(st.lists(frac, min_size=1, max_size=len(s)))
-    args = (s, v, r, gamma, lam, ldiv, d, k, n, p)
+    seqs = [s, v, r, gamma, lam]
+    # one value replaced, possibly out of its domain or past a cap
+    if data.draw(st.booleans()):
+        which = data.draw(st.integers(min_value=0, max_value=4))
+        at = data.draw(st.integers(min_value=0,
+                                   max_value=len(seqs[which]) - 1))
+        seqs[which] = list(seqs[which])
+        seqs[which][at] = data.draw(st.fractions(
+            min_value=-1, max_value=3, max_denominator=60))
+    # ints and floats are read exactly, as Fraction(x) reads them
+    if data.draw(st.booleans()):
+        which = data.draw(st.integers(min_value=0, max_value=4))
+        seqs[which] = [int(x) if x.denominator == 1 else float(x)
+                       for x in seqs[which]]
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=0, max_value=8))
+        p = data.draw(st.integers(min_value=0, max_value=50))
+    args = (*seqs, ldiv, d, k, n, p)
     assert qtXu1_check(*args) == ref_qtxu1_check(*args)
+
+
+def ref_xu_instance(rng, corrupt):
+    """oracle._xu_instance built on Fractions, one operation at a time."""
+    lam_val = Fraction(1, rng.choice((2, 3, 4)))
+    ldiv = Affine(slope=lam_val.denominator, offset=0)
+    k = rng.randrange(0, 3)
+    n = rng.randrange(0, 6)
+    p = n + rng.randrange(0, 31)
+    length = p + rng.randrange(2, 8)
+
+    quarter = Fraction(1, 4 * (k + 1))
+    v = []
+    r = []
+    vcap = quarter / (p + 1)
+    for m in range(length):
+        v.append(vcap * Fraction(rng.randrange(0, 10), 10))
+        r.append(quarter * Fraction(rng.randrange(0, 10), 10))
+    budget_g = quarter
+    gamma = []
+    for _ in range(length - 1):
+        take = budget_g * Fraction(rng.randrange(0, 4), 12)
+        gamma.append(take)
+        budget_g -= take
+    gamma.append(Fraction(0))
+
+    s = [Fraction(rng.randrange(0, 4), 2)]
+    for m in range(length):
+        s.append((1 - lam_val) * (s[m] + v[m]) + lam_val * r[m] + gamma[m])
+    d = max(1, int(-(-max(s) // 1)))
+    if corrupt:
+        bump = rng.randrange(1, p + 2)
+        s[bump] += d + 1
+        d = d * 2 + 2
+    lam = [lam_val] * length
+    return s, v, r, gamma, lam, ldiv, d, k, n, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+def test_xu_instance_matches_the_fraction_build(seed, corrupt):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = oracle._xu_instance(rng, corrupt)
+    assert got == ref_xu_instance(ref, corrupt)
+    assert all(type(x) is Fraction for seq in got[:5] for x in seq)
+    # the same draws, in the same order
+    assert rng.getstate() == ref.getstate()
 
 
 def test_qtxu_probe_reads_levels_out_of_order():
@@ -321,6 +461,69 @@ def test_qtxu_rejects_broken_premises():
     # divergence rate that lies about the lambda sums
     assert qtXu1_check(s, zeros, zeros, zeros, [lam] * 8,
                        Const(0), 1, 0, 0, 5) is None
+
+
+def test_qtxu_probe_is_linear_past_the_end_of_lam():
+    # 12 lambda terms, so every level of these rates reads past the end;
+    # sigma's value of the first passes the magnitude cap
+    with pytest.raises(BudgetExceededError):
+        qtXu1_check(*_halving(12), Affine(1, 2 ** 4096), 1, 0, 0, 10)
+    assert qtXu1_check(*_halving(12), Affine(1, 2 ** 4095), 1, 0, 0, 10) \
+        is True
+    args = (*_halving(12), Affine(1, 10 ** 4), 1, 0, 0, 10)
+    assert qtXu1_check(*args) is ref_qtxu1_check(*args) is True
+
+
+@pytest.mark.parametrize("which,name", enumerate(("s", "v", "r", "gamma",
+                                                  "lam")))
+def test_qtxu_rejects_an_empty_sequence(which, name):
+    seqs = list(_halving(12))
+    seqs[which] = []
+    with pytest.raises(ValueError,
+                       match=rf"^{name}: at least one value is required$"):
+        qtXu1_check(*seqs, Affine(2, 0), 1, 0, 0, 10)
+
+
+def _at(seq, i, value):
+    seq = list(seq)
+    seq[i] = value
+    return seq
+
+
+# premise -> the halving instance edited to sit exactly at the premise's
+# tolerance, given the amount by which it passes the tolerance: with
+# k = 0, n = 0 and p = 10 the v cap is 1/44, the r cap and the gamma mass
+# 1/4, and the divergence probe reads lam_1 + lam_2 >= 1 at level 1
+TOL_EDGES = {
+    "v": lambda e: (1, _at([0] * 12, 3, Fraction(1, 44) + e)),
+    "r": lambda e: (2, _at([0] * 12, 3, Fraction(1, 4) + e)),
+    "gamma": lambda e: (3, _at(_at([0] * 12, 2, Fraction(1, 8)), 7,
+                               Fraction(1, 8) + e)),
+    "transition": lambda e: (0, _at(_halving(12)[0], 4,
+                                    Fraction(1, 16) + e)),
+    "divergence": lambda e: (4, _at([Fraction(1, 2)] * 12, 1,
+                                    Fraction(1, 2) - e)),
+}
+
+
+@pytest.mark.parametrize("premise", TOL_EDGES)
+def test_qtxu_premise_tolerance_is_exact(premise):
+    tiny = Fraction(1, 10 ** 15)
+    for excess, want in ((PREMISE_TOL, True), (PREMISE_TOL + tiny, None)):
+        which, seq = TOL_EDGES[premise](excess)
+        seqs = list(_halving(12))
+        seqs[which] = seq
+        args = (*seqs, Affine(2, 0), 1, 0, 0, 10)
+        assert qtXu1_check(*args) is ref_qtxu1_check(*args) is want
+
+
+def test_qtxu_gamma_mass_counts_the_repeated_tail():
+    # gamma_11 = 1/40 repeats past the end: p - 10 terms of it in [0, p]
+    s, v, r, gamma, lam = _halving(12)
+    gamma = _at(gamma, 11, Fraction(1, 40))
+    for p, want in ((20, True), (21, None)):
+        args = (s, v, r, gamma, lam, Affine(2, 0), 1, 0, 0, p)
+        assert qtXu1_check(*args) is ref_qtxu1_check(*args) is want
 
 
 def test_suzuki1_constant_pair():
