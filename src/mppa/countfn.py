@@ -119,6 +119,13 @@ class _Stage:
         return False
 
 
+def _natural(value: int) -> int:
+    """The value of a top-level evaluation, checked to be a natural number."""
+    if value < 0:
+        raise ValueError(f"bound values are natural numbers, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class BoundValue:
     """Outcome of a budgeted evaluation: an exact natural number, or a
@@ -130,8 +137,8 @@ class BoundValue:
     def __post_init__(self):
         if (self.value is None) == (self.stage is None):
             raise ValueError("BoundValue is either exact or exceeded, not both")
-        if self.value is not None and self.value < 0:
-            raise ValueError(f"bound values are natural numbers, got {self.value}")
+        if self.value is not None:
+            _natural(self.value)
 
     @classmethod
     def exact(cls, value: int) -> "BoundValue":
@@ -363,7 +370,7 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     form = f.affine_form()
     if form is None:
         for n in itertools.count():
-            yield f(n, EvalState(budget))
+            yield _natural(f(n, EvalState(budget)))
     slope, offset = form
     cap = 1 << budget.magnitude_bits
     # one tick per call, then the magnitude check of the value

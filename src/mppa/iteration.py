@@ -28,7 +28,8 @@ class Trace:
     op: ResolventOperator
     z: np.ndarray        # (horizon+1, dim)
     jn: np.ndarray       # J_(c_n)(z_n), same shape
-    jfix: np.ndarray     # J_(1/c)(z_n) for the fixed parameter, same shape
+    jfix: np.ndarray     # J_(1/c)(z_n) for the fixed parameter, same shape;
+                         # the jn array itself when every c_n is 1/c
     lam: np.ndarray      # (horizon+1,)
     gam: np.ndarray
     delta: np.ndarray
@@ -90,7 +91,8 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     residual column uses the resolvent at 1/c.  `s` defaults to the
     operator's zero-set witness and is only used for distance reporting.
     Raises ValueError at the first n < horizon with delta_n <= 0 or any
-    n <= horizon with c_n <= 0, and when an iterate is not finite.
+    n <= horizon with c_n not finite and positive, and when an iterate is
+    not finite.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
@@ -104,7 +106,7 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     t_pt = None if target is None else as_point(target)
 
     lam, gam, delta, cs, errs = schedule.snapshot(horizon)
-    bad = ~(cs > 0)
+    bad = ~((0 < cs) & (cs < np.inf))
     bad[:horizon] |= ~(delta[:horizon] > 0)
     if bad.any():
         raise ValueError(f"invalid schedule at n={int(np.argmax(bad))}")
@@ -135,7 +137,11 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     jn = np.frombuffer(jbuf).reshape(horizon + 1, op.dim)
     if not np.isfinite(zs).all():
         raise ValueError("point has non-finite coordinates")
-    jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)
+    # where every c_n is 1/c, J_(1/c)(z_n) is J_(c_n)(z_n), bit for bit
+    if (cs == 1.0 / c).all():
+        jfix = jn
+    else:
+        jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)
     return Trace(op=op, z=zs, jn=jn, jfix=jfix, lam=lam, gam=gam, delta=delta,
                  cs=cs, errs=errs, u=u, s=s_pt, target=t_pt)
 
@@ -229,7 +235,11 @@ def recurrence_check(trace: Trace, p, m1: int) -> float:
     if not np.all(cs > 0):
         raise ValueError("resolvent parameter must be positive")
     lam = trace.lam[:h]
-    jgap = row_norm(op._resolve_rows(cs, np.broadcast_to(p, (h, p.size))) - p)
+    # a constant c_n has one J_m(p), whose gap broadcasts over the rows
+    if (cs == cs[:1]).all():
+        cs = cs[:1]
+    jp = op._resolve_rows(cs, np.broadcast_to(p, (cs.size, p.size)))
+    jgap = row_norm(jp - p)
     dist = row_norm(trace.z - p)
     dzp = dist[:-1]
     s_m = dzp * dzp

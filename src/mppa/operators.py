@@ -4,15 +4,23 @@ Every operator here answers resolvent queries J_c = (I + cT)^(-1) exactly
 (up to floating point), with no inner iterative solver, and carries a known
 zero of T so traces can be measured against the solution set.
 
-`resolvent` is the checked entry point for one point.  Callers that have
-already validated their inputs use the unchecked `_resolve(c, x)`, its form
-on a list of Python floats `_resolve_floats(c, x)`, and its row-batched form
-`_resolve_rows(cs, xs)`; all three agree bit for bit.
+`resolvent` is the checked entry point for one point: it takes a finite
+c > 0.  Callers that have already validated their inputs use the unchecked
+`_resolve(c, x)`, its form on a list of Python floats `_resolve_floats(c,
+x)`, and its row-batched form `_resolve_rows(cs, xs)`; all three agree bit
+for bit.
+
+`LinearPSD._resolve` solves its cached system through `solve1`, the LAPACK
+gufunc (dgesv) that `np.linalg.solve` itself calls on a vector right-hand
+side.  It is the same call, so the bits are the same, without the wrapper's
+type checks and the error-state switch that turns a singular system into
+LinAlgError: below the spectral threshold the system is never singular.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # The float tolerances of the whole package.  SLACK absorbs the rounding of
 # one comparison (a norm, a sum, an envelope); INEQ_TOL bounds what the
@@ -99,8 +107,8 @@ class ResolventOperator:
                     f"(residual {res:.3e})")
 
     def resolvent(self, c: float, x) -> np.ndarray:
-        if not (c > 0):
-            raise ValueError("resolvent parameter must be positive")
+        if not (0 < c < np.inf):
+            raise ValueError("resolvent parameter must be positive and finite")
         x = as_point(x)
         if x.size != self.dim:
             raise ValueError(f"dimension mismatch: operator is {self.dim}-dimensional")
@@ -252,15 +260,19 @@ class LinearPSD(ResolventOperator):
 
     def _is_spectral(self, c):
         """Whether cond(I + cA) passes _SPECTRAL_COND, for a scalar c or
-        elementwise for an array of them."""
-        return (1.0 + c * self._eig_hi) / (1.0 + c * self._eig_lo) \
-            > _SPECTRAL_COND
+        elementwise for an array of them.  Where c lam_min overflows too,
+        the ratio is inf/inf = NaN, and such a c is spectral: its system
+        would hold infinities."""
+        cond = (1.0 + c * self._eig_hi) / (1.0 + c * self._eig_lo)
+        return (cond > _SPECTRAL_COND) | (cond != cond)
 
     def _spectral_rows(self, cs, xs):
         """Q diag(1/(1 + c lam)) Q^T x for each row, as a stack of one-row
-        products, so that a row's bits do not depend on the row count."""
+        products, so that a row's bits do not depend on the row count.
+        Where c lam overflows, 1/(1 + c lam) is 0, with no warning."""
         coef = np.matmul(xs[:, None, :], self._vecs)[:, 0, :]
-        coef = coef / (1.0 + cs[:, None] * self._eigs)
+        with np.errstate(over="ignore"):
+            coef = coef / (1.0 + cs[:, None] * self._eigs)
         return np.matmul(coef[:, None, :], self._vecs.T)[:, 0, :]
 
     def _resolve(self, c, x):
@@ -270,7 +282,7 @@ class LinearPSD(ResolventOperator):
                 np.eye(self.dim) + c * self.matrix
         if self._system is None:
             return self._spectral_rows(np.array([c]), x[None, :])[0]
-        return np.linalg.solve(self._system, x)
+        return _umath_linalg.solve1(self._system, x, signature="dd->d")
 
     def _resolve_rows(self, cs, xs):
         # One system and one LAPACK solve per row, as in _resolve: solving
@@ -280,7 +292,8 @@ class LinearPSD(ResolventOperator):
         eye = np.eye(self.dim)
         for lo in range(0, cs.shape[0], _SOLVE_CHUNK):
             rows = np.s_[lo:lo + _SOLVE_CHUNK]
-            far = self._is_spectral(cs[rows])
+            with np.errstate(over="ignore", invalid="ignore"):
+                far = self._is_spectral(cs[rows])
             if far.any():
                 idx = np.arange(lo, lo + far.size)
                 out[idx[far]] = self._spectral_rows(cs[idx[far]], xs[idx[far]])

@@ -422,3 +422,22 @@ def test_evaluate_each_is_lazy():
     values = evaluate_each(Closure(name="spy", fn=fn))
     assert list(itertools.islice(values, 3)) == [0, 1, 2]
     assert seen == [0, 1, 2]
+
+
+NEGATIVE = Closure(name="neg", fn=lambda n, state: n - 1)
+
+
+def test_evaluate_refuses_a_negative_value():
+    assert val(NEGATIVE, 1) == 0
+    with pytest.raises(ValueError, match="natural numbers, got -1"):
+        evaluate(NEGATIVE, 0)
+
+
+def test_evaluate_each_refuses_a_negative_value():
+    # the same check as evaluate's, at the same n
+    with pytest.raises(ValueError, match="natural numbers, got -1"):
+        next(evaluate_each(NEGATIVE))
+    values = evaluate_each(Closure(name="dip", fn=lambda n, state: 1 - n))
+    assert next(values) == 1 and next(values) == 0
+    with pytest.raises(ValueError, match="natural numbers, got -1"):
+        next(values)

@@ -75,6 +75,9 @@ def test_run_reports_first_invalid_step():
         run(op, sched, u=(1.0,), z0=(0.0,), horizon=5)
     with pytest.raises(ValueError, match=r"^invalid schedule at n=2$"):
         run(op, sched, u=(1.0,), z0=(0.0,), horizon=2)
+    sched = dataclasses.replace(sched, c=Listed((1.0, np.inf, 1.0)))
+    with pytest.raises(ValueError, match=r"^invalid schedule at n=1$"):
+        run(op, sched, u=(1.0,), z0=(0.0,), horizon=2)
 
 
 def test_run_diverging_iterate_raises_without_warnings(capfd):
@@ -644,3 +647,44 @@ def test_run_diverging_iterate_raises_for_other_operators(op, capfd):
         with pytest.raises(ValueError, match="point has non-finite coordinates"):
             run(op, sched, u=(1.0, 1.0), z0=(2.0, -1.0), horizon=2000)
     assert capfd.readouterr().err == ""
+
+
+# --- resolvents computed once ---------------------------------------------------
+
+
+def listed_c_schedule(cs: list, dim: int) -> Schedule:
+    return Schedule(lam=HarmonicSeq(shift=3.0), gamma=ConstantSeq(0.4),
+                    c=Listed(tuple(cs)),
+                    error=GeometricError(ratio=0.5, base=(0.25,) * dim))
+
+
+@pytest.mark.parametrize("op", [
+    LinearPSD(matrix=((2.0, 1.0), (1.0, 3.0))),
+    QuadraticProx(center=(1.0, -1.0), weight=0.7),
+], ids=lambda op: op.kind)
+@pytest.mark.parametrize("cs,reused", [
+    ([0.5] * 21, True),
+    ([0.5] * 20 + [2.0], False),     # the final c_n alone is not 1/c
+    ([2.0] + [0.5] * 20, False),
+])
+def test_run_reuses_jn_as_jfix_only_when_every_c_n_is_one_over_c(op, cs,
+                                                                 reused):
+    sched = listed_c_schedule(cs, op.dim)
+    u, z0 = (3.0, -2.0), (-1.0, 4.0)
+    trace = run(op, sched, u, z0, horizon=20, c=2)
+    assert (trace.jfix is trace.jn) == reused
+    assert_run_matches_ref(op, sched, u, z0, 20, 2)
+
+
+@pytest.mark.parametrize("cs", [
+    [1.0] * 31,
+    [1.0, 1.0] + [8.0] * 29,         # c_0 = c_1, and c_n moves on after
+    [1.0] * 30 + [8.0],              # c_horizon is not a step's parameter
+])
+def test_recurrence_check_resolves_p_once_only_for_constant_c(cs):
+    op = LinearPSD(matrix=((2.0, 1.0), (1.0, 3.0)))
+    trace = run(op, listed_c_schedule(cs, 2), (3.0, -2.0), (-1.0, 4.0),
+                horizon=30)
+    for p in (trace.s, np.array([2.0, -3.0])):
+        assert same_float(recurrence_check(trace, p, 5),
+                          recurrence_ref(trace, p, 5))

@@ -1,5 +1,7 @@
 """Operators: closed-form resolvents, witness validation, shared identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -137,6 +139,26 @@ def test_resolve_rows_across_the_spectral_threshold(rank):
     assert op._resolve_rows(cs, one).tobytes() == stacked(op, cs, one).tobytes()
 
 
+@pytest.mark.parametrize("matrix,projection", [
+    (((1.0, 0.0), (0.0, 2.0)), (0.0, 0.0)),
+    (((2.0, 0.0), (0.0, 3.0)), (0.0, 0.0)),     # c lam_min overflows too
+    (((2.0, 1.0), (1.0, 2.0)), (0.0, 0.0)),
+    (((1.0, 1.0), (1.0, 1.0)), (-0.5, 0.5)),
+])
+def test_linear_psd_past_the_float_range_of_c_lam(matrix, projection):
+    # where c lam overflows, 1/(1 + c lam) is 0: J_c is the projection of x
+    # onto ker A, with no numpy warning
+    op = LinearPSD(matrix=matrix)
+    x = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op.resolvent(1e308, x)
+        rows = op._resolve_rows(np.array([1e308, 1.0]), np.stack([x, x]))
+    assert np.allclose(got, projection, rtol=0.0, atol=1e-15)
+    assert rows[0].tobytes() == got.tobytes()
+    assert rows[1].tobytes() == op.resolvent(1.0, x).tobytes()
+
+
 def test_rotation2d():
     op = Rotation2D()
     x = np.array([1.0, 0.0])
@@ -161,7 +183,7 @@ def test_resolvent_argument_validation():
 @pytest.mark.parametrize("op", all_operators(), ids=lambda op: op.kind)
 def test_resolvent_is_the_checked_entry_point(op):
     x = np.ones(op.dim)
-    for c in (0.0, -1.0, float("nan")):
+    for c in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="must be positive"):
             op.resolvent(c, x)
     bad = x.copy()
@@ -232,6 +254,22 @@ def test_resolve_rows_across_solve_chunks(op):
     fixed = np.full(600, 0.5)
     assert op._resolve_rows(fixed, xs).tobytes() \
         == stacked(op, fixed, xs).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linear_psd_solve_is_numpy_solve(data):
+    # _resolve calls the LAPACK gufunc behind np.linalg.solve directly, by
+    # its numpy-internal name: the same dgesv call, so the same bits
+    dim = data.draw(st.integers(min_value=1, max_value=8))
+    factor = data.draw(arrays(float, (dim, dim), elements=st.floats(-3.0, 3.0)))
+    op = LinearPSD(matrix=factor @ factor.T)
+    c = data.draw(st.floats(min_value=0.0, max_value=1e12, exclude_min=True))
+    assume(not op._is_spectral(c))
+    x = data.draw(arrays(float, dim, elements=coords))
+    want = np.linalg.solve(np.eye(dim) + c * op.matrix, x)
+    assert op._resolve(c, x).tobytes() == want.tobytes()
+    assert op.resolvent(c, x).tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
