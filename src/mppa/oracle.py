@@ -5,17 +5,20 @@ Every lemma asserts a witness below an explicit bound.  The oracle searches
 exhaustively, checks premises before trusting any instance, and keeps every
 rational comparison exact by comparing integer numerators over a common
 denominator: `qtXu1_check` puts s, v, r and gamma over one denominator and
-lam over its own, and cross-multiplies each cap, transition and tolerance;
-the ratap and limsup2 witnesses take the least cell in closed form from the
-numerator and denominator of the window's maximum.  Doubles appear only in
-synthetic vector pairs of finite points: they are read only as arrays of
-rows, gaps and surpluses, computed in bulk by `operators.row_norm`, which
-equals np.linalg.norm row by row, and every comparison of them is guarded
-by a 1e-9 slack.  A counterfunction read over a range of indices is read
-through `countfn.evaluate_each`, which gives the per-index values and first
-marker of `evaluate`.  Sequences extend beyond their explicit prefix by
-repeating the final value, which keeps every window well defined while
-staying a legitimate instance of the lemmas.
+lam over its own, and its integer core `_xu_check` cross-multiplies each
+cap, transition and tolerance; the xu suite builds its instances as those
+integers and calls the core directly.  The ratap and limsup2 witnesses take
+the least cell in closed form from the numerator and denominator of the
+window's maximum.  Doubles appear only in synthetic vector pairs of finite
+points: they are read only as arrays of rows, gaps and surpluses, computed
+in bulk by `operators.row_norm`, which equals np.linalg.norm row by row,
+and every comparison of them is guarded by a 1e-9 slack.  A pair stops
+stepping z once z is stationary bit for bit past the explicit prefixes of
+w and alpha, and repeats that row.  A counterfunction read over a range
+of indices is read through `countfn.evaluate_each`, which gives the
+per-index values and first marker of `evaluate`.  Sequences extend beyond
+their explicit prefix by repeating the final value, which keeps every
+window well defined while staying a legitimate instance of the lemmas.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ def _exact(bound_value) -> int:
     if not bound_value.is_exact:
         raise BudgetExceededError(bound_value.stage)
     return bound_value.value
+
+
+def _bits(row: list) -> bytes:
+    """The bits of a row of floats."""
+    return np.array(row).tobytes()
 
 
 # --- domain types ---------------------------------------------------------------
@@ -98,6 +106,12 @@ class SyntheticPair:
     on arrays, so every z_n has the same bits.  The rows of z and w, the
     gaps and the surpluses are cached in arrays of at least _MIN_ROWS rows,
     at least doubled whenever a read passes their end.
+
+    Past the last explicit entry of both w and alpha every step applies the
+    same map.  So once a step there returns its input bit for bit (0.0 and
+    -0.0 count as different), z is stationary from that index: the rest of
+    every cache is that row, and no later doubling steps again.  A pair
+    that never settles is stepped to the end of every cache.
     """
 
     def __init__(self, z0, w, alpha, a: int):
@@ -110,6 +124,7 @@ class SyntheticPair:
             raise ValueError("w must contain at least one point")
         if any(len(p) != z0.size for p in self._w_rows):
             raise ValueError("w entries must match the dimension of z0")
+        self._w_points = np.array(self._w_rows)
         self.alpha = tuple(float(x) for x in alpha)
         if not self.alpha:
             raise ValueError("alpha must contain at least one value")
@@ -120,8 +135,10 @@ class SyntheticPair:
                 raise ValueError(
                     f"alpha out of [1/a, 1-1/a] at index {i}: {x!r}")
         # the arrays hold indices 0..stop (the surpluses 0..stop-1), and
-        # z_stop is kept as Python floats to step on from
+        # z_stop is kept as Python floats to step on from; z_n = z_fixed
+        # for every n >= fixed once the stationary index is known
         self._stop = 0
+        self._fixed = None
         self._z = np.empty((0, z0.size))
         self._z_last = z0.tolist()
         self._cover(0)
@@ -132,14 +149,26 @@ class SyntheticPair:
             return
         stop = max(_MIN_ROWS, 2 * self._stop, n + 1)
         last_w, last_a = len(self._w_rows) - 1, len(self.alpha) - 1
-        w = np.array([self._w_rows[min(m, last_w)] for m in range(stop + 1)])
+        w = self._w_points[np.minimum(np.arange(stop + 1), last_w)]
         rows = [self._z_last]
-        for m in range(self._stop, stop):
-            al = self.alpha[min(m, last_a)]
-            bl = 1.0 - al
-            rows.append([al * wi + bl * zi for wi, zi
-                         in zip(self._w_rows[min(m, last_w)], rows[-1])])
-        z = np.concatenate((self._z[:self._stop], np.array(rows)))
+        if self._fixed is None:
+            same_map = max(last_w, last_a)
+            for m in range(self._stop, stop):
+                al = self.alpha[min(m, last_a)]
+                bl = 1.0 - al
+                prev = rows[-1]
+                row = [al * wi + bl * zi for wi, zi
+                       in zip(self._w_rows[min(m, last_w)], prev)]
+                # == first: it is cheap, and the bits differ only on a
+                # signed zero when the values agree
+                if m >= same_map and row == prev and _bits(row) == _bits(prev):
+                    self._fixed = m
+                    break
+                rows.append(row)
+        z = np.empty((stop + 1, w.shape[1]))
+        z[:self._stop] = self._z[:self._stop]
+        z[self._stop:self._stop + len(rows)] = rows
+        z[self._stop + len(rows):] = rows[-1]
         self._z, self._w, self._z_last, self._stop = z, w, rows[-1], stop
         self._gaps = row_norm(w - z)
         self._surpluses = row_norm(w[1:] - w[:-1]) - row_norm(z[1:] - z[:-1])
@@ -239,19 +268,30 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
     so a broken instance can never produce a false positive.  On verified
     premises returns whether s_m <= 1/(k+1) for every m in [sigma(k,n), p].
 
-    Each comparison is exact on integers: s, v, r and gamma become
-    numerators over one common denominator, lam over its own, and every
-    inequality, with its tolerance, is multiplied out.
+    The values are read exactly, as Fraction(x) reads them.  s, v, r and
+    gamma become numerators over one common denominator, lam over its own,
+    and `_xu_check` decides the instance on those integers.
     """
     s, v, r, gamma, lam = (_fractions(name, seq) for name, seq in (
         ("s", s), ("v", v), ("r", r), ("gamma", gamma), ("lam", lam)))
+    den = math.lcm(*(x.denominator for seq in (s, v, r, gamma) for x in seq))
+    lden = math.lcm(*(x.denominator for x in lam))
+    return _xu_check(*(_over(den, seq) for seq in (s, v, r, gamma)), den,
+                     _over(lden, lam), lden, ldiv, d, k, n, p)
+
+
+def _xu_check(sn: list, vn: list, rn: list, gn: list, den: int, lamn: list,
+              lden: int, ldiv: CountFn, d: int, k: int, n: int,
+              p: int) -> Optional[bool]:
+    """qtXu1_check on integers: s_m = sn[m] / den, and likewise v, r and
+    gamma; lam_m = lamn[m] / lden.  Both denominators are positive and no
+    list is empty.  Every inequality, with its tolerance, is multiplied
+    out."""
     if d < 1 or k < 0 or n < 0 or p < 0:
         return None
-    den = math.lcm(*(x.denominator for seq in (s, v, r, gamma) for x in seq))
-    sn, vn, rn, gn = (_over(den, seq) for seq in (s, v, r, gamma))
     if min(sn) < 0 or max(sn) > d * den:
         return None
-    if any(x.numerator <= 0 or x.numerator >= x.denominator for x in lam):
+    if min(lamn) <= 0 or max(lamn) >= lden:
         return None
     if min(gn) < 0:
         return None
@@ -271,22 +311,20 @@ def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
         return None
 
     # s_(m+1) at most (1 - a/b)(s_m + v_m) + (a/b) r_m + gamma_m + 1/T,
-    # with lam_m = a/b, multiplied by den b T.  Past every explicit prefix
-    # each m repeats the check at the last one.
-    last = max(map(len, (s, v, r, gamma, lam))) - 1
+    # with a = lamn[m] and b = lden, multiplied by den b T.  Past every
+    # explicit prefix each m repeats the check at the last one.
+    b = lden
+    last = max(map(len, (sn, vn, rn, gn, lamn))) - 1
     for m in range(min(p, last) + 1):
-        lam_m = _ext(lam, m)
-        a, b = lam_m.numerator, lam_m.denominator
+        a = _ext(lamn, m)
         rhs = (b - a) * (_ext(sn, m) + _ext(vn, m)) + a * _ext(rn, m) \
             + b * _ext(gn, m)
         if _ext(sn, m + 1) * b * tol > rhs * tol + b * den:
             return None
 
     # Divergence rate, probed up to the level sigma actually consumes:
-    # sums[j] is lam_1 + ... + lam_j over lam's common denominator; past
-    # the end of lam each level adds the last value once more.
-    lden = math.lcm(*(x.denominator for x in lam))
-    lamn = _over(lden, lam)
+    # sums[j] is lam_1 + ... + lam_j over lden; past the end of lam each
+    # level adds the last value once more.
     sums = list(accumulate(lamn[1:], initial=0))
     probe_hi = n + ceil_ln(4 * d * (k + 1))
     for kk, lk in zip(range(probe_hi + 1), evaluate_each(ldiv)):
@@ -463,6 +501,8 @@ def _suite_limsup2(rng: random.Random, trials: int):
 
 
 def _xu_instance(rng: random.Random, corrupt: bool):
+    """A random instance in `_xu_check`'s form: s, v, r and gamma as
+    integers over den, and lam = 1/L as numerators over L."""
     big_l = rng.choice((2, 3, 4))
     ldiv = Affine(slope=big_l, offset=0)
     k = rng.randrange(0, 3)
@@ -500,18 +540,15 @@ def _xu_instance(rng: random.Random, corrupt: bool):
         bump = rng.randrange(1, p + 2)
         s[bump] += (d + 1) * den
         d = d * 2 + 2
-    s, v, r, gamma = ([Fraction(x, den) for x in seq]
-                      for seq in (s, v, r, gamma))
-    lam = [Fraction(1, big_l)] * length
-    return s, v, r, gamma, lam, ldiv, d, k, n, p
+    return s, v, r, gamma, den, [1] * length, big_l, ldiv, d, k, n, p
 
 
 def _suite_xu(rng: random.Random, trials: int):
     for i in range(trials):
         corrupt = i % 5 == 4
         inst = _xu_instance(rng, corrupt)
-        s, v, r, gamma, lam, ldiv, d, k, n, p = inst
-        got = qtXu1_check(s, v, r, gamma, lam, ldiv, d, k, n, p)
+        got = _xu_check(*inst)
+        k, n, p = inst[-3:]
         want_ok = got is None if corrupt else got is True
         yield None if want_ok else \
             f"trial {i}: got {got!r} corrupt={corrupt} k={k} n={n} p={p}"

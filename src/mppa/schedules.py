@@ -106,7 +106,7 @@ class Schedule:
 
 def validate_schedule(schedule: Schedule, horizon: int) -> list:
     """All of lambda, gamma, delta must lie in (0, 1) and c must be positive
-    up to the horizon; returns located violation messages."""
+    and finite up to the horizon; returns located violation messages."""
     lam, gam, delta, cs, _ = schedule.snapshot(horizon)
     problems = []
     for name, arr in (("lambda", lam), ("gamma", gam), ("delta", delta)):
@@ -115,9 +115,12 @@ def validate_schedule(schedule: Schedule, horizon: int) -> list:
             n = int(bad[0])
             problems.append(
                 f"{name} out of (0, 1) at n={n}: {float(arr[n])!r}")
-    bad = np.nonzero(cs <= 0)[0]
+    # written so that NaN fails it, as in iteration.run
+    bad = np.nonzero(~((0 < cs) & (cs < np.inf)))[0]
     if bad.size:
-        problems.append(f"c not positive at n={int(bad[0])}")
+        n = int(bad[0])
+        problems.append(
+            f"c not positive and finite at n={n}: {float(cs[n])!r}")
     return problems
 
 

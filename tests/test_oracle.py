@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppa import oracle
-from mppa.countfn import (Affine, BudgetExceededError, Closure, Const,
-                          ExpCeil, Identity, ceil_ln, evaluate, evaluate_each)
+from mppa.countfn import (Affine, BoundValue, BudgetExceededError, Closure,
+                          Const, ExpCeil, Identity, ceil_ln, evaluate,
+                          evaluate_each)
 from mppa.bounds import chi_tilde, sigma, theta, varphi_suzuki1
 from mppa.operators import row_norm
 from mppa.oracle import (PREMISE_TOL, CONCLUSION_TOL, BoundedSeq,
@@ -100,39 +101,83 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_pair_arrays_match_the_per_point_pair(data):
-    dim = data.draw(st.integers(min_value=1, max_value=3))
-    a = data.draw(st.integers(min_value=2, max_value=6))
-    coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+def _ref_arrays(ref, stop):
+    """z and w rows, gaps, surpluses and the norms of the z and w rows of
+    the per-point pair at n < stop."""
+    idx = range(stop)
+    z, w = [ref.z_at(n) for n in idx], [ref.w_at(n) for n in idx]
+    return (z, w, [ref.gap(n) for n in idx], [ref.wdiff(n) for n in idx],
+            [np.linalg.norm(x) for x in z], [np.linalg.norm(x) for x in w])
+
+
+@st.composite
+def pair_args(draw):
+    """z0, w, alpha and a for a SyntheticPair.  Half the draws take their
+    coordinates from a few values, signed zeros among them, so z often
+    reaches a fixed point, at times while w still holds one value before
+    it moves on; w and alpha may end past the cache's first doubling."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.booleans()):
+        coord = st.sampled_from((0.0, -0.0, 0.1, 1.0 / 3.0, 3.0))
+        band = st.sampled_from((1.0 / a, 0.5, 1.0 - 1.0 / a))
+    else:
+        coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+        band = st.floats(min_value=1.0 / a, max_value=1.0 - 1.0 / a)
     point = st.lists(coord, min_size=dim, max_size=dim)
-    z0 = data.draw(point)
-    w = data.draw(st.lists(point, min_size=1, max_size=13))
-    band = st.floats(min_value=1.0 / a, max_value=1.0 - 1.0 / a)
-    alpha = data.draw(st.lists(band, min_size=1, max_size=13))
-    # past the explicit prefix, and across the cache's first doubling
-    stop = data.draw(st.sampled_from((1, 14, 63, 64, 65, 150)))
+    z0 = draw(point)
+    size = st.sampled_from((1, 13, 80))
+    w = draw(st.lists(point, min_size=1, max_size=draw(size)))
+    alpha = draw(st.lists(band, min_size=1, max_size=draw(size)))
+    return z0, w, alpha, a
+
+
+# past the explicit prefix, and across one or several doublings of the cache
+_STOPS = (1, 14, 63, 64, 65, 129, 150, 300, 1025, 4097)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_args(), st.lists(st.sampled_from(_STOPS), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=300))
+def test_pair_arrays_match_the_per_point_pair(args, stops, n):
+    z0, w, alpha, a = args
     pair = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
     ref = RefPair(z0, w, alpha)
-    idx = range(stop)
-    z_rows, w_rows = pair.rows(stop)
-    assert _bits(z_rows) == _bits([ref.z_at(n) for n in idx])
-    assert _bits(w_rows) == _bits([ref.w_at(n) for n in idx])
-    assert _bits(pair.gaps(stop)) == _bits([ref.gap(n) for n in idx])
-    assert _bits(pair.surpluses(stop)) == _bits([ref.wdiff(n) for n in idx])
-    # suzuki2's norm probe
-    assert _bits(row_norm(z_rows)) \
-        == _bits([np.linalg.norm(ref.z_at(n)) for n in idx])
-    assert _bits(row_norm(w_rows)) \
-        == _bits([np.linalg.norm(ref.w_at(n)) for n in idx])
+    want = _ref_arrays(ref, max(stops))
+    for stop in stops:
+        z_rows, w_rows = pair.rows(stop)
+        # the last two are suzuki2's norm probe
+        got = (z_rows, w_rows, pair.gaps(stop), pair.surpluses(stop),
+               row_norm(z_rows), row_norm(w_rows))
+        for x, y in zip(got, want):
+            assert _bits(x) == _bits(y[:stop])
     # a read far past the cache, on the pair as built and after the above
-    n = data.draw(st.integers(min_value=0, max_value=300))
     fresh = SyntheticPair(z0=z0, w=w, alpha=alpha, a=a)
     for got in (fresh, pair):
         assert _bits(got.surpluses(n + 1)[n]) == _bits(ref.wdiff(n))
         assert _bits(got.gaps(n + 1)[n]) == _bits(ref.gap(n))
         assert _bits(got.rows(n + 1)[0][n]) == _bits(ref.z_at(n))
+
+
+@pytest.mark.parametrize("w,alpha,a", [
+    # z_1 = z_0 under a map that changes when w moves on at n = 2
+    ([(1 / 3,), (1 / 3,), (3.0,)], [0.5], 2),
+    # 0.5 keeps 1/3 in place and 1/3 moves it: alpha ends after w
+    ([(1 / 3,)], [0.5, 0.5, 1 / 3], 3),
+])
+def test_pair_settles_only_past_both_explicit_prefixes(w, alpha, a):
+    pair = SyntheticPair(z0=(1 / 3,), w=w, alpha=alpha, a=a)
+    ref = RefPair((1 / 3,), w, alpha)
+    assert _bits(pair.rows(100)[0]) \
+        == _bits([ref.z_at(n) for n in range(100)])
+
+
+def test_pair_tells_signed_zeros_apart():
+    # z_1 = 0.5 * 0.0 + 0.5 * -0.0 = 0.0 equals z_0 = -0.0 in value only:
+    # z is stationary from n = 1, not from n = 0
+    pair = SyntheticPair(z0=(-0.0,), w=[(0.0,)], alpha=[0.5], a=2)
+    assert _bits(pair.rows(3)[0]) == _bits([[-0.0], [0.0], [0.0]])
+    assert _bits(pair.rows(200)[0][1:]) == _bits([[0.0]] * 199)
 
 
 def _pair(w):
@@ -356,13 +401,20 @@ def ref_qtxu1_check(s, v, r, gamma, lam, ldiv, d, k, n, p):
                for m in range(start, p + 1))
 
 
+def _xu_fractions(inst):
+    """An integer xu instance as the Fractions qtXu1_check reads."""
+    s, v, r, gamma, den, lam, lden, *rest = inst
+    return (*([Fraction(x, den) for x in seq] for seq in (s, v, r, gamma)),
+            [Fraction(x, lden) for x in lam], *rest)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_qtxu_matches_the_quadratic_probe(data):
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
     corrupt = data.draw(st.booleans())
-    s, v, r, gamma, lam, ldiv, d, k, n, p = oracle._xu_instance(
-        random.Random(seed), corrupt)
+    s, v, r, gamma, lam, ldiv, d, k, n, p = _xu_fractions(
+        oracle._xu_instance(random.Random(seed), corrupt))
     # other divergence rates, some too slow for the lambda sums
     ldiv = data.draw(st.sampled_from(
         (ldiv, Const(0), Const(3), Identity(), Affine(2, 1), Affine(5, 0))))
@@ -432,10 +484,36 @@ def ref_xu_instance(rng, corrupt):
 def test_xu_instance_matches_the_fraction_build(seed, corrupt):
     rng, ref = random.Random(seed), random.Random(seed)
     got = oracle._xu_instance(rng, corrupt)
-    assert got == ref_xu_instance(ref, corrupt)
-    assert all(type(x) is Fraction for seq in got[:5] for x in seq)
+    s, v, r, gamma, den, lam, lden = got[:7]
+    assert all(type(x) is int
+               for x in (*s, *v, *r, *gamma, den, *lam, lden))
+    assert _xu_fractions(got) == ref_xu_instance(ref, corrupt)
     # the same draws, in the same order
     assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_qtxu_is_its_integer_core(data):
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+    inst = list(oracle._xu_instance(random.Random(seed), data.draw(
+        st.booleans())))
+    # one numerator of s, v, r, gamma (over inst[4]) or lam (over inst[6])
+    # replaced, possibly out of its domain or past a cap
+    if data.draw(st.booleans()):
+        which = data.draw(st.sampled_from((0, 1, 2, 3, 5)))
+        scale = inst[6] if which == 5 else inst[4]
+        at = data.draw(st.integers(min_value=0,
+                                   max_value=len(inst[which]) - 1))
+        inst[which] = list(inst[which])
+        inst[which][at] = data.draw(st.integers(min_value=-scale,
+                                                max_value=3 * scale))
+    # d, k, n and p, each possibly out of its domain
+    if data.draw(st.booleans()):
+        inst[-4:] = data.draw(st.tuples(*(st.integers(min_value=-1,
+                                                      max_value=top)
+                                          for top in (8, 3, 8, 50))))
+    assert oracle._xu_check(*inst) == qtXu1_check(*_xu_fractions(inst))
 
 
 def test_qtxu_probe_reads_levels_out_of_order():
@@ -674,6 +752,29 @@ def test_suite_results_are_pinned(lemma, trials):
                      for s in range(60))
     assert hashlib.sha256(text.encode()).hexdigest() \
         == SUITE_DIGESTS[lemma, trials]
+
+
+# bound in oracle's namespace -> (its start value from the arguments, the
+# suite that reads it, passes at seed 7 with the default trials).  ratap is
+# missing: its witness reads no bound, and BoundedSeq keeps every value in
+# [0, N], so a cell below N(k+1) exists for every input.
+MUTANTS = {
+    "theta": (lambda k, m_start, t, n_cells, f: m_start, "limsup2", 703),
+    "sigma": (lambda k, n, ldiv, d: n, "xu", 83),
+    "varphi_suzuki1": (lambda k, f, l, *rest: l, "suzuki1", 29),
+    "r_const": (lambda a, k, t: 1, "suzuki1", 11),
+    "chi_tilde": (lambda *args: 0, "suzuki2", 63),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_bound_cut_to_its_start_value_fails_its_suite(name, monkeypatch):
+    start, lemma, passes = MUTANTS[name]
+    monkeypatch.setattr(oracle, name, lambda *args: BoundValue.exact(
+        start(*args)))
+    got = run_suite(lemma, seed=7)
+    assert not got.ok
+    assert (got.trials, got.passes) == (oracle.SUITES[lemma][0], passes)
 
 
 def _outcome(search, *args):

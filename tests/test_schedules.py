@@ -67,6 +67,28 @@ def test_validate_schedule():
     assert any("delta" in msg and "n=0" in msg for msg in bad)
 
 
+@dataclasses.dataclass(frozen=True)
+class Listed:
+    """A parameter family given by its first values."""
+
+    vals: tuple
+
+    def values(self, count):
+        return np.array(self.vals[:count], dtype=float)
+
+
+def test_validate_schedule_refuses_a_non_finite_c():
+    # the rule run uses: NaN and infinity are refused with the first bad n
+    assert validate_schedule(make_schedule(c=ConstantSeq(np.inf)), 2) \
+        == ["c not positive and finite at n=0: inf"]
+    c = Listed((1.0, np.nan, np.inf))
+    assert validate_schedule(make_schedule(c=c), 2) \
+        == ["c not positive and finite at n=1: nan"]
+    assert validate_schedule(make_schedule(c=Listed((1.0, 0.0))), 1) \
+        == ["c not positive and finite at n=1: 0.0"]
+    assert validate_schedule(make_schedule(c=Listed((1.0, 1e308))), 1) == []
+
+
 # --- moduli and derived constants --------------------------------------------------
 
 
