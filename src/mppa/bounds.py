@@ -12,8 +12,10 @@ bit for bit, including which stage a budget marker names:
 * every loop ticks the call counter once per step and aborts to the marker
   up front when the remaining allowance is provably smaller than the loop
   length, which is the same outcome the literal loop would reach;
-* a loop evaluated in closed form (theta with a constant counterfunction)
-  charges the ticks the literal loop charges and raises where it raises.
+* a loop that skips steps in closed form (theta with a constant
+  counterfunction skips to the first step that can trip a cap) charges the
+  ticks of the skipped steps and runs the literal loop from there, so it
+  raises where the literal loop raises.
 
 Each formula is written once, as a body `_name(state, ...)` that bodies of
 later formulas call with the state they share.  Its public entry point
@@ -132,49 +134,27 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
         state.tick()
         p_steps = state.check(n_cells * (k + 1))
         state.require(p_steps)
-        form = f.constant_form()
-        if form is not None and p_steps >= 1 \
-                and form[0] <= 1 << state.magnitude_bits:
-            return _theta_constant(state, m_start, t, p_steps, *form)
-        r = 0
-        for i in range(p_steps - 1, -1, -1):
+        cap = 1 << state.magnitude_bits
+        skip = r = 0
+        form = f.affine_form()
+        if form is not None and form[0] == 0 and form[1] <= cap:
+            # f is constant at c, so step j (r = j (t+c) on entry) charges
+            # 1 + ticks calls and checks M + P t + j c and (j+1)(t+c).  Each
+            # term of the min is the first step that can trip one cap: skip
+            # the steps before them all and run the literal loop from there.
+            _, c, ticks = form
+            first_arg = m_start + p_steps * t
+            skip = min(p_steps, state.remaining() // (1 + ticks),
+                       cap // (t + c),
+                       0 if abs(first_arg) > cap
+                       else (cap - first_arg) // c + 1 if c else p_steps)
+            state.calls += skip * (1 + ticks)
+            r = skip * (t + c)
+        for i in range(p_steps - skip - 1, -1, -1):
             state.tick()
             arg = state.check(m_start + (i + 1) * t + r)
             r = state.check(t + r + f(arg, state))
         return state.check(m_start + (p_steps - 1) * t + r)
-
-
-def _theta_constant(state: EvalState, m_start: int, t: int, p_steps: int,
-                    c: int, ticks: int) -> int:
-    """theta's loop for f constant at c <= cap, charging `ticks` ticks per
-    call, in closed form: the value the literal loop returns, or the marker
-    it raises, and the calls it leaves charged.
-
-    Step j of the loop (r = j (t+c) on entry) does, in order: one tick, the
-    check of its argument M + P t + j c, f's ticks (f's own checks pass, as
-    c <= cap) and the check of r = (j+1)(t+c).  The loop ends at the first
-    of three events: the call cap trips, an argument check fails, or an r
-    check fails."""
-    cap = 1 << state.magnitude_bits
-    per_step = 1 + ticks
-    calls0 = state.calls
-    # (step, order within the step, calls charged when it raises)
-    j, q = divmod(state.max_calls - calls0, per_step)
-    events = [(j, 0 if q == 0 else 2, state.max_calls + 1)]
-    first_arg = m_start + p_steps * t
-    if abs(first_arg) > cap:
-        events.append((0, 1, calls0 + 1))
-    elif c:
-        j = (cap - first_arg) // c + 1
-        events.append((j, 1, calls0 + j * per_step + 1))
-    j = cap // (t + c)
-    events.append((j, 3, calls0 + (j + 1) * per_step))
-    step, _, calls = min(events)
-    if step < p_steps:
-        state.calls = calls
-        raise BudgetExceededError(state.stage)
-    state.calls += p_steps * per_step
-    return state.check(m_start + (p_steps - 1) * t + p_steps * (t + c))
 
 
 def _r_const(state: EvalState, a: int, k: int, t: int) -> int:
@@ -214,13 +194,22 @@ def _proj3_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
     with _Stage(state, "proj3"):
         state.tick()
         r = state.check(4 * state.checked_pow(n, 4) * (k + 1) * (k + 1))
-        state.require(r)
-        v = 0
-        for _ in range(r):
-            state.tick()
-            blown = state.check(24 * n * (v + 1) * (v + 1))
-            v = max(f(blown, state), blown)
-        return state.check(24 * n * (v + 1) * (v + 1))
+        return _squaring(state, r, n, f)
+
+
+def _squaring(state: EvalState, r: int, n: int,
+              g: Callable[[int, EvalState], int]) -> int:
+    """24 n (v+1)^2 for v = g_hat**r (0), g_hat(m) = max(g(b), b) with
+    b = 24 n (m+1)^2: the squaring iteration of proj3 and psi, which
+    removes the weak compactness argument.  It opens no stage, so the
+    caller's stage names its markers."""
+    state.require(r)
+    v = 0
+    for _ in range(r):
+        state.tick()
+        blown = state.check(24 * n * (v + 1) * (v + 1))
+        v = max(g(blown, state), blown)
+    return state.check(24 * n * (v + 1) * (v + 1))
 
 
 # --- averaged-gap metastability (Suzuki-style lemmas) -------------------------
@@ -298,14 +287,8 @@ def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
         state.tick()
         f1 = Shift(f, 1)
         r = state.check(state.checked_pow(n_ball, 4) * (k + 1) * (k + 1))
-        state.require(r)
-        v = 0
-        for _ in range(r):
-            state.tick()
-            blown = state.check(24 * n_ball * (v + 1) * (v + 1))
-            inner = _xi(state, blown, f1, moduli)
-            v = max(f(inner, state), blown)
-        k_top = state.check(24 * n_ball * (v + 1) * (v + 1))
+        k_top = _squaring(state, r, n_ball,
+                          lambda m, st: f(_xi(st, m, f1, moduli), st))
         return _xi(state, k_top, f1, moduli)
 
 

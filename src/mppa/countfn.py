@@ -179,17 +179,10 @@ class CountFn:
         raise NotImplementedError
 
     def affine_form(self) -> Optional[tuple]:
-        """(slope, offset) when the function is n -> slope*n + offset and
-        each call charges one tick, else None."""
-        return None
-
-    def constant_form(self) -> Optional[tuple]:
-        """(value, ticks) when every call returns value and charges ticks
-        ticks, with every magnitude check on the way at most value, and no
-        call enters a stage of its own; else None."""
-        form = self.affine_form()
-        if form is not None and form[0] == 0:
-            return form[1], 1
+        """(slope, offset, ticks) when the function is n -> slope*n + offset,
+        each call charges ticks ticks, every magnitude check on the way is
+        at most the value, and no call enters a stage of its own; else
+        None."""
         return None
 
 
@@ -205,7 +198,7 @@ class Const(CountFn):
         return self.value
 
     def affine_form(self):
-        return 0, self.value
+        return 0, self.value, 1
 
 
 @dataclass(frozen=True)
@@ -214,7 +207,7 @@ class Identity(CountFn):
         return n
 
     def affine_form(self):
-        return 1, 0
+        return 1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ class Affine(CountFn):
         return self.slope * n + self.offset
 
     def affine_form(self):
-        return self.slope, self.offset
+        return self.slope, self.offset, 1
 
 
 @dataclass(frozen=True)
@@ -293,8 +286,9 @@ class ExpCeil(CountFn):
             raise ValueError(_NATURAL_ONLY)
         if n == 0:
             return self.scale
-        # e**n > 2**(1.44*n); refuse values provably over the magnitude cap
-        if n > int(1.4427 * state.magnitude_bits) + 2:
+        # ln 2 < 0.6932, so e**n > 2**magnitude_bits past this n: refuse
+        # values provably over the magnitude cap
+        if 10000 * n > 6932 * state.magnitude_bits:
             raise BudgetExceededError(state.stage)
         prec = 256
         while True:
@@ -324,12 +318,12 @@ class Shift(CountFn):
     def _eval(self, n, state):
         return self.offset + self.f(max(self.floor, n), state)
 
-    def constant_form(self):
-        form = self.f.constant_form()
-        if form is None:
+    def affine_form(self):
+        form = self.f.affine_form()
+        if form is None or form[0]:
             return None
-        value, ticks = form
-        return self.offset + value, ticks + 1
+        _, value, ticks = form
+        return 0, self.offset + value, ticks + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,10 +365,10 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     if form is None:
         for n in itertools.count():
             yield _natural(f(n, EvalState(budget)))
-    slope, offset = form
+    slope, offset, ticks = form
     cap = 1 << budget.magnitude_bits
-    # one tick per call, then the magnitude check of the value
-    if budget.max_calls >= 1 and offset <= cap:
+    # the call's ticks, then the magnitude check of the value
+    if budget.max_calls >= ticks and offset <= cap:
         if slope == 0:
             yield from itertools.repeat(offset)
         yield from range(offset, cap + 1, slope)

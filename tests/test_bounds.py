@@ -1,18 +1,19 @@
 """The bound calculus: hand pins, closed-form oracles, marker stages."""
 
+import ast
 import dataclasses
+import inspect
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mppa import bounds, refeval
+from mppa import bounds, countfn, refeval
 from mppa.acceptance import _T1, moduli_from
 from mppa.config import count_fn
-from mppa.countfn import (Affine, BoundValue, Budget, Const, CountFn,
-                          EvalState, ExpCeil, Identity, Shift, Table, ceil_ln,
-                          evaluate)
+from mppa.countfn import (Affine, BoundValue, Budget, Const, EvalState,
+                          ExpCeil, Identity, Shift, Table, ceil_ln, evaluate)
 from mppa.schedules import Moduli
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
@@ -215,8 +216,9 @@ def theta_both_ways(k, m_start, t, n_cells, g, budget):
     patch, log = logged_states()
     with patch:
         fast = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
-        with mock.patch.object(CountFn, "constant_form", lambda self: None), \
-                mock.patch.object(Shift, "constant_form", lambda self: None):
+        with mock.patch.object(Const, "affine_form", lambda self: None), \
+                mock.patch.object(Affine, "affine_form", lambda self: None), \
+                mock.patch.object(Shift, "affine_form", lambda self: None):
             literal = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
     return (fast.render(), log[0].calls), (literal.render(), log[1].calls)
 
@@ -251,10 +253,12 @@ def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
     (Shift(Shift(Const(1), 2), 1), 1, 0, 2, 2, Budget(8, 11),
      "BUDGET_EXCEEDED(theta)", 12),
     (Const(2), 0, 8, 1, 4, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 8),
+    (Const(0), 0, 20, 1, 3, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 2),
     (Const(5), 0, 0, 1, 4, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 7),
     (Const(0), 0, 0, 1, 3, Budget(4, 3), "BUDGET_EXCEEDED(theta)", 1),
 ], ids=["exact", "exact-shifted", "cap-at-loop-tick", "cap-in-g",
-        "cap-in-nested-g", "arg-check", "r-check", "refused-up-front"])
+        "cap-in-nested-g", "arg-check", "arg-check-at-step-0", "r-check",
+        "refused-up-front"])
 def test_theta_closed_form_events(g, k, m_start, t, n_cells, budget, render,
                                   calls):
     fast, literal = theta_both_ways(k, m_start, t, n_cells, g, budget)
@@ -297,6 +301,18 @@ def test_proj_is_iterated_f(k, n, f):
     assert exact(bounds.proj_bound(k, f, n, budget=BIG)) == v
 
 
+@given(small_f)
+@settings(max_examples=30, deadline=None)
+def test_proj3_is_the_squaring_iteration(f):
+    def fv(m):
+        return exact(evaluate(f, m, BIG))
+
+    v = 0
+    for _ in range(4):          # 4 N^4 (k+1)^2 steps at N = 1, k = 0
+        v = max(fv(24 * (v + 1) ** 2), 24 * (v + 1) ** 2)
+    assert exact(bounds.proj3_bound(0, f, 1, budget=BIG)) == 24 * (v + 1) ** 2
+
+
 # --- structural properties ------------------------------------------------------------
 
 
@@ -314,6 +330,21 @@ def test_bounds_never_share_state(toy_cc):
     second = bounds.chi0(0, Const(0), toy_cc, budget=BIG)
     assert first == second
     assert exact(first) == 139188
+
+
+@pytest.mark.parametrize("module", [bounds, countfn],
+                         ids=["bounds", "countfn"])
+def test_no_float_enters_a_bound(module):
+    """No float literal, float() call or true division in the calculus."""
+    def is_float(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, float)
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", None) == "float"
+        return isinstance(getattr(node, "op", None), ast.Div)
+
+    tree = ast.parse(inspect.getsource(module))
+    assert [node.lineno for node in ast.walk(tree) if is_float(node)] == []
 
 
 # --- the running residual ---------------------------------------------------------

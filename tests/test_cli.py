@@ -619,4 +619,4 @@ def test_readme_examples(monkeypatch, capsys):
         assert main(argv) == 0, line
         assert capsys.readouterr().out.splitlines() == shown, line
         commands.append(argv[0])
-    assert commands == ["bound", "bound", "bound", "oracle", "oracle"]
+    assert commands == ["bound"] * 4 + ["oracle"] * 2

@@ -308,7 +308,7 @@ def staged(inner: CountFn) -> CountFn:
 
 
 KINDS = ("const", "identity", "affine", "table", "expceil", "composed",
-         "closure")
+         "closure", "shift")
 
 
 @st.composite
@@ -331,13 +331,16 @@ def count_fns(draw, depth=2):
     sub = count_fns(depth - 1)
     if kind == "composed":
         return Composed(draw(sub), draw(sub))
+    if kind == "shift":
+        return Shift(draw(sub), draw(st.integers(0, 2 ** 17)),
+                     floor=draw(st.integers(0, 3)))
     return staged(draw(sub))
 
 
 budgets = st.one_of(
     st.none(),
     st.builds(Budget, st.integers(8, 16),
-              st.sampled_from((0, 1, DEFAULT_MAX_CALLS))))
+              st.sampled_from((0, 1, 2, DEFAULT_MAX_CALLS))))
 
 
 @given(count_fns(), budgets)
@@ -381,9 +384,9 @@ def test_evaluate_each_ends_at_the_first_marker(f, budget, stage_at):
 
 
 def test_affine_forms():
-    assert Const(4).affine_form() == (0, 4)
-    assert Identity().affine_form() == (1, 0)
-    assert Affine(3, 2).affine_form() == (3, 2)
+    assert Const(4).affine_form() == (0, 4, 1)
+    assert Identity().affine_form() == (1, 0, 1)
+    assert Affine(3, 2).affine_form() == (3, 2, 1)
     for f in (Table((1, 2)), ExpCeil(1),
               Composed(Identity(), Identity()), staged(Const(0))):
         assert f.affine_form() is None
@@ -402,14 +405,14 @@ def test_shift_node():
 
 
 def test_constant_forms():
-    assert Const(4).constant_form() == (4, 1)
-    assert Affine(0, 3).constant_form() == (3, 1)
-    assert Shift(Const(2), 3).constant_form() == (5, 2)
-    assert Shift(Shift(Affine(0, 1), 1, floor=4), 2).constant_form() == (4, 3)
-    for f in (Identity(), Affine(2, 3), Table((2, 2)), ExpCeil(1),
-              Composed(Const(1), Const(2)), staged(Const(0)),
-              Shift(Identity(), 1), Shift(staged(Const(0)), 1)):
-        assert f.constant_form() is None
+    assert Const(4).affine_form() == (0, 4, 1)
+    assert Affine(0, 3).affine_form() == (0, 3, 1)
+    assert Shift(Const(2), 3).affine_form() == (0, 5, 2)
+    assert Shift(Shift(Affine(0, 1), 1, floor=4), 2).affine_form() == (0, 4, 3)
+    for f in (Table((2, 2)), ExpCeil(1), Composed(Const(1), Const(2)),
+              staged(Const(0)), Shift(Identity(), 1), Shift(Affine(2, 3), 1),
+              Shift(staged(Const(0)), 1)):
+        assert f.affine_form() is None
 
 
 def test_evaluate_each_is_lazy():
