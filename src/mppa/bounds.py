@@ -128,8 +128,8 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
            f: CountFn) -> int:
     """theta(k, M, t, N, f) = M + (P-1) t + r_0 where P = N (k+1), r_P = 0
     and r_i = t + r_(i+1) + f(M + (i+1) t + r_(i+1))."""
-    if k < 0 or t < 1 or n_cells < 1:
-        raise ValueError("theta requires k >= 0, t >= 1 and N >= 1")
+    if k < 0 or m_start < 0 or t < 1 or n_cells < 1:
+        raise ValueError("theta requires k >= 0, M >= 0, t >= 1 and N >= 1")
     with _Stage(state, "theta"):
         state.tick()
         p_steps = state.check(n_cells * (k + 1))
@@ -146,7 +146,7 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
             first_arg = m_start + p_steps * t
             skip = min(p_steps, state.remaining() // (1 + ticks),
                        cap // (t + c),
-                       0 if abs(first_arg) > cap
+                       0 if first_arg > cap
                        else (cap - first_arg) // c + 1 if c else p_steps)
             state.calls += skip * (1 + ticks)
             r = skip * (t + c)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_MAGNITUDE_BITS = 4096
 DEFAULT_MAX_CALLS = 10_000_000
@@ -349,6 +349,23 @@ def evaluate(f: CountFn, n: int, budget: Optional[Budget] = None) -> BoundValue:
         return BoundValue.exceeded(exc.stage)
 
 
+def _affine_values(f: CountFn, budget: Budget) -> Optional[Iterable[int]]:
+    """The values evaluate_each yields for f before its first marker, when
+    f has an affine form: an endless repeat for slope 0, else a range.
+    None when f has no affine form."""
+    form = f.affine_form()
+    if form is None:
+        return None
+    slope, offset, ticks = form
+    cap = 1 << budget.magnitude_bits
+    # the call's ticks, then the magnitude check of the value
+    if budget.max_calls < ticks or offset > cap:
+        return ()
+    if slope == 0:
+        return itertools.repeat(offset)
+    return range(offset, cap + 1, slope)
+
+
 def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     """Yield f(0), f(1), ... as evaluate(f, n, budget) gives them, each
     value under a fresh budget.
@@ -361,24 +378,24 @@ def evaluate_each(f: CountFn, budget: Optional[Budget] = None) -> Iterator[int]:
     """
     if budget is None:
         budget = Budget()
-    form = f.affine_form()
-    if form is None:
+    values = _affine_values(f, budget)
+    if values is None:
         for n in itertools.count():
             yield _natural(f(n, EvalState(budget)))
-    slope, offset, ticks = form
-    cap = 1 << budget.magnitude_bits
-    # the call's ticks, then the magnitude check of the value
-    if budget.max_calls >= ticks and offset <= cap:
-        if slope == 0:
-            yield from itertools.repeat(offset)
-        yield from range(offset, cap + 1, slope)
+    yield from values
     raise BudgetExceededError(_TOP_STAGE)
 
 
 def evaluate_prefix(f: CountFn, count: int,
                     budget: Optional[Budget] = None) -> list:
     """f(0), ..., f(count - 1) as evaluate_each gives them, cut before the
-    first budget marker."""
+    first budget marker.  An affine form is read in bulk, without the
+    generator."""
+    if budget is None:
+        budget = Budget()
+    values = _affine_values(f, budget)
+    if values is not None:
+        return list(itertools.islice(values, count))
     vals = []
     try:
         vals.extend(itertools.islice(evaluate_each(f, budget), count))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, TextIO
 
 import numpy as np
@@ -23,7 +24,15 @@ from .operators import SLACK, ResolventOperator, as_point, row_dot, row_norm
 
 @dataclass
 class Trace:
-    """Full record of one run over n = 0..horizon."""
+    """Full record of one run over n = 0..horizon.
+
+    Each derived column is computed once, on first use.  Where two columns
+    are equal by construction they are one array: res_j is res_jn when jfix
+    is jn, and dist_target is dist_s when the target is s.  A trace's
+    arrays are never mutated in place, nor its fields reassigned once a
+    column is read: a changed trace is a new one (dataclasses.replace),
+    which computes its columns afresh.
+    """
 
     op: ResolventOperator
     z: np.ndarray        # (horizon+1, dim)
@@ -43,43 +52,49 @@ class Trace:
     def horizon(self) -> int:
         return self.z.shape[0] - 1
 
-    @property
+    @cached_property
     def dz(self) -> np.ndarray:
         """Step sizes |z_(n+1) - z_n| for n = 0..horizon-1."""
         return np.linalg.norm(np.diff(self.z, axis=0), axis=1)
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
         """Averaged companions w_n = (z_(n+1) - gamma_n z_n)/(1 - gamma_n),
         defined for n = 0..horizon-1."""
         g = self.gam[:-1, None]
         return (self.z[1:] - g * self.z[:-1]) / (1.0 - g)
 
-    @property
+    @cached_property
     def gap(self) -> np.ndarray:
         """|w_n - z_n| for n = 0..horizon-1."""
         return np.linalg.norm(self.w - self.z[:-1], axis=1)
 
-    @property
+    @cached_property
     def res_jn(self) -> np.ndarray:
         """Running residuals |J_(c_n)(z_n) - z_n|."""
         return np.linalg.norm(self.jn - self.z, axis=1)
 
-    @property
+    @cached_property
     def res_j(self) -> np.ndarray:
         """Fixed residuals |J_(1/c)(z_n) - z_n|."""
+        if self.jfix is self.jn:
+            return self.res_jn
         return np.linalg.norm(self.jfix - self.z, axis=1)
 
-    @property
+    @cached_property
     def dist_s(self) -> Optional[np.ndarray]:
         if self.s is None:
             return None
         return np.linalg.norm(self.z - self.s, axis=1)
 
-    @property
+    @cached_property
     def dist_target(self) -> Optional[np.ndarray]:
         if self.target is None:
             return None
+        # equal points give equal norms bit for bit: a signed zero in
+        # z - p is squared away
+        if self.s is not None and np.array_equal(self.target, self.s):
+            return self.dist_s
         return np.linalg.norm(self.z - self.target, axis=1)
 
 
@@ -149,26 +164,34 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
 # --- empirical searches -------------------------------------------------------
 
 
+# Most array elements one block of pairwise differences may hold.
+_PAIR_BLOCK = 1 << 16
+
+
 def _window_diameter(z: np.ndarray, lo: int, hi: int, tau: float) -> bool:
-    """Is the diameter of z[lo..hi] at most tau?
+    """Is the diameter of z[lo..hi] at most tau?  A window with a NaN
+    coordinate never is.
 
     Radius from z[lo] decides most cases: diameter lies between the radius
     and twice the radius, so only the borderline band needs exact pairwise
-    distances.
+    distances.  Those are computed a block of rows at a time, each block's
+    differences to every row in one array operation.
     """
     seg = z[lo:hi + 1]
     radius = float(np.max(np.linalg.norm(seg - z[lo], axis=1)))
-    if radius > tau:
+    # a NaN or infinite coordinate makes the radius NaN or infinite, so
+    # the band below sees finite rows only
+    if not radius <= tau:
         return False
     if 2.0 * radius <= tau:
         return True
-    diam = 0.0
-    for i in range(seg.shape[0]):
-        d = float(np.max(np.linalg.norm(seg[i:] - seg[i], axis=1)))
-        diam = max(diam, d)
-        if diam > tau:
+    count, dim = seg.shape
+    step = max(1, _PAIR_BLOCK // (count * dim))
+    for i in range(0, count, step):
+        diffs = (seg[i:i + step, None] - seg[None]).reshape(-1, dim)
+        if float(np.max(np.linalg.norm(diffs, axis=1))) > tau:
             return False
-    return diam <= tau
+    return True
 
 
 def empirical_metastability(z: np.ndarray, k: int, f: CountFn,
@@ -195,10 +218,18 @@ def empirical_window_index(values: np.ndarray, k: int, f: CountFn,
         raise ValueError("expected a scalar sequence")
     tau = 1.0 / (k + 1)
     last = values.shape[0] - 1
+    # the indices whose value is over tau or NaN, then a sentinel; misses[p]
+    # is the first of them at or past the candidate n, and as the indices
+    # are distinct, one step of p keeps up with each step of n
+    misses = np.flatnonzero(~(values <= tau)).tolist()
+    misses.append(last + 1)
+    p = 0
     for n, fv in zip(range(last + 1), evaluate_each(f, budget)):
+        if misses[p] < n:
+            p += 1
         if n + fv > last:
             continue
-        if float(np.max(values[n:n + fv + 1])) <= tau:
+        if misses[p] > n + fv:
             return n
     return None
 
@@ -323,27 +354,40 @@ def write_trace_csv(trace: Trace, fh: TextIO) -> None:
 
     Rows go out in blocks of _TRACE_BLOCK, one %-format per block;
     '%.17g' % x is format(x, ".17g") for every double, so the bytes do
-    not depend on the block size.
+    not depend on the block size.  A column the trace gives twice (one
+    array, see Trace) is formatted once per block, and its strings fill
+    both slots.
     """
     h = trace.horizon
     body = [trace.dist_s, trace.dz, trace.res_jn, trace.res_j,
             trace.dist_target]
     final = body[:1] + [None] + body[2:]    # no dz on the final row
+    given = [c for c in body if c is not None]
+    # each distinct column, by identity, with its slots in a flat row (the
+    # index takes slot 0)
+    slots = {}
+    for j, c in enumerate(given, start=1):
+        slots.setdefault(id(c), (c, []))[1].append(j)
 
-    def row_format(cols: list) -> str:
-        specs = ["" if c is None else "%.17g" for c in cols]
-        return ",".join(["%d"] + specs) + "\n"
+    def spec(c) -> str:
+        if c is None:
+            return ""
+        return "%s" if len(slots[id(c)][1]) > 1 else "%.17g"
 
     fh.write(_TRACE_HEADER)
-    row = row_format(body)
-    given = [c for c in body if c is not None]
+    row = ",".join(["%d"] + [spec(c) for c in body]) + "\n"
     width = 1 + len(given)
     for lo in range(0, h, _TRACE_BLOCK):
         hi = min(lo + _TRACE_BLOCK, h)
         flat = [None] * ((hi - lo) * width)
         flat[0::width] = range(lo, hi)
-        for j, c in enumerate(given, start=1):
-            flat[j::width] = c[lo:hi].tolist()
+        for c, js in slots.values():
+            vals = c[lo:hi].tolist()
+            if len(js) > 1:
+                vals = ("%.17g\n" * (hi - lo) % tuple(vals)).splitlines()
+            for j in js:
+                flat[j::width] = vals
         fh.write(row * (hi - lo) % tuple(flat))
+    last = ["" if c is None else "%.17g" for c in final]
     values = [h] + [float(c[h]) for c in final if c is not None]
-    fh.write(row_format(final) % tuple(values))
+    fh.write(",".join(["%d"] + last) % tuple(values) + "\n")

@@ -81,6 +81,15 @@ def test_theta_rejects_a_negative_k():
             call()
 
 
+def test_theta_rejects_a_negative_start():
+    # once a value for a meaningless input (4 at M = -3), once a BoundValue
+    # error (-99 at M = -100)
+    for m_start in (-3, -100):
+        with pytest.raises(ValueError, match="theta requires .*M >= 0"):
+            bounds.theta(0, m_start, 1, 4, Const(0))
+    assert exact(bounds.theta(0, 0, 1, 4, Const(0))) == 7
+
+
 def test_r_const_pins():
     assert exact(bounds.r_const(2, 0, 1)) == 6
     assert exact(bounds.r_const(3, 2, 4)) == 8748

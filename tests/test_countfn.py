@@ -13,7 +13,8 @@ from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
                           BoundValue, Budget, BudgetExceededError, Closure,
                           Composed, Const, CountFn, EvalState, ExpCeil,
                           Identity, Shift, Table, ceil_ln, evaluate,
-                          evaluate_each, strongly_majorizes)
+                          evaluate_each, evaluate_prefix,
+                          strongly_majorizes)
 
 
 def val(f: CountFn, n: int, budget=None) -> int:
@@ -363,6 +364,38 @@ def test_strongly_majorizes_matches_per_n_loop(data, budget, upto):
         and all(gv <= fv for gv, fv in zip(gs, fs)) \
         and all(a <= b for a, b in zip(fs, fs[1:]))
     assert strongly_majorizes(g, f, upto, budget) == want
+
+
+# Affine forms under a 2**8 or 2**9 cap: slope 0 and slope >= 1, offsets
+# below, at and past the cap, and Shift's two ticks against a call cap of one.
+affine_offsets = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from((255, 256, 257, 511, 512, 513, 2 ** 17)))
+affine_fns = st.one_of(
+    st.builds(Const, affine_offsets),
+    st.just(Identity()),
+    st.builds(Affine, st.integers(0, 80), affine_offsets),
+    st.builds(lambda c, o: Shift(Const(c), o), affine_offsets,
+              st.integers(0, 3)),
+)
+
+
+@given(st.one_of(affine_fns, count_fns()),
+       st.builds(Budget, st.sampled_from((8, 9)),
+                 st.sampled_from((0, 1, 2, DEFAULT_MAX_CALLS))),
+       st.one_of(st.just(0), st.integers(0, 300)))
+@settings(max_examples=500, deadline=None)
+def test_evaluate_prefix_is_evaluate_each_cut_at_the_marker(f, budget, count):
+    want, _ = bulk_prefix(f, budget, count)
+    assert evaluate_prefix(f, count, budget) == want
+
+
+@pytest.mark.parametrize("f", [Const(3), Affine(2, 1), Shift(Const(1), 1),
+                               Table((1, 2)), staged(Identity())])
+def test_evaluate_prefix_refuses_a_negative_count(f):
+    assert evaluate_prefix(f, 0) == []
+    with pytest.raises(ValueError):
+        evaluate_prefix(f, -1)
 
 
 @pytest.mark.parametrize("f,budget,stage_at", [

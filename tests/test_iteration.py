@@ -166,18 +166,22 @@ def test_trace_csv_format():
 
 
 # The per-row formatter trace.csv was first written with; write_trace_csv
-# must reproduce its bytes.
+# must reproduce its bytes.  Each column is computed here from the recorded
+# arrays, so a column the trace shares with another is checked as well.
 
 
 def trace_csv_ref(trace: Trace) -> str:
     def fmt(x):
         return format(float(x), ".17g")
 
-    dist_s = trace.dist_s
-    dist_t = trace.dist_target
-    dz = trace.dz
-    res_n = trace.res_jn
-    res_f = trace.res_j
+    def dist(p):
+        return None if p is None else np.linalg.norm(trace.z - p, axis=1)
+
+    dist_s = dist(trace.s)
+    dist_t = dist(trace.target)
+    dz = np.linalg.norm(np.diff(trace.z, axis=0), axis=1)
+    res_n = np.linalg.norm(trace.jn - trace.z, axis=1)
+    res_f = np.linalg.norm(trace.jfix - trace.z, axis=1)
     lines = ["n,znorm_dist_s,dz,res_Jn,res_J,dist_target"]
     for n in range(trace.horizon + 1):
         cols = [
@@ -227,6 +231,60 @@ def test_write_trace_csv_special_values():
     assert "inf" in text and "nan" in text
 
 
+def shared_trace(horizon: int, target_is_s: bool, jfix_is_jn: bool) -> Trace:
+    """A LinearPSD run whose target is s or not, and whose every c_n is 1/c
+    (so the trace keeps one resolvent array) or not."""
+    op = LinearPSD(matrix=((2.0, 1.0), (1.0, 3.0)))
+    cs = [0.5] * (horizon + 1) if jfix_is_jn \
+        else [0.5, 2.0] * (horizon // 2 + 1)
+    target = op.zero_set_witness if target_is_s else (0.25, -0.5)
+    return run(op, listed_c_schedule(cs, 2), (3.0, -2.0), (-1.0, 4.0),
+               horizon, c=2, target=target)
+
+
+@pytest.mark.parametrize("horizon", [_TRACE_BLOCK - 1, _TRACE_BLOCK + 1])
+@pytest.mark.parametrize("target_is_s", [True, False])
+@pytest.mark.parametrize("jfix_is_jn", [True, False])
+def test_write_trace_csv_shared_columns(horizon, target_is_s, jfix_is_jn):
+    trace = shared_trace(horizon, target_is_s, jfix_is_jn)
+    # the columns are one array exactly when they are equal by construction
+    assert (trace.res_j is trace.res_jn) == jfix_is_jn
+    assert (trace.dist_target is trace.dist_s) == target_is_s
+    assert trace_csv_text(trace) == trace_csv_ref(trace)
+
+
+@pytest.mark.parametrize("target_is_s", [True, False])
+@pytest.mark.parametrize("jfix_is_jn", [True, False])
+def test_write_trace_csv_special_values_in_shared_columns(target_is_s,
+                                                           jfix_is_jn):
+    trace = shared_trace(_TRACE_BLOCK + 1, target_is_s, jfix_is_jn)
+    z, jn = trace.z.copy(), trace.jn.copy()
+    z[3] = (np.inf, 0.0)
+    z[_TRACE_BLOCK - 1] = (np.nan, 1.0)
+    z[_TRACE_BLOCK + 1] = (np.nan, np.nan)              # the final row
+    jn[5] = (-np.inf, 2.0)
+    jn[_TRACE_BLOCK] = (np.nan, 0.0)
+    jfix = jn if jfix_is_jn else trace.jfix
+    trace = dataclasses.replace(trace, z=z, jn=jn, jfix=jfix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        text = trace_csv_text(trace)
+        assert text == trace_csv_ref(trace)
+    assert (trace.res_j is trace.res_jn) == jfix_is_jn
+    assert (trace.dist_target is trace.dist_s) == target_is_s
+    assert "inf" in text and "nan" in text
+
+
+def test_trace_columns_are_computed_once():
+    trace = quadratic_trace(20)
+    for name in ("dz", "w", "gap", "res_jn", "res_j", "dist_s",
+                 "dist_target"):
+        assert getattr(trace, name) is getattr(trace, name)
+    # a replaced trace computes its columns afresh
+    moved = dataclasses.replace(trace, z=trace.z + 1.0)
+    assert not np.array_equal(moved.dist_s, trace.dist_s)
+    assert moved.dz is not trace.dz
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @settings(max_examples=500)
 def test_percent_format_is_format_17g(x):
@@ -264,6 +322,55 @@ def test_empirical_metastability_borderline_diameter():
     assert empirical_metastability(pts, 0, Const(2)) == 0
     pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]])
     assert empirical_metastability(pts, 0, Const(2)) is None
+    # radius 0.6 from the first row, in the band at tau = 1; diameter 1.2
+    pts = np.array([[0.0, 0.0], [-0.6, 0.0], [0.6, 0.0]])
+    assert empirical_metastability(pts, 0, Const(2)) is None
+    assert not _window_diameter(pts, 0, 2, 1.0)
+    assert _window_diameter(pts, 0, 2, 1.2)
+
+
+def test_window_with_nan_never_fits():
+    nan = np.nan
+    z = np.array([[nan, 0.0], [nan, 0.0], [3.0, 0.0]])
+    for lo, hi in ((0, 0), (0, 1), (1, 2), (0, 2)):
+        assert not _window_diameter(z, lo, hi, 0.5)
+        assert not window_fits_ref(z, lo, hi, 0.5)
+    assert empirical_metastability(z, 0, Const(0)) == 2
+    assert empirical_metastability(z, 0, Const(1)) is None
+    # a NaN past the anchor row, in the borderline band and beyond it
+    z = np.array([[0.0, 0.0], [0.3, 0.0], [0.3, nan], [0.0, 0.0]])
+    assert empirical_metastability(z, 0, Const(1)) == 0
+    assert empirical_metastability(z, 0, Const(2)) is None
+    assert not _window_diameter(z, 0, 3, 1e300)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_window_diameter_matches_pairwise_loop(data):
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(1, 12))
+    z = data.draw(arrays(float, (rows, dim), elements=st.floats(-2.0, 2.0),
+                         fill=st.nothing()))
+    lo = data.draw(st.integers(0, rows - 1))
+    hi = data.draw(st.integers(lo, rows - 1))
+    special = data.draw(st.sampled_from((None, None, np.nan, np.inf)))
+    if special is not None:
+        z[data.draw(st.integers(lo, hi)), data.draw(st.integers(0, dim - 1))] \
+            = special
+    # tau (1/(k+1) in the searches, so finite) at the radius from z[lo],
+    # which puts the window in the borderline band, at an exact pairwise
+    # distance or just below it, or drawn
+    seg = z[lo:hi + 1]
+    with np.errstate(invalid="ignore"):
+        dists = [float(np.linalg.norm(a - b)) for a in seg for b in seg]
+        radius = max(float(np.linalg.norm(a - seg[0])) for a in seg)
+    at = st.sampled_from([d for d in dists if np.isfinite(d)] or [0.0])
+    below = at.map(lambda d: float(np.nextafter(d, 0.0)))
+    tau = data.draw(st.one_of(st.just(radius if np.isfinite(radius) else 0.0),
+                              at, below, st.floats(0.0, 5.0)))
+    with np.errstate(invalid="ignore"):
+        assert _window_diameter(z, lo, hi, tau) \
+            == window_fits_ref(z, lo, hi, tau)
 
 
 def test_empirical_window_index():
@@ -285,8 +392,18 @@ def test_searches_propagate_budget():
 
 
 # The per-n loops the two searches were first written as, one fresh
-# evaluate per candidate.  The searches must agree with them, index and
-# marker stage alike.
+# evaluate per candidate, over the literal pairwise diameter loop.  The
+# searches must agree with them, index and marker stage alike.
+
+
+def window_fits_ref(z, lo, hi, tau):
+    """Is every pairwise distance in z[lo..hi] at most tau?  Row by row,
+    each row against the rows after it; a NaN distance is over tau."""
+    seg = z[lo:hi + 1]
+    for i in range(seg.shape[0]):
+        if not float(np.max(np.linalg.norm(seg[i:] - seg[i], axis=1))) <= tau:
+            return False
+    return True
 
 
 def metastability_ref(z, k, f, budget=None):
@@ -298,7 +415,7 @@ def metastability_ref(z, k, f, budget=None):
             raise BudgetExceededError(fv.stage)
         if n + fv.value > last:
             continue
-        if _window_diameter(z, n, n + fv.value, tau):
+        if window_fits_ref(z, n, n + fv.value, tau):
             return n
     return None
 
@@ -375,8 +492,9 @@ def test_searches_stop_at_marker_or_witness(values, want):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_searches_match_per_n_loops_on_drawn_cases(data):
-    values = data.draw(arrays(float, st.integers(1, 40),
-                              elements=st.floats(0.0, 2.0)))
+    values = data.draw(arrays(float, st.integers(1, 40), elements=st.one_of(
+        st.floats(0.0, 2.0), st.sampled_from((np.nan, np.inf))),
+        fill=st.floats(0.0, 2.0)))
     f = data.draw(st.one_of(
         st.builds(Const, st.integers(0, 300)),
         st.just(Identity()),
@@ -387,7 +505,8 @@ def test_searches_match_per_n_loops_on_drawn_cases(data):
     ))
     budget = data.draw(st.builds(Budget, st.integers(8, 10),
                                  st.sampled_from((0, 1, 10 ** 7))))
-    assert_searches_match(values, data.draw(st.integers(0, 3)), f, budget)
+    with np.errstate(invalid="ignore"):
+        assert_searches_match(values, data.draw(st.integers(0, 3)), f, budget)
 
 
 # --- diagnostics -----------------------------------------------------------------
