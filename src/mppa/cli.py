@@ -20,7 +20,7 @@ from typing import Optional
 from . import bounds
 from .config import ConfigError, ExperimentConfig, parse_config, parse_fspec, \
     render_fspec
-from .countfn import BoundValue, BudgetExceededError, evaluate
+from .countfn import BoundValue, BudgetExceededError, CountFn, evaluate
 from .iteration import (Trace, asymptotic_residuals, boundedness_check,
                         empirical_metastability, empirical_window_index,
                         gap_decrease_check, recurrence_check,
@@ -155,18 +155,51 @@ def _judged(search, values, k: int, f, bv: BoundValue, budget) -> list:
             _verdict(emp, bv, f, values.shape[0] - 1, budget)]
 
 
+class _Watched(CountFn):
+    """f, noting whether an evaluation read it: called it or asked for its
+    affine form.  A call goes straight to f, so the ticks are f's own."""
+
+    def __init__(self, f: CountFn):
+        self.f = f
+        self.read = False
+
+    def __call__(self, n: int, state) -> int:
+        self.read = True
+        return self.f(n, state)
+
+    def affine_form(self):
+        self.read = True
+        return self.f.affine_form()
+
+
+def _for_f(unread: dict, name: str, f: CountFn, bound):
+    """bound(f); or, when bound gave unread[name] for an earlier f without
+    reading it, that value, which no other f can change."""
+    if name in unread:
+        return unread[name]
+    watched = _Watched(f)
+    value = bound(watched)
+    if not watched.read:
+        unread[name] = value
+    return value
+
+
 def _property_rows(trace, cfg: ExperimentConfig, budget) -> tuple:
     """The rows of metastability.csv and of asymptotic.csv, for each k and
     f of the config (and each residual in the latter)."""
     meta_rows, res_rows = [], []
     curves = asymptotic_residuals(trace)
     for k in cfg.run.ks:
+        unread = {}
         for spec in cfg.run.fspecs:
             f = parse_fspec(spec)
-            bv = bounds.phi(k, f, cfg.moduli, budget=budget)
+            bv = _for_f(unread, "phi", f, lambda g: bounds.phi(
+                k, g, cfg.moduli, budget=budget))
             meta_rows.append([str(k), spec] + _judged(
                 empirical_metastability, trace.z, k, f, bv, budget))
-            triple = bounds.res_bounds(k, f, cfg.moduli, budget=budget)
+            triple = _for_f(unread, "res_bounds", f, lambda g:
+                            bounds.res_bounds(k, g, cfg.moduli,
+                                              budget=budget))
             for name, bv in zip(("dz", "res_Jn", "res_J"), triple):
                 res_rows.append([name, str(k), spec] + _judged(
                     empirical_window_index, curves[name], k, f, bv, budget))
@@ -248,16 +281,19 @@ def run_experiment(cfg: ExperimentConfig) -> Experiment:
     schedule = cfg.iteration.build()
     horizon = cfg.run.horizon
 
+    snapshot = schedule.snapshot(horizon)
+
     report = None
     if horizon >= 1:
         report = validate_moduli(schedule, moduli, horizon, budget=budget,
-                                 k_cap=max(cfg.run.ks, default=0) + 16)
+                                 k_cap=max(cfg.run.ks, default=0) + 16,
+                                 snapshot=snapshot)
         if not report.ok:
             return Experiment(report, None, [], [], [])
 
     trace = run(cfg.problem.build(), schedule, cfg.iteration.u,
                 cfg.iteration.z0, horizon, c=moduli.c, s=cfg.problem.s,
-                target=cfg.problem.target)
+                target=cfg.problem.target, snapshot=snapshot)
     meta_rows, res_rows = [], []
     if horizon >= 1:
         meta_rows, res_rows = _property_rows(trace, cfg, budget)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, TextIO
 
 import numpy as np
@@ -99,12 +99,14 @@ class Trace:
 
 
 def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
-        c: int = 1, s=None, target=None) -> Trace:
+        c: int = 1, s=None, target=None,
+        snapshot: Optional[tuple] = None) -> Trace:
     """Run the iteration for `horizon` steps, recording iterates 0..horizon.
 
     `c` is the integer reciprocal floor of the parameter sequence; the fixed
     residual column uses the resolvent at 1/c.  `s` defaults to the
     operator's zero-set witness and is only used for distance reporting.
+    `snapshot` is schedule.snapshot(horizon), when the caller has it.
     Raises ValueError at the first n < horizon with delta_n <= 0 or any
     n <= horizon with c_n not finite and positive, and when an iterate is
     not finite.
@@ -120,7 +122,9 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     s_pt = op.zero_set_witness if s is None else as_point(s)
     t_pt = None if target is None else as_point(target)
 
-    lam, gam, delta, cs, errs = schedule.snapshot(horizon)
+    if snapshot is None:
+        snapshot = schedule.snapshot(horizon)
+    lam, gam, delta, cs, errs = snapshot
     bad = ~((0 < cs) & (cs < np.inf))
     bad[:horizon] |= ~(delta[:horizon] > 0)
     if bad.any():
@@ -343,8 +347,199 @@ def gap_decrease_check(trace: Trace, nu_values: dict) -> list:
 
 _TRACE_HEADER = "n,znorm_dist_s,dz,res_Jn,res_J,dist_target\n"
 
-# Rows per %-format in write_trace_csv.
-_TRACE_BLOCK = 1024
+# Rows per block in write_trace_csv: it bounds the block's temporaries.
+_TRACE_BLOCK = 512
+
+# The reals _format_reals spells out itself, 1e-10 <= |x| < 1e16; the
+# others (zeros, NaN, infinities, the rest) go through '%.17g' % x.  On
+# this range the scale 10^p has p <= 27, so 5^p fits in 64 bits.
+_REAL_MIN, _REAL_MAX = 1e-10, 1e16
+# Bytes per formatted real, NUL-padded: '%.17g' writes at most 24.
+_FIELD = 24
+
+_U = np.uint64
+_LO32, _32 = _U(0xFFFFFFFF), _U(32)
+_POW5 = np.array([5 ** p for p in range(28)], dtype=_U)
+_E16, _E17 = _U(10 ** 16), _U(10 ** 17)
+# A real's source row: five words of four digits (its 17 digits after
+# three leading zeros), then the other characters a field may take.
+_CONSTS = b".-e0123456789\0\0\0"
+_SOURCE = 20 + len(_CONSTS)
+# Fields per gather in _format_reals: a field's positions take 8 bytes
+# each.
+_GATHER = 512
+
+
+def _times_pow5(m: np.ndarray, p: np.ndarray) -> tuple:
+    """m 5^p as its (low, high) uint64 limbs, for uint64 m < 2^53 and
+    0 <= p <= 27, from products of 32-bit halves."""
+    fl = _POW5[p]
+    fh = fl >> _32
+    fl &= _LO32
+    ml, mh = m & _LO32, m >> _32
+    lo, hi = ml * fl, mh * fh
+    ml *= fh                                # the cross products
+    mh *= fl
+    mid = (lo >> _32) + (ml & _LO32) + (mh & _LO32)
+    lo &= _LO32
+    lo |= mid << _32
+    hi += (ml >> _32) + (mh >> _32) + (mid >> _32)
+    return lo, hi
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, p: np.ndarray) -> tuple:
+    """floor(m 2^e 10^p) and whether rounding it half-to-even goes up, for
+    uint64 m < 2^53 and int64 e and p with 0 <= p <= 27, e + p > -64 and
+    a floor below 2^64.
+
+    Every operand is uint64: numpy 1.26 makes uint64 with int64 a float64.
+    """
+    lo, hi = _times_pow5(m, p)
+    shift = e + p
+    np.negative(shift, out=shift)
+    left = np.flatnonzero(shift <= 0)
+    by = (-shift[left]).astype(_U)
+    shift[left] = 1
+    r = shift.view(_U)
+    q = lo >> r
+    q |= hi << (_U(64) - r)
+    # a left shift is exact: m 5^p is then below 2^64, in lo
+    q[left] = lo[left] << by
+    lo &= (_U(1) << r) - _U(1)              # the bits shifted out
+    half = _U(1) << (r - _U(1))
+    up = lo > half
+    tie = np.flatnonzero(lo == half)
+    up[tie] = q[tie] & _U(1)
+    up[left] = False
+    return q, up
+
+
+def _decimal(a: np.ndarray) -> tuple:
+    """(D, d) with D = round-half-even(a 10^(16-d)) in [10^16, 10^17), the
+    17 significant digits of '%.17g' % a, for doubles a on the range, and
+    d its decimal exponent."""
+    bits = a.view(_U)
+    m = bits & _U((1 << 52) - 1)
+    m |= _U(1 << 52)
+    e = (bits >> _U(52)).view(np.int64)
+    e -= 1075
+    d = np.log10(a)
+    d = np.floor(d, out=d).astype(np.int64)
+    q, up = _scaled(m, e, 16 - d)
+    # log10 may miss the exponent by one next to a power of ten.  The
+    # truncated product tells which way: 10^d <= a exactly when it reaches
+    # 10^16, whichever way it then rounds.
+    off = (q >= _E17).astype(np.int64) - (q < _E16)
+    miss = np.flatnonzero(off)
+    if miss.size:
+        d[miss] += off[miss]
+        q[miss], up[miss] = _scaled(m[miss], e[miss], 16 - d[miss])
+    # no double on the range lies within half a unit of the 17th digit
+    # below a power of ten, so rounding never carries into the next decade
+    q += up
+    return q, d
+
+
+@cache
+def _digit_tables() -> tuple:
+    """(digits, trailing) for 0 <= g < 10^4: digits[g] is g as four ASCII
+    digits, read as one uint32, and trailing[g] counts their trailing
+    zeros."""
+    spelt = ["%04d" % g for g in range(10000)]
+    digits = np.frombuffer("".join(spelt).encode(), dtype=np.uint32)
+    trailing = np.frombuffer(bytes(4 - len(g.rstrip("0")) for g in spelt),
+                             dtype=np.uint8)
+    return digits, trailing
+
+
+@cache
+def _layout() -> np.ndarray:
+    """Positions in a real's source row of '%.17g''s field, NUL-padded to
+    _FIELD, at row ((d + 10) 17 + nsig - 1) 2 + sign for the exponent d
+    in [-10, 15], the significant digit count nsig in 1..17 and the sign.
+
+    %g's rules: fixed notation when -4 <= d < 17, otherwise d.ddde-XX;
+    trailing zeros dropped, and the point when no fraction is left.
+    """
+    const = {chr(c): 20 + i for i, c in enumerate(_CONSTS)}
+    table = np.full((26, 17, 2, _FIELD), const["\0"], dtype=np.uint8)
+    for d in range(-10, 16):
+        for nsig in range(1, 18):
+            digits = list(range(3, 3 + nsig))
+            if d >= 0:
+                field = list(range(3, 3 + max(d + 1, nsig)))
+                if nsig > d + 1:
+                    field.insert(d + 1, const["."])
+            elif d >= -4:
+                field = [const[c] for c in "0." + "0" * (-d - 1)] + digits
+            else:
+                field = digits[:1] + ([const["."]] + digits[1:]
+                                      if nsig > 1 else [])
+                field += [const[c] for c in "e-%02d" % -d]
+            for neg in (0, 1):
+                row = [const["-"]] * neg + field
+                table[d + 10, nsig - 1, neg, :len(row)] = row
+    return table.reshape(-1, _FIELD)
+
+
+def _format_reals(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each double v of x, as ASCII bytes NUL-padded to
+    _FIELD, one row per value."""
+    n = x.size
+    a = np.abs(x)
+    fall = np.flatnonzero(~((a >= _REAL_MIN) & (a < _REAL_MAX)))
+    a[fall] = 1.0
+    D, d = _decimal(a)
+    # D's digits in five groups: the first digit, then four of four
+    D = D.view(np.int64)
+    groups = np.empty((n, 5), dtype=np.intp)
+    groups[:, 0] = D // 10 ** 16
+    D -= groups[:, 0] * 10 ** 16
+    top = D // 10 ** 8
+    D -= top * 10 ** 8
+    groups[:, 1] = top // 10 ** 4
+    groups[:, 2] = top - groups[:, 1] * 10 ** 4
+    groups[:, 3] = D // 10 ** 4
+    groups[:, 4] = D - groups[:, 3] * 10 ** 4
+    source = np.empty((n, _SOURCE // 4), dtype=np.uint32)
+    digits, trailing = _digit_tables()
+    source[:, :5] = digits.take(groups)
+    source[:, 5:] = np.frombuffer(_CONSTS, dtype=np.uint32)
+    chars = source.view(np.uint8)
+    # the significant digits end at the last one that is not 0: in the
+    # last group, unless that group is 0
+    nsig = 17 - trailing.take(groups[:, 4])
+    zero = np.flatnonzero(groups[:, 4] == 0)
+    nsig[zero] = 17 - np.argmax(chars[zero, 19:2:-1] != ord("0"), axis=1)
+    key = ((d + 10) * 17 + nsig - 1) * 2 + (x < 0)
+    out = np.empty((n, _FIELD), dtype=np.uint8)
+    for lo in range(0, n, _GATHER):
+        at = _layout().take(key[lo:lo + _GATHER], axis=0).astype(np.intp)
+        at += np.arange(0, len(at) * _SOURCE, _SOURCE)[:, None]
+        out[lo:lo + _GATHER] = chars[lo:lo + _GATHER].ravel().take(at)
+    if fall.size:
+        text = "".join(("%.17g" % v).ljust(_FIELD, "\0")
+                       for v in x[fall].tolist())
+        out[fall] = np.frombuffer(text.encode(), dtype=np.uint8).reshape(
+            -1, _FIELD)
+    return out
+
+
+def _format_index(lo: int, hi: int) -> np.ndarray:
+    """The integers lo..hi-1 (0 <= lo < hi) in decimal, ASCII
+    right-aligned in NUL."""
+    width = len(str(hi - 1))
+    ns = np.arange(lo, hi)
+    groups = np.empty((hi - lo, -(-width // 4)), dtype=np.intp)
+    rest = ns
+    for j in range(groups.shape[1] - 1, -1, -1):
+        groups[:, j] = rest % 10000
+        rest = rest // 10000
+    chars = _digit_tables()[0].take(groups).view(np.uint8)
+    digits = 1 + np.searchsorted(10 ** np.arange(1, width), ns, side="right")
+    lead = chars.shape[1] - digits
+    chars[np.arange(chars.shape[1]) < lead[:, None]] = 0
+    return chars
 
 
 def write_trace_csv(trace: Trace, fh: TextIO) -> None:
@@ -352,42 +547,40 @@ def write_trace_csv(trace: Trace, fh: TextIO) -> None:
     with 17 significant digits; dz is empty on the final row, distance
     columns empty when undefined.
 
-    Rows go out in blocks of _TRACE_BLOCK, one %-format per block;
-    '%.17g' % x is format(x, ".17g") for every double, so the bytes do
-    not depend on the block size.  A column the trace gives twice (one
-    array, see Trace) is formatted once per block, and its strings fill
-    both slots.
+    Each real is '%.17g' % x.  Rows go out in blocks of _TRACE_BLOCK, each
+    laid out as one byte matrix of NUL-padded fields and written with the
+    NULs taken out, so the bytes do not depend on the block size.  A
+    column the trace gives twice (one array, see Trace) is formatted once
+    per block and fills both slots.
     """
     h = trace.horizon
     body = [trace.dist_s, trace.dz, trace.res_jn, trace.res_j,
             trace.dist_target]
-    final = body[:1] + [None] + body[2:]    # no dz on the final row
-    given = [c for c in body if c is not None]
-    # each distinct column, by identity, with its slots in a flat row (the
-    # index takes slot 0)
-    slots = {}
-    for j, c in enumerate(given, start=1):
-        slots.setdefault(id(c), (c, []))[1].append(j)
-
-    def spec(c) -> str:
-        if c is None:
-            return ""
-        return "%s" if len(slots[id(c)][1]) > 1 else "%.17g"
-
+    # each distinct column, by identity, and the slots it fills
+    order = {}
+    for c in body:
+        if c is not None:
+            order.setdefault(id(c), (len(order), c))
+    slots = [None if c is None else order[id(c)][0] for c in body]
+    distinct = [c for _, c in order.values()]
     fh.write(_TRACE_HEADER)
-    row = ",".join(["%d"] + [spec(c) for c in body]) + "\n"
-    width = 1 + len(given)
     for lo in range(0, h, _TRACE_BLOCK):
         hi = min(lo + _TRACE_BLOCK, h)
-        flat = [None] * ((hi - lo) * width)
-        flat[0::width] = range(lo, hi)
-        for c, js in slots.values():
-            vals = c[lo:hi].tolist()
-            if len(js) > 1:
-                vals = ("%.17g\n" * (hi - lo) % tuple(vals)).splitlines()
-            for j in js:
-                flat[j::width] = vals
-        fh.write(row * (hi - lo) % tuple(flat))
-    last = ["" if c is None else "%.17g" for c in final]
-    values = [h] + [float(c[h]) for c in final if c is not None]
-    fh.write(",".join(["%d"] + last) % tuple(values) + "\n")
+        fields = _format_reals(
+            np.stack([c[lo:hi] for c in distinct]).ravel()
+        ).reshape(len(distinct), hi - lo, _FIELD)
+        index = _format_index(lo, hi)
+        at = index.shape[1]
+        rows = np.zeros((hi - lo, at + len(body) * (1 + _FIELD) + 1),
+                        dtype=np.uint8)
+        rows[:, :at] = index
+        for j in slots:
+            rows[:, at] = ord(",")
+            if j is not None:
+                rows[:, at + 1:at + 1 + _FIELD] = fields[j]
+            at += 1 + _FIELD
+        rows[:, at] = ord("\n")
+        fh.write(rows[rows != 0].tobytes().decode("ascii"))
+    final = body[:1] + [None] + body[2:]    # no dz on the final row
+    fh.write(",".join([str(h)] + ["" if c is None else "%.17g" % float(c[h])
+                                  for c in final]) + "\n")

@@ -92,22 +92,26 @@ class Schedule:
     c: object
     error: object
 
-    def snapshot(self, horizon: int):
-        """Vectorized parameters: scalars for n = 0..horizon, errors for
-        n = 0..horizon-1."""
+    def scalars(self, horizon: int) -> tuple:
+        """(lam, gam, delta, cs) for n = 0..horizon."""
         count = horizon + 1
         lam = self.lam.values(count)
         gam = self.gamma.values(count)
-        delta = 1.0 - lam - gam
-        cs = self.c.values(count)
-        errs = self.error.values(max(horizon, 0))
-        return lam, gam, delta, cs, errs
+        return lam, gam, 1.0 - lam - gam, self.c.values(count)
+
+    def snapshot(self, horizon: int) -> tuple:
+        """Vectorized parameters: scalars for n = 0..horizon, errors for
+        n = 0..horizon-1."""
+        return self.scalars(horizon) + (self.error.values(max(horizon, 0)),)
 
 
 def validate_schedule(schedule: Schedule, horizon: int) -> list:
     """All of lambda, gamma, delta must lie in (0, 1) and c must be positive
     and finite up to the horizon; returns located violation messages."""
-    lam, gam, delta, cs, _ = schedule.snapshot(horizon)
+    return _schedule_problems(*schedule.scalars(horizon))
+
+
+def _schedule_problems(lam, gam, delta, cs) -> list:
     problems = []
     for name, arr in (("lambda", lam), ("gamma", gam), ("delta", delta)):
         bad = np.nonzero((arr <= 0) | (arr >= 1))[0]
@@ -203,17 +207,21 @@ def _as_floats(values: list) -> np.ndarray:
 
 def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
                     budget: Optional[Budget] = None,
-                    k_cap: Optional[int] = None) -> ModuliReport:
+                    k_cap: Optional[int] = None,
+                    snapshot: Optional[tuple] = None) -> ModuliReport:
     """Check the quantitative hypotheses against the schedule up to the
     horizon.  k ranges over [0, k_cap] (default: the horizon); hypotheses
     whose relevant index lies beyond the horizon are vacuous at that k.
+    `snapshot` is schedule.snapshot(horizon), when the caller has it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if k_cap is None:
         k_cap = horizon
-    lam, gam, delta, cs, errs = schedule.snapshot(horizon)
-    violations = list(validate_schedule(schedule, horizon))
+    if snapshot is None:
+        snapshot = schedule.snapshot(horizon)
+    lam, gam, delta, cs, errs = snapshot
+    violations = _schedule_problems(lam, gam, delta, cs)
 
     # suffix maxima make each rate check O(1) per k
     lam_sufmax = np.maximum.accumulate(lam[::-1])[::-1]

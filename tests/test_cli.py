@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,14 @@ import pytest
 
 from mppa import bounds, refeval
 from mppa.acceptance import _T1
-from mppa.cli import _NEEDS_F, BOUND_NAMES, _check_rows, main
-from mppa.config import count_fn, render_fspec
+from mppa.cli import (_NEEDS_F, BOUND_NAMES, _check_rows, _property_rows,
+                      _Watched, main)
+from mppa.config import count_fn, parse_config, parse_fspec, render_fspec
+from mppa.countfn import Affine, evaluate
 from mppa.iteration import run
 from mppa.operators import QuadraticProx
-from mppa.schedules import ConstantSeq, derive_constants
+from mppa.schedules import (ConstantSeq, GeometricError, Schedule,
+                            derive_constants)
 
 HEADERS = {
     "trace.csv": "n,znorm_dist_s,dz,res_Jn,res_J,dist_target",
@@ -342,6 +346,63 @@ def test_run_writes_golden_bytes(tmp_path, name):
     got = {csv: hashlib.sha256((out / csv).read_bytes()).hexdigest()
            for csv in GOLDEN[name]}
     assert got == GOLDEN[name]
+
+
+def test_run_takes_one_schedule_snapshot(tmp_path, monkeypatch):
+    """The moduli checks and the iteration share one snapshot of the
+    schedule, so the error vectors are computed once per run; the config
+    check reads the scalar parameters only."""
+    calls = Counter()
+    for cls, name in ((Schedule, "snapshot"), (GeometricError, "values")):
+        def counted(self, *args, real=getattr(cls, name),
+                    key=f"{cls.__name__}.{name}"):
+            calls[key] += 1
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    cfg = write_cfg(tmp_path, GENERATED["box_projection_0"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"Schedule.snapshot": 1, "GeometricError.values": 1}
+
+
+@pytest.mark.parametrize("read", [lambda f: evaluate(f, 3),
+                                  lambda f: f.affine_form()])
+def test_watched_notes_a_call_and_an_affine_form(read):
+    f = _Watched(Affine(2, 1))
+    assert not f.read
+    assert read(f) == read(Affine(2, 1))
+    assert f.read
+
+
+@pytest.mark.parametrize("a, reads_f", [(2, False), (1, True)])
+def test_property_rows_evaluate_a_bound_per_f_only_when_it_reads_f(
+        monkeypatch, config_b_text, a, reads_f):
+    # experiment B's moduli: phi and the residual bounds are markers that
+    # fire before f is read; with a = 1 the residual bounds read f
+    cfg = parse_config(config_b_text.replace("a = 2", f"a = {a}"))
+    budget = cfg.budget()
+    trace = run(cfg.problem.build(), cfg.iteration.build(), cfg.iteration.u,
+                cfg.iteration.z0, cfg.run.horizon, c=cfg.moduli.c,
+                s=cfg.problem.s, target=cfg.problem.target)
+    real = {name: getattr(bounds, name) for name in ("phi", "res_bounds")}
+    calls = Counter()
+    for name, fn in real.items():
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+    meta_rows, res_rows = _property_rows(trace, cfg, budget)
+    ks, fs = len(cfg.run.ks), len(cfg.run.fspecs)
+    assert calls == {"phi": ks, "res_bounds": ks * (fs if reads_f else 1)}
+    # each row's bound is what its own (k, f) gives
+    for k, spec, _, bound, _ in meta_rows:
+        assert bound == real["phi"](int(k), parse_fspec(spec), cfg.moduli,
+                                    budget=budget).render()
+    for i, (name, k, spec, _, bound, _) in enumerate(res_rows):
+        triple = real["res_bounds"](int(k), parse_fspec(spec), cfg.moduli,
+                                    budget=budget)
+        assert bound == triple[i % 3].render()
+    exact = sum(row[5] != "BOUND_INCOMPUTABLE" for row in res_rows)
+    assert (exact > 0) == reads_f
 
 
 def test_run_with_cmaj_past_float_range(tmp_path, config_a_text):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from mppa import bounds
 from mppa.config import parse_fspec
 from mppa.countfn import (Affine, Budget, BudgetExceededError, Closure, Const,
                           Identity, Table, evaluate)
-from mppa.iteration import (_TRACE_BLOCK, Trace, _window_diameter,
+from mppa.iteration import (_REAL_MAX, _REAL_MIN, _TRACE_BLOCK, Trace,
+                            _format_reals, _window_diameter,
                             asymptotic_residuals, boundedness_check,
                             empirical_metastability, empirical_window_index,
                             gap_decrease_check, recurrence_check,
@@ -170,6 +173,17 @@ def test_trace_csv_format():
 # arrays, so a column the trace shares with another is checked as well.
 
 
+def assert_same_csv(got: str, want: str) -> None:
+    """got == want, reporting the first line that differs rather than a
+    diff of two texts of a megabyte."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            pytest.fail(f"line {i} differs:\n  got  {g!r}\n  want {w!r}")
+    if len(got_lines) != len(want_lines):
+        pytest.fail(f"{len(got_lines)} lines, want {len(want_lines)}")
+
+
 def trace_csv_ref(trace: Trace) -> str:
     def fmt(x):
         return format(float(x), ".17g")
@@ -206,16 +220,21 @@ def run_config(cfg) -> Trace:
 def test_write_trace_csv_matches_row_formatter_on_shipped_configs(name,
                                                                   request):
     trace = run_config(request.getfixturevalue(name))
-    assert trace_csv_text(trace) == trace_csv_ref(trace)
+    assert_same_csv(trace_csv_text(trace), trace_csv_ref(trace))
 
 
-@pytest.mark.parametrize("horizon", [0, 1, _TRACE_BLOCK - 1, _TRACE_BLOCK,
-                                     _TRACE_BLOCK + 1, 2 * _TRACE_BLOCK + 1])
+# Horizons at the edges of one, two and four blocks of rows.
+BLOCK_EDGES = [0, 1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
+               2 * _TRACE_BLOCK - 1, 2 * _TRACE_BLOCK, 2 * _TRACE_BLOCK + 1,
+               4 * _TRACE_BLOCK + 1]
+
+
+@pytest.mark.parametrize("horizon", BLOCK_EDGES)
 @pytest.mark.parametrize("drop", [(), ("s",), ("target",), ("s", "target")])
 def test_write_trace_csv_matches_row_formatter(horizon, drop):
     trace = dataclasses.replace(quadratic_trace(horizon),
                                 **{name: None for name in drop})
-    assert trace_csv_text(trace) == trace_csv_ref(trace)
+    assert_same_csv(trace_csv_text(trace), trace_csv_ref(trace))
 
 
 def test_write_trace_csv_special_values():
@@ -227,7 +246,7 @@ def test_write_trace_csv_special_values():
     trace = dataclasses.replace(trace, z=z)
     with np.errstate(over="ignore", invalid="ignore"):
         text = trace_csv_text(trace)
-        assert text == trace_csv_ref(trace)
+        assert_same_csv(text, trace_csv_ref(trace))
     assert "inf" in text and "nan" in text
 
 
@@ -242,7 +261,9 @@ def shared_trace(horizon: int, target_is_s: bool, jfix_is_jn: bool) -> Trace:
                horizon, c=2, target=target)
 
 
-@pytest.mark.parametrize("horizon", [_TRACE_BLOCK - 1, _TRACE_BLOCK + 1])
+@pytest.mark.parametrize("horizon", [_TRACE_BLOCK - 1, _TRACE_BLOCK + 1,
+                                     2 * _TRACE_BLOCK - 1,
+                                     2 * _TRACE_BLOCK + 1])
 @pytest.mark.parametrize("target_is_s", [True, False])
 @pytest.mark.parametrize("jfix_is_jn", [True, False])
 def test_write_trace_csv_shared_columns(horizon, target_is_s, jfix_is_jn):
@@ -250,7 +271,7 @@ def test_write_trace_csv_shared_columns(horizon, target_is_s, jfix_is_jn):
     # the columns are one array exactly when they are equal by construction
     assert (trace.res_j is trace.res_jn) == jfix_is_jn
     assert (trace.dist_target is trace.dist_s) == target_is_s
-    assert trace_csv_text(trace) == trace_csv_ref(trace)
+    assert_same_csv(trace_csv_text(trace), trace_csv_ref(trace))
 
 
 @pytest.mark.parametrize("target_is_s", [True, False])
@@ -268,7 +289,7 @@ def test_write_trace_csv_special_values_in_shared_columns(target_is_s,
     trace = dataclasses.replace(trace, z=z, jn=jn, jfix=jfix)
     with np.errstate(over="ignore", invalid="ignore"):
         text = trace_csv_text(trace)
-        assert text == trace_csv_ref(trace)
+        assert_same_csv(text, trace_csv_ref(trace))
     assert (trace.res_j is trace.res_jn) == jfix_is_jn
     assert (trace.dist_target is trace.dist_s) == target_is_s
     assert "inf" in text and "nan" in text
@@ -289,6 +310,127 @@ def test_trace_columns_are_computed_once():
 @settings(max_examples=500)
 def test_percent_format_is_format_17g(x):
     assert "%.17g" % x == format(x, ".17g")
+
+
+# --- the real formatter of trace.csv ---------------------------------------------
+
+
+def assert_formats_as_17g(values) -> None:
+    """_format_reals spells each value as '%.17g' does."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    got = [bytes(row).rstrip(b"\0").decode() for row in _format_reals(x)]
+    for v, g in zip(x.tolist(), got):
+        if g != "%.17g" % v:
+            pytest.fail(f"{v!r}: got {g!r}, want {'%.17g' % v!r}")
+
+
+def both_signs(values) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64)
+    return np.concatenate([x, -x])
+
+
+def test_format_reals_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    anywhere = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+    # binary exponents -34..53 span the kernel's range, 1e-10 <= |x| < 1e16
+    exponent = rng.integers(1023 - 34, 1023 + 54, 100_000, dtype=np.uint64)
+    mantissa = rng.integers(0, 2 ** 52, 100_000, dtype=np.uint64)
+    sign = rng.integers(0, 2, 100_000, dtype=np.uint64)
+    in_range = (sign << np.uint64(63)) | (exponent << np.uint64(52)) \
+        | mantissa
+    assert_formats_as_17g(np.concatenate([anywhere, in_range]).view(float))
+
+
+def test_format_reals_exact_ties():
+    # x = j / 2^(p+1) with j odd has x 10^p = j 5^p / 2, exactly halfway
+    # between two 17-digit integers when 10^(16-p) <= x < 10^(17-p)
+    rng = np.random.default_rng(21)
+    ties = []
+    for p in range(1, 24):
+        lo = -(-2 ** (p + 1) * 10 ** 16 // 10 ** p)
+        hi = min(-(-2 ** (p + 1) * 10 ** 17 // 10 ** p), 2 ** 53)
+        js = [int(j) | 1 for j in rng.integers(lo, hi - 1, 400)] \
+            + [lo | 1, (hi - 2) | 1]
+        for j in js:
+            scaled = Fraction(j, 2 ** (p + 1)) * 10 ** p
+            assert 10 ** 16 <= scaled < 10 ** 17 and scaled.denominator == 2
+        ties += [j / 2 ** (p + 1) for j in js]
+    assert_formats_as_17g(both_signs(ties))
+
+
+def test_format_reals_powers_of_ten_and_neighbours():
+    near = []
+    for e in range(-11, 18):
+        up = down = 10.0 ** e
+        for _ in range(40):
+            near += [up, down]
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+    assert_formats_as_17g(both_signs(near))
+
+
+def test_format_reals_values_that_round_into_the_next_decade():
+    # the doubles nearest 9.99...9e(e) with 15 to 21 nines lie at or just
+    # below 10^(e+1), where the 17th digit decides the decade
+    nines = [float("9." + "9" * n + f"e{e}")
+             for e in range(-11, 17) for n in range(14, 21)]
+    assert_formats_as_17g(both_signs(nines))
+
+
+def test_no_real_in_range_rounds_into_the_next_decade():
+    """Below each power of ten the kernel's range reaches, the largest
+    double is more than half a unit of the 17th digit away: the rounded
+    digits D never carry to 10^17."""
+    for k in range(round(math.log10(_REAL_MIN)) + 1,
+                   round(math.log10(_REAL_MAX)) + 1):
+        power = Fraction(10) ** k
+        below = float(power)
+        while Fraction(below) >= power:
+            below = math.nextafter(below, 0.0)
+        assert power - Fraction(below) > Fraction(10) ** (k - 17) / 2
+
+
+def test_format_reals_between_two_to_the_52_and_1e16():
+    rng = np.random.default_rng(22)
+    whole = rng.integers(2 ** 52, 10 ** 16, 20_000).astype(float)
+    edges = [2.0 ** 52 + k for k in range(-8, 9)] \
+        + [2.0 ** 53 + 2 * k for k in range(-8, 9)] \
+        + [1e16 - 2 * k for k in range(1, 9)]
+    halves = 2.0 ** 52 - rng.integers(0, 2 ** 20, 2000) - 0.5
+    assert_formats_as_17g(both_signs(np.concatenate([whole, edges, halves])))
+
+
+def test_format_reals_fallback_edges():
+    edges = []
+    for x in (_REAL_MIN, _REAL_MAX):
+        up = down = x
+        for _ in range(4):
+            edges += [up, down]
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                1.7976931348623157e308, np.inf, np.nan]
+    assert_formats_as_17g(both_signs(edges + specials))
+
+
+def test_write_trace_csv_special_values_at_block_edges():
+    h = 2 * _TRACE_BLOCK + 1
+    trace = quadratic_trace(h)
+    specials = [0.0, -0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf, 1e-11]
+    edges = [0, 1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
+             2 * _TRACE_BLOCK - 1, 2 * _TRACE_BLOCK, h]
+    columns = {}
+    for j, name in enumerate(("dist_s", "dz", "res_jn", "res_j",
+                              "dist_target")):
+        col = getattr(trace, name).copy()
+        for i, n in enumerate(edges):
+            col[min(n, col.size - 1)] = specials[(i + j) % len(specials)]
+        # a cached column, as Trace computes it on first use
+        trace.__dict__[name] = columns[name] = col
+    lines = ["n,znorm_dist_s,dz,res_Jn,res_J,dist_target"]
+    for n in range(h + 1):
+        lines.append(",".join([str(n)] + [
+            "" if name == "dz" and n == h else format(float(c[n]), ".17g")
+            for name, c in columns.items()]))
+    assert_same_csv(trace_csv_text(trace), "\n".join(lines) + "\n")
 
 
 # --- empirical searches ---------------------------------------------------------
