@@ -754,6 +754,59 @@ def test_suite_results_are_pinned(lemma, trials):
         == SUITE_DIGESTS[lemma, trials]
 
 
+def _drawn(arg) -> str:
+    """An argument a suite passes to its decision, as text that does not
+    depend on how the oracle stores it."""
+    if isinstance(arg, BoundedSeq):
+        return repr(("seq", [str(Fraction(x)) for x in arg.values],
+                     int(arg.bound)))
+    if isinstance(arg, SyntheticPair):
+        z, w = arg.rows(16)
+        return repr(("pair", arg.a, arg.alpha, z.tolist(), w.tolist()))
+    if isinstance(arg, (list, tuple)):
+        return repr([_drawn(x) for x in arg])
+    return repr(arg)
+
+
+# the decision each suite hands its drawn instances to
+DECISIONS = {"ratap": "ratap_witness", "limsup2": "rationalapprox2_witness",
+             "xu": "_xu_check", "suzuki1": "suzuki1_witness",
+             "suzuki2": "suzuki2_index"}
+
+# sha256 of every instance a suite draws over trials as in SUITE_DIGESTS,
+# seeds 0..59, each seed followed by the generator's state after its suite
+INSTANCE_DIGESTS = {
+    "ratap":
+        "8072c031180463d551abb543c99fe8c07a8e071dcc3c39fdc7a999289ac5773f",
+    "limsup2":
+        "c4b06def679a21360c54c002bef6a58605a1582b4554f4a778dd215dd93a81fc",
+    "xu":
+        "33e76f051bc143e44149d53d31ce8d83fdfd5265fcfd1b43f823b4eea96decaf",
+    "suzuki1":
+        "a6872225d5351b56c8e84468276898e1130b50342190cba3afb624e2c41c07b3",
+    "suzuki2":
+        "55ad14445037df7920251dee90197f43050ab025de56bfc259e0216401d5ec77",
+}
+
+
+@pytest.mark.parametrize("lemma", INSTANCE_DIGESTS)
+def test_suite_instances_are_pinned(lemma, monkeypatch):
+    # SUITE_DIGESTS holds only the verdicts: a passing suite shows nothing
+    # of what it drew.  The decision is replaced by a recorder, so this
+    # pins the draws alone.
+    lines = []
+    monkeypatch.setattr(oracle, DECISIONS[lemma],
+                        lambda *args: lines.append(_drawn(args)))
+    trials = next(t for (name, t) in SUITE_DIGESTS if name == lemma)
+    for seed in range(60):
+        rng = random.Random(seed)
+        for _ in oracle.SUITES[lemma][1](rng, trials):
+            pass
+        lines.append(repr(rng.getstate()))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == INSTANCE_DIGESTS[lemma]
+
+
 # bound in oracle's namespace -> (its start value from the arguments, the
 # suite that reads it, passes at seed 7 with the default trials).  ratap is
 # missing: its witness reads no bound, and BoundedSeq keeps every value in
