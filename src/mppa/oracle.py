@@ -7,18 +7,22 @@ rational comparison exact by comparing integer numerators over a common
 denominator: `qtXu1_check` puts s, v, r and gamma over one denominator and
 lam over its own, and its integer core `_xu_check` cross-multiplies each
 cap, transition and tolerance; the xu suite builds its instances as those
-integers and calls the core directly.  The ratap and limsup2 witnesses take
-the least cell in closed form from the numerator and denominator of the
-window's maximum.  Doubles appear only in synthetic vector pairs of finite
+integers and calls the core directly.  A `BoundedSeq` keeps its values as
+numerators over one common denominator, and the ratap and limsup2 witnesses
+take the least cell in closed form from the window's largest numerator;
+their suites build each sequence straight from numerators over lcm(1..9).
+Every suite draws its integers through `_below`, which is `randrange`'s own
+rule on `getrandbits`, so the instances are the ones `randrange` and
+`choice` draw.  Doubles appear only in synthetic vector pairs of finite
 points: they are read only as arrays of rows, gaps and surpluses, computed
-in bulk by `operators.row_norm`, which equals np.linalg.norm row by row,
-and every comparison of them is guarded by a 1e-9 slack.  A pair stops
-stepping z once z is stationary bit for bit past the explicit prefixes of
-w and alpha, and repeats that row.  A counterfunction read over a range
-of indices is read through `countfn.evaluate_each`, which gives the
-per-index values and first marker of `evaluate`.  Sequences extend beyond
-their explicit prefix by repeating the final value, which keeps every
-window well defined while staying a legitimate instance of the lemmas.
+in bulk by `operators.row_norm`, which equals np.linalg.norm row by row, and
+every comparison of them is guarded by a 1e-9 slack.  A pair stops stepping
+z once z is stationary bit for bit past the explicit prefixes of w and
+alpha, and repeats that row.  A counterfunction read over a range of indices
+is read through `countfn.evaluate_each`, which gives the per-index values
+and first marker of `evaluate`.  Sequences extend beyond their explicit
+prefix by repeating the final value, which keeps every window well defined
+while staying a legitimate instance of the lemmas.
 """
 
 from __future__ import annotations
@@ -58,41 +62,100 @@ def _bits(row: list) -> bytes:
     return np.array(row).tobytes()
 
 
+def _over(den: int, seq: tuple) -> list:
+    """The numerators of seq over den, a multiple of every denominator."""
+    return [x.numerator * (den // x.denominator) for x in seq]
+
+
+def _top(seq, lo: int, hi: int):
+    """The largest entry at [lo, hi], 0 <= lo <= hi, of seq extended by
+    repeating its last entry."""
+    return max(seq[min(lo, len(seq) - 1):hi + 1])
+
+
+def _padded(seq, size: int) -> list:
+    """The first size entries of seq extended by repeating its last one."""
+    return list(seq[:size]) + [seq[-1]] * (size - len(seq))
+
+
 # --- domain types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _natural(bound) -> int:
+    """bound as an int, when it is a natural number."""
+    if bound != int(bound) or bound < 0:
+        raise ValueError("bound must be a natural number")
+    return int(bound)
+
+
 class BoundedSeq:
-    """Finite rational sequence in [0, N], repeating its last value."""
+    """Finite rational sequence in [0, N], repeating its last value.
 
-    values: tuple
-    bound: int
+    Kept as integer numerators `nums` over one positive common denominator
+    `den`, which the witnesses read; `values`, `at` and `window` give the
+    values as Fractions.
+    """
 
-    def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("bound must be a natural number")
+    __slots__ = ("nums", "den", "bound")
+
+    def __init__(self, values, bound):
+        bound = _natural(bound)
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
-                     for v in self.values)
+                     for v in values)
         if not vals:
             raise ValueError("at least one value is required")
         for i, v in enumerate(vals):
-            if v.numerator < 0 or v.numerator > self.bound * v.denominator:
+            if v.numerator < 0 or v.numerator > bound * v.denominator:
                 raise ValueError(f"value out of [0, N] at index {i}: {v}")
-        object.__setattr__(self, "values", vals)
+        den = math.lcm(*(v.denominator for v in vals))
+        self._set(tuple(_over(den, vals)), den, bound)
+
+    @classmethod
+    def _from_numerators(cls, nums: tuple, den: int,
+                         bound: int) -> "BoundedSeq":
+        """The sequence nums[i] / den, for numerators the caller has kept
+        in [0, bound * den]."""
+        seq = object.__new__(cls)
+        seq._set(nums, den, bound)
+        return seq
+
+    def _set(self, nums: tuple, den: int, bound: int) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundedSeq is immutable")
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __repr__(self) -> str:
+        return f"BoundedSeq(values={self.values!r}, bound={self.bound!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundedSeq):
+            return NotImplemented
+        return (self.values, self.bound) == (other.values, other.bound)
+
+    def __hash__(self):
+        return hash((self.values, self.bound))
 
     def at(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("index must be a natural number")
-        return self.values[min(n, len(self.values) - 1)]
+        return Fraction(self.nums[min(n, len(self.nums) - 1)], self.den)
 
     def window(self, lo: int, hi: int) -> tuple:
         """Values on [lo, hi] up to repetition of the tail."""
+        if lo < 0:
+            raise ValueError("index must be a natural number")
         if hi < lo:
             return ()
-        last = len(self.values) - 1
-        if lo >= last:
-            return (self.values[last],)
-        return self.values[lo:min(hi, last) + 1]
+        last = len(self.nums) - 1
+        nums = self.nums[min(lo, last):min(hi, last) + 1]
+        return tuple(Fraction(x, self.den) for x in nums)
 
 
 class SyntheticPair:
@@ -196,21 +259,23 @@ class SyntheticPair:
 # --- rational approximation of the limsup ----------------------------------------
 
 
-def _least_cell(top, k: int) -> int:
-    """Least p >= 0 with top <= (p+1)/(k+1), from top's numerator and
-    denominator: p = max(0, ceil(top (k+1)) - 1).
+def _least_cell(top: int, den: int, k: int) -> int:
+    """Least p >= 0 with top/den <= (p+1)/(k+1), den > 0:
+    p = max(0, ceil(top (k+1) / den) - 1).
 
     Every cell condition of the limsup lemmas reads a window only through
-    its maximum top: the window stays below the upper edge (p+1)/(k+1)
-    exactly when p is at least this, and then p/(k+1) <= top as well."""
-    return max(0, -(-top.numerator * (k + 1) // top.denominator) - 1)
+    its maximum top/den: the window stays below the upper edge (p+1)/(k+1)
+    exactly when p is at least this, and then p/(k+1) <= top/den as well."""
+    return max(0, -(-top * (k + 1) // den) - 1)
 
 
 def ratap_witness(xs: BoundedSeq, k: int, n: int, f: CountFn) -> Optional[int]:
     """Least p < N(k+1) whose cell [p/(k+1), (p+1)/(k+1)] is entered on the
     window [n, n+f(n)] while no window value exceeds its upper edge."""
-    win = xs.window(n, n + _exact(evaluate(f, n)))
-    p = _least_cell(max(win), k)
+    if k < 0:
+        raise ValueError("k must be a natural number")
+    top = _top(xs.nums, n, n + _exact(evaluate(f, n)))
+    p = _least_cell(top, xs.den, k)
     return p if p < xs.bound * (k + 1) else None
 
 
@@ -223,13 +288,15 @@ def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
         raise ValueError("t must be at least 1")
     cap = _exact(theta(k, m_start, t, xs.bound, f))
     cells = xs.bound * (k + 1)
+    nums, den = xs.nums, xs.den
+    last = len(nums) - 1
     fs = islice(evaluate_each(f), m_start, cap + 1)
     for m, fm in zip(range(m_start, cap + 1), fs):
-        probe = xs.at(m + t)
+        probe = nums[min(m + t, last)]
         # the least cell above the window; x_(m+t) >= p/(k+1) only gets
         # harder as p grows, so no later cell can pass where it fails
-        p = _least_cell(max(xs.window(m, m + fm)), k)
-        if p < cells and probe.numerator * (k + 1) >= p * probe.denominator:
+        p = _least_cell(_top(nums, m, m + fm), den, k)
+        if p < cells and probe * (k + 1) >= p * den:
             return p, m
     return None
 
@@ -237,25 +304,11 @@ def rationalapprox2_witness(xs: BoundedSeq, k: int, m_start: int, t: int,
 # --- quantitative recurrence lemma ------------------------------------------------
 
 
-def _ext(seq, i: int):
-    return seq[i] if i < len(seq) else seq[-1]
-
-
 def _fractions(name: str, seq) -> tuple:
     vals = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in seq)
     if not vals:
         raise ValueError(f"{name}: at least one value is required")
     return vals
-
-
-def _over(den: int, seq: tuple) -> list:
-    """The numerators of seq over den, a multiple of every denominator."""
-    return [x.numerator * (den // x.denominator) for x in seq]
-
-
-def _top(seq: list, lo: int, hi: int):
-    """The largest of _ext(seq, i) for i in [lo, hi], hi >= lo."""
-    return max(seq[min(lo, len(seq) - 1):hi + 1])
 
 
 def qtXu1_check(s, v, r, gamma, lam, ldiv: CountFn, d: int, k: int, n: int,
@@ -312,14 +365,15 @@ def _xu_check(sn: list, vn: list, rn: list, gn: list, den: int, lamn: list,
 
     # s_(m+1) at most (1 - a/b)(s_m + v_m) + (a/b) r_m + gamma_m + 1/T,
     # with a = lamn[m] and b = lden, multiplied by den b T.  Past every
-    # explicit prefix each m repeats the check at the last one.
+    # explicit prefix each m repeats the check at the last one, so the
+    # loop stops there, on lists padded to its length.
     b = lden
-    last = max(map(len, (sn, vn, rn, gn, lamn))) - 1
-    for m in range(min(p, last) + 1):
-        a = _ext(lamn, m)
-        rhs = (b - a) * (_ext(sn, m) + _ext(vn, m)) + a * _ext(rn, m) \
-            + b * _ext(gn, m)
-        if _ext(sn, m + 1) * b * tol > rhs * tol + b * den:
+    stop = min(p, max(map(len, (sn, vn, rn, gn, lamn))) - 1) + 1
+    sp, vp, rp, gp, lp = (_padded(seq, stop + 1)
+                          for seq in (sn, vn, rn, gn, lamn))
+    bt, bd = b * tol, b * den
+    for s0, s1, vm, rm, gm, a in zip(sp, sp[1:], vp, rp, gp, lp):
+        if s1 * bt > ((b - a) * (s0 + vm) + a * rm + b * gm) * tol + bd:
             return None
 
     # Divergence rate, probed up to the level sigma actually consumes:
@@ -459,29 +513,56 @@ class SuiteResult:
         return self.failures == 0
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from [0, n), n >= 1, as `random.Random.randrange(n)` makes it:
+    k = n.bit_length() bits at a time, drawn again while at least n.
+
+    Python keeps only `random()` and seeding stable across versions, not
+    the algorithm of `randrange` or `choice`, so the module applies the
+    rule itself: every suite draws the same instances on every version.
+    It also skips the argument checks `randrange` makes on every call."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _pick(getrandbits, options: tuple):
+    """One of options, as `random.Random.choice` picks it."""
+    return options[_below(getrandbits, len(options))]
+
+
+# lcm(1..9): a numerator over every denominator _random_seq draws
+_SEQ_DEN = 2520
+
+
 def _random_seq(rng: random.Random, n_bound: int) -> BoundedSeq:
-    length = rng.randrange(1, 13)
-    vals = []
-    for _ in range(length):
-        den = rng.randrange(1, 10)
-        vals.append(Fraction(rng.randrange(0, n_bound * den + 1), den))
-    return BoundedSeq(values=tuple(vals), bound=n_bound)
+    """Up to 12 values m/d in [0, n_bound], d drawn from 1..9, kept as
+    numerators over _SEQ_DEN."""
+    bits = rng.getrandbits
+    nums = []
+    for _ in range(1 + _below(bits, 12)):
+        den = 1 + _below(bits, 9)
+        nums.append(_below(bits, n_bound * den + 1) * (_SEQ_DEN // den))
+    return BoundedSeq._from_numerators(tuple(nums), _SEQ_DEN, n_bound)
 
 
 def _random_counterfn(rng: random.Random, top: int = 3) -> CountFn:
     if rng.random() < 0.25:
         return Identity()
-    return Const(rng.randrange(0, top + 1))
+    return Const(_below(rng.getrandbits, top + 1))
 
 
 # Each _suite_* yields, per trial, None for a pass or the failure text.
 
 
 def _suite_ratap(rng: random.Random, trials: int):
+    bits = rng.getrandbits
     for i in range(trials):
-        xs = _random_seq(rng, rng.choice((1, 2, 3)))
-        k = rng.randrange(0, 5)
-        n = rng.randrange(0, 11)
+        xs = _random_seq(rng, _pick(bits, (1, 2, 3)))
+        k = _below(bits, 5)
+        n = _below(bits, 11)
         f = _random_counterfn(rng)
         p = ratap_witness(xs, k, n, f)
         yield None if p is not None and p < xs.bound * (k + 1) else \
@@ -489,11 +570,12 @@ def _suite_ratap(rng: random.Random, trials: int):
 
 
 def _suite_limsup2(rng: random.Random, trials: int):
+    bits = rng.getrandbits
     for i in range(trials):
-        xs = _random_seq(rng, rng.choice((1, 2, 3)))
-        k = rng.randrange(0, 4)
-        m_start = rng.randrange(0, 6)
-        t = rng.randrange(1, 4)
+        xs = _random_seq(rng, _pick(bits, (1, 2, 3)))
+        k = _below(bits, 4)
+        m_start = _below(bits, 6)
+        t = 1 + _below(bits, 3)
         f = _random_counterfn(rng, top=2)
         got = rationalapprox2_witness(xs, k, m_start, t, f)
         yield None if got is not None else \
@@ -503,41 +585,40 @@ def _suite_limsup2(rng: random.Random, trials: int):
 def _xu_instance(rng: random.Random, corrupt: bool):
     """A random instance in `_xu_check`'s form: s, v, r and gamma as
     integers over den, and lam = 1/L as numerators over L."""
-    big_l = rng.choice((2, 3, 4))
+    bits = rng.getrandbits
+    big_l = _pick(bits, (2, 3, 4))
     ldiv = Affine(slope=big_l, offset=0)
-    k = rng.randrange(0, 3)
-    n = rng.randrange(0, 6)
-    p = n + rng.randrange(0, 31)
-    length = p + rng.randrange(2, 8)
+    k = _below(bits, 3)
+    n = _below(bits, 6)
+    p = n + _below(bits, 31)
+    length = p + 2 + _below(bits, 6)
 
     # Integers over den: v_m is i/10 of the cap 1/(q (p+1)), r_m is i/10 of
     # 1/q, each gamma_m takes j/12 of the rest of the budget 1/q (length - 1
     # times), and each step of the s recurrence divides by L once, with
     # lam = 1/L.  den holds every one of those factors, so each division is
-    # exact.
+    # exact.  v_m and r_m are drawn in turn, v_m first.
     q = 4 * (k + 1)
     den = 20 * q * (p + 1) * 12 ** (length - 1) * big_l ** length
     v_unit, r_unit = den // (10 * q * (p + 1)), den // (10 * q)
-    v = []
-    r = []
-    for m in range(length):
-        v.append(v_unit * rng.randrange(0, 10))
-        r.append(r_unit * rng.randrange(0, 10))
+    tenths = [_below(bits, 10) for _ in range(2 * length)]
+    v = [v_unit * i for i in tenths[::2]]
+    r = [r_unit * i for i in tenths[1::2]]
     budget_g = den // q
     gamma = []
     for _ in range(length - 1):
-        take = budget_g * rng.randrange(0, 4) // 12
+        take = budget_g * _below(bits, 4) // 12
         gamma.append(take)
         budget_g -= take
     gamma.append(0)
 
-    s = [den // 2 * rng.randrange(0, 4)]
+    s = [den // 2 * _below(bits, 4)]
     for m in range(length):
         s.append(((big_l - 1) * (s[m] + v[m]) + r[m]) // big_l + gamma[m])
     d = max(1, -(-max(s) // den))
     if corrupt:
         # Land the broken transition inside [0, p] so the probe sees it.
-        bump = rng.randrange(1, p + 2)
+        bump = 1 + _below(bits, p + 1)
         s[bump] += (d + 1) * den
         d = d * 2 + 2
     return s, v, r, gamma, den, [1] * length, big_l, ldiv, d, k, n, p
@@ -568,12 +649,13 @@ def _walk_pair(rng: random.Random):
     """A pair whose w drifts by sigma/(n+1)^2 steps; nu = Affine(s, s) with
     s = ceil(sigma) is then a valid almost-decrease rate."""
     dim = 2
-    a = rng.choice((3, 4))
+    bits = rng.getrandbits
+    a = _pick(bits, (3, 4))
     sig = 1.0 + rng.random()
     direction = _unit(rng, dim)
     w0 = np.array([rng.uniform(-0.5, 0.5) for _ in range(dim)])
     w = [w0]
-    steps = rng.randrange(6, 13)
+    steps = 6 + _below(bits, 7)
     for n in range(steps):
         w.append(w[-1] + (sig / (n + 1) ** 2) * direction)
     lo, hi = 1.0 / a, 1.0 - 1.0 / a
@@ -587,11 +669,12 @@ def _walk_pair(rng: random.Random):
 
 
 def _suite_suzuki1(rng: random.Random, trials: int):
+    bits = rng.getrandbits
     for i in range(trials):
-        k = rng.randrange(0, 3)
-        l = rng.randrange(0, 4)
-        t = rng.randrange(1, 3)
-        f = Const(rng.randrange(0, 3))
+        k = _below(bits, 3)
+        l = _below(bits, 4)
+        t = 1 + _below(bits, 2)
+        f = Const(_below(bits, 3))
         if i % 10 == 9:
             # Fabricated rate: a large jump in w must be rejected up front.
             w = [np.zeros(2)] * 4 + [np.array([2.5, 0.0])] * 4
@@ -604,7 +687,7 @@ def _suite_suzuki1(rng: random.Random, trials: int):
                 yield f"trial {i}: fabricated nu accepted"
             continue
         if i % 2 == 0:
-            a = rng.choice((2, 3))
+            a = _pick(bits, (2, 3))
             point = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
             lo, hi = 1.0 / a, 1.0 - 1.0 / a
             alpha = [rng.uniform(lo, hi) for _ in range(5)]
@@ -618,11 +701,12 @@ def _suite_suzuki1(rng: random.Random, trials: int):
 
 
 def _suite_suzuki2(rng: random.Random, trials: int):
+    bits = rng.getrandbits
     for i in range(trials):
-        f = Const(rng.randrange(0, 3))
+        f = Const(_below(bits, 3))
         if i % 2 == 0:
-            n_ball = rng.choice((1, 2, 3))
-            k = rng.randrange(0, 2)
+            n_ball = _pick(bits, (1, 2, 3))
+            k = _below(bits, 2)
             point = _unit(rng, 2) * rng.uniform(0.0, n_ball)
             alpha = [0.5] * 4
             pair = SyntheticPair(z0=point, w=[point], alpha=alpha, a=2)
@@ -630,8 +714,8 @@ def _suite_suzuki2(rng: random.Random, trials: int):
             ok = got == 0
             label = "constant"
         else:
-            n_ball = rng.choice((1, 2))
-            k = rng.randrange(0, 2) if n_ball == 1 else 0
+            n_ball = _pick(bits, (1, 2))
+            k = _below(bits, 2) if n_ball == 1 else 0
             pair = SyntheticPair(z0=np.zeros(1), w=[np.array([float(n_ball)])],
                                  alpha=[0.5], a=2)
             got = suzuki2_index(pair, k, f, Const(0), n_ball)

@@ -1,6 +1,7 @@
 """Brute-force lemma oracles: deterministic pins plus seeded suite counts."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -38,6 +39,35 @@ def test_bounded_seq():
         BoundedSeq(values=(), bound=2)
     with pytest.raises(ValueError):
         xs.at(-1)
+
+
+def test_bounded_seq_window_refuses_a_negative_start():
+    xs = BoundedSeq((0, 1, "1/2"), 1)
+    for lo, hi in ((-2, 1), (-1, -1), (-1, -3)):
+        with pytest.raises(ValueError, match="natural number"):
+            xs.window(lo, hi)
+    assert xs.window(0, 1) == (0, 1)
+
+
+@pytest.mark.parametrize("bound", (1.5, -1, Fraction(5, 2), "2"))
+def test_bounded_seq_refuses_a_bound_that_is_not_natural(bound):
+    with pytest.raises(ValueError, match="bound must be a natural number"):
+        BoundedSeq(values=(1,), bound=bound)
+
+
+def test_bounded_seq_keeps_one_denominator():
+    xs = BoundedSeq(values=("1/2", "2/3", 1), bound=2.0)
+    assert (xs.nums, xs.den, xs.bound) == ((3, 4, 6), 6, 2)
+    assert type(xs.bound) is int
+    assert xs.values == (Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    # the suites' sequences keep their numerators over lcm(1..9)
+    ys = BoundedSeq._from_numerators((1260, 1680, 2520), 2520, 2)
+    assert ys == xs and hash(ys) == hash(xs) and repr(ys) == repr(xs)
+    assert repr(xs) == ("BoundedSeq(values=(Fraction(1, 2), Fraction(2, 3), "
+                        "Fraction(1, 1)), bound=2)")
+    assert ys.at(1) == Fraction(2, 3) and ys.window(1, 9) == xs.window(1, 9)
+    with pytest.raises(AttributeError):
+        xs.bound = 3
 
 
 def test_synthetic_pair():
@@ -247,6 +277,15 @@ def test_ratap_witness_pins():
     assert got is not None and got < 1 * 5
 
 
+def test_ratap_witness_refuses_a_negative_k():
+    xs = BoundedSeq(values=(0,), bound=1)
+    with pytest.raises(ValueError, match="k must be a natural number"):
+        ratap_witness(xs, -1, 0, Const(0))
+    # as rationalapprox2_witness does
+    with pytest.raises(ValueError):
+        rationalapprox2_witness(xs, -1, 0, 1, Const(0))
+
+
 def test_rationalapprox2_pins():
     assert rationalapprox2_witness(BoundedSeq((0,), 1), 2, 0, 1, Const(1)) \
         == (0, 0)
@@ -304,13 +343,20 @@ _raw_values = st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
 @st.composite
 def cell_seqs(draw):
     """A BoundedSeq of bound 0..3 and a k in 0..5, with values on the cell
-    edges p/(k+1) of that k as well as off them."""
+    edges p/(k+1) of that k as well as off them.  Half the draws keep the
+    numerators over a multiple of the least common denominator, as the
+    suites' sequences do."""
     bound = draw(st.integers(min_value=0, max_value=3))
     k = draw(st.integers(min_value=0, max_value=5))
     values = []
     for num, choice in draw(_raw_values):
         den = choice or k + 1
         values.append(Fraction(num % (bound * den + 1), den))
+    if draw(st.booleans()):
+        den = draw(st.sampled_from((1, 7, 2520))) * math.lcm(
+            *(x.denominator for x in values))
+        nums = tuple(x.numerator * (den // x.denominator) for x in values)
+        return BoundedSeq._from_numerators(nums, den, bound), k
     return BoundedSeq(values=tuple(values), bound=bound), k
 
 
@@ -441,6 +487,34 @@ def test_qtxu_matches_the_quadratic_probe(data):
         p = data.draw(st.integers(min_value=0, max_value=50))
     args = (*seqs, ldiv, d, k, n, p)
     assert qtXu1_check(*args) == ref_qtxu1_check(*args)
+
+
+def _near_powers_of_two(top_bits):
+    """2^j and 2^j +- 1 for j <= top_bits, and so 1."""
+    return st.integers(min_value=0, max_value=top_bits).flatmap(
+        lambda j: st.sampled_from(
+            (1 << j, (1 << j) + 1, max(1, (1 << j) - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 64),
+       st.lists(st.one_of(st.integers(min_value=1, max_value=2 ** 70),
+                          st.integers(min_value=1, max_value=40),
+                          _near_powers_of_two(70)),
+                min_size=1, max_size=20))
+def test_below_is_randrange_stream_for_stream(seed, ns):
+    # the suites' instances are those randrange and choice draw on this
+    # Python; a version whose randrange draws differently fails here, while
+    # the suites still draw what the instance pins record
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in ns:
+        assert oracle._below(rng.getrandbits, n) == ref.randrange(n)
+        options = tuple(range(n % 7 + 1))
+        assert oracle._pick(rng.getrandbits, options) == ref.choice(options)
+        assert rng.getstate() == ref.getstate()
+    # random() and gauss() read the same state after the draws
+    assert (rng.random(), rng.gauss(0.0, 1.0)) \
+        == (ref.random(), ref.gauss(0.0, 1.0))
 
 
 def ref_xu_instance(rng, corrupt):
