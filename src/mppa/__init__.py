@@ -8,6 +8,14 @@ The package has three layers:
   exact integers under an explicit work-and-magnitude budget,
 * ``oracle`` / ``acceptance`` / ``cli`` cross-check the two against each
   other and against brute-force searches on synthetic instances.
+
+numpy is loaded only where arrays are built.  The second layer never
+imports it.  ``operators``, ``schedules`` and ``oracle`` share one binding
+that imports it at first use: when an operator or a schedule builds arrays
+(``parse_config`` does, so ``mppa bound`` loads it) or a Suzuki suite
+builds its pair.  ``iteration`` and ``acceptance`` import it eagerly, and
+``cli`` imports ``iteration`` only inside the run pipeline, so ``import
+mppa.cli`` and the integer oracle suites run without it.
 """
 
 __version__ = "0.1.0"

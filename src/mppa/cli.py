@@ -15,21 +15,19 @@ import csv
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import bounds
 from .config import ConfigError, ExperimentConfig, parse_config, parse_fspec, \
     render_fspec
 from .countfn import BoundValue, BudgetExceededError, CountFn, evaluate
-from .iteration import (Trace, asymptotic_residuals, boundedness_check,
-                        empirical_metastability, empirical_window_index,
-                        gap_decrease_check, recurrence_check,
-                        resolvent_drift_check, run, wbound_check,
-                        write_trace_csv)
 from .operators import INEQ_TOL, SLACK, check_resolvent_identity
 from .oracle import SUITES, run_suite
 from .schedules import (ModuliReport, derive_constants, validate_anchors,
                         validate_moduli)
+
+if TYPE_CHECKING:  # the run pipeline imports iteration, and numpy, when it runs
+    from .iteration import Trace
 
 # The named bounds whose inputs a config and --fspec (the f) supply.
 BOUND_NAMES = tuple(name for name, entry in bounds.BOUNDS.items()
@@ -187,6 +185,9 @@ def _for_f(unread: dict, name: str, f: CountFn, bound):
 def _property_rows(trace, cfg: ExperimentConfig, budget) -> tuple:
     """The rows of metastability.csv and of asymptotic.csv, for each k and
     f of the config (and each residual in the latter)."""
+    from .iteration import (asymptotic_residuals, empirical_metastability,
+                            empirical_window_index)
+
     meta_rows, res_rows = [], []
     curves = asymptotic_residuals(trace)
     for k in cfg.run.ks:
@@ -207,6 +208,10 @@ def _property_rows(trace, cfg: ExperimentConfig, budget) -> tuple:
 
 
 def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
+    from .iteration import (boundedness_check, gap_decrease_check,
+                            recurrence_check, resolvent_drift_check,
+                            wbound_check)
+
     moduli = cfg.moduli
     rows = []
 
@@ -275,7 +280,11 @@ class Experiment:
 
 def run_experiment(cfg: ExperimentConfig) -> Experiment:
     """Validate the moduli, run the iteration and build the property
-    tables: the one pipeline of `mppa run` and `mppa verify`."""
+    tables: the one pipeline of `mppa run` and `mppa verify`.  It imports
+    `iteration`, and with it numpy, when it runs: no other command needs
+    them."""
+    from .iteration import run
+
     budget = cfg.budget()
     moduli = cfg.moduli
     schedule = cfg.iteration.build()
@@ -307,13 +316,19 @@ def cmd_run(args) -> int:
     if cfg is None:
         return 2
     out = Path(args.out) if args.out else path.parent / (path.stem + "_out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     exp = run_experiment(cfg)
     if exp.trace is None:
         for v in exp.report.violations:
             print(f"moduli violation: {v}", file=sys.stderr)
         return 2
+
+    from .iteration import write_trace_csv
 
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         write_trace_csv(exp.trace, fh)

@@ -15,12 +15,39 @@ gufunc (dgesv) that `np.linalg.solve` itself calls on a vector right-hand
 side.  It is the same call, so the bits are the same, without the wrapper's
 type checks and the error-state switch that turns a singular system into
 LinAlgError: below the spectral threshold the system is never singular.
+
+numpy is imported when an operator or a schedule first reads it, not when
+this module is: `np` here is the package's one binding of it, which
+`schedules` and `oracle` import from this module.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from numpy.linalg import _umath_linalg
+import sys
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read.  That read puts numpy
+    itself in place of this stand-in in every mppa module that holds it, so
+    from then on `np.f` costs what it costs with numpy imported eagerly.
+
+    importlib.util.LazyLoader does not fit: its module is entered in
+    sys.modules as numpy at once, and a lazy module left out of sys.modules
+    fails its first read once something else has imported numpy."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        import numpy
+
+        prefix = __package__ + "."
+        for key, module in list(sys.modules.items()):
+            if key.startswith(prefix) and getattr(module, "np", None) is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 # The float tolerances of the whole package.  SLACK absorbs the rounding of
 # one comparison (a norm, a sum, an envelope); INEQ_TOL bounds what the
@@ -250,6 +277,7 @@ class LinearPSD(ResolventOperator):
         self.matrix = mat
         # the last c _resolve saw, and its I + cA, or None where J_c is spectral
         self._c, self._system = None, None
+        self._solve1 = np.linalg._umath_linalg.solve1
         if zero_set_witness is None:
             zero_set_witness = np.zeros(mat.shape[0])
         else:
@@ -282,7 +310,7 @@ class LinearPSD(ResolventOperator):
                 np.eye(self.dim) + c * self.matrix
         if self._system is None:
             return self._spectral_rows(np.array([c]), x[None, :])[0]
-        return _umath_linalg.solve1(self._system, x, signature="dd->d")
+        return self._solve1(self._system, x, signature="dd->d")
 
     def _resolve_rows(self, cs, xs):
         # One system and one LAPACK solve per row, as in _resolve: solving

@@ -34,12 +34,11 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Optional
 
-import numpy as np
-
 from .bounds import chi_tilde, r_const, sigma, theta, varphi_suzuki1
-from .countfn import (Affine, BudgetExceededError, Const, CountFn, Identity,
-                      ceil_ln, evaluate, evaluate_each)
-from .operators import SLACK, as_point, row_norm
+from .countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
+                      BudgetExceededError, Const, CountFn, Identity, ceil_ln,
+                      evaluate, evaluate_each)
+from .operators import SLACK, as_point, np, row_norm
 
 PREMISE_TOL = Fraction(1, 10 ** 12)
 CONCLUSION_TOL = Fraction(1, 10 ** 9)
@@ -55,6 +54,19 @@ def _exact(bound_value) -> int:
     if not bound_value.is_exact:
         raise BudgetExceededError(bound_value.stage)
     return bound_value.value
+
+
+def _value_at(f: CountFn, n: int) -> int:
+    """f(n), as _exact(evaluate(f, n)) gives it.  Within the default caps,
+    by the rule of countfn's evaluate_each (the call's ticks, then the
+    value's magnitude), an affine form gives it with no EvalState."""
+    form = f.affine_form() if n >= 0 else None
+    if form is not None:
+        slope, offset, ticks = form
+        value = slope * n + offset
+        if ticks <= DEFAULT_MAX_CALLS and value <= 1 << DEFAULT_MAGNITUDE_BITS:
+            return value
+    return _exact(evaluate(f, n))
 
 
 def _bits(row: list) -> bytes:
@@ -274,7 +286,7 @@ def ratap_witness(xs: BoundedSeq, k: int, n: int, f: CountFn) -> Optional[int]:
     window [n, n+f(n)] while no window value exceeds its upper edge."""
     if k < 0:
         raise ValueError("k must be a natural number")
-    top = _top(xs.nums, n, n + _exact(evaluate(f, n)))
+    top = _top(xs.nums, n, n + _value_at(f, n))
     p = _least_cell(top, xs.den, k)
     return p if p < xs.bound * (k + 1) else None
 

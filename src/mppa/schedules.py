@@ -17,11 +17,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .countfn import (Affine, Budget, Composed, CountFn, evaluate,
                       evaluate_prefix)
-from .operators import SLACK, as_point, norm
+from .operators import SLACK, as_point, norm, np
 
 # Integers at least this large exceed every finite float.
 _FLOAT_MAX = int(sys.float_info.max)

@@ -446,6 +446,16 @@ def test_run_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_to_an_existing_file_is_a_usage_error(tmp_path, capsys,
+                                                  config_b_text):
+    cfg = write_cfg(tmp_path, config_b_text)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_run_bad_config_reports_each_error(tmp_path, capsys, config_b_text):
     text = config_b_text.replace("a = 2", "a = x") + "bogus = 1\n"
     cfg = write_cfg(tmp_path, text)
@@ -638,6 +648,44 @@ def test_no_arguments_is_usage_error():
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+# --- imports ---------------------------------------------------------------------
+
+
+# Imports mppa.cli, runs the command in argv if any, and writes to stderr
+# which of numpy and mppa.iteration the process has imported.
+_IMPORTS_PROBE = """
+import sys
+import mppa.cli
+rc = mppa.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted({"numpy", "mppa.iteration"} & set(sys.modules)), file=sys.stderr)
+sys.exit(rc)
+"""
+
+_CONFIG_A = str(Path(__file__).resolve().parent.parent / "configs"
+                / "experiment_a.cfg")
+
+
+@pytest.mark.parametrize("argv, out, loaded", [
+    ([], "", ""),
+    *((["oracle", "--lemma", lemma, "--trials", "5"],
+       f"lemma,trials,passes,status\n{lemma},5,5,PASS\n", "")
+      for lemma in ("ratap", "limsup2", "xu")),
+    (["oracle", "--lemma", "suzuki1", "--trials", "5"],
+     "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "numpy"),
+    # parse_config builds the operator and checks the schedule on arrays
+    (["bound", _CONFIG_A, "nu", "--k", "3"],
+     "name,k,f_spec,value\nnu,3,,832\n", "numpy"),
+], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound"])
+def test_only_the_commands_that_build_arrays_load_numpy(argv, out, loaded):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, *argv],
+                           capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out,
+                                                              loaded + "\n")
 
 
 # --- README --------------------------------------------------------------------

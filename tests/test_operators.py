@@ -30,6 +30,15 @@ def all_operators():
 # --- points ----------------------------------------------------------------
 
 
+def test_the_numpy_binding_is_numpy_after_its_first_read():
+    # operators binds np to a stand-in that imports numpy when first read,
+    # then puts numpy in its place in each mppa module that imported it,
+    # so the step loops read numpy itself
+    from mppa import operators, oracle, schedules
+    as_point((0.0,))
+    assert operators.np is schedules.np is oracle.np is np
+
+
 def test_as_point():
     assert as_point(3.0).shape == (1,)
     assert as_point((1, 2)).tolist() == [1.0, 2.0]

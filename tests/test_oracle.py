@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppa import oracle
-from mppa.countfn import (Affine, BoundValue, BudgetExceededError, Closure,
-                          Const, ExpCeil, Identity, ceil_ln, evaluate,
-                          evaluate_each)
+from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, Affine, BoundValue,
+                          BudgetExceededError, Closure, Const, ExpCeil,
+                          Identity, Table, ceil_ln, evaluate, evaluate_each)
 from mppa.bounds import chi_tilde, sigma, theta, varphi_suzuki1
 from mppa.operators import row_norm
 from mppa.oracle import (PREMISE_TOL, CONCLUSION_TOL, BoundedSeq,
@@ -284,6 +284,38 @@ def test_ratap_witness_refuses_a_negative_k():
     # as rationalapprox2_witness does
     with pytest.raises(ValueError):
         rationalapprox2_witness(xs, -1, 0, 1, Const(0))
+
+
+CAP = 1 << DEFAULT_MAGNITUDE_BITS
+
+
+@pytest.mark.parametrize("f, n", [
+    (Const(0), 0), (Const(3), 7), (Identity(), 5), (Affine(2, 1), 4),
+    (Const(CAP), 0), (Affine(1, CAP - 3), 3),        # at the magnitude cap
+    (Const(CAP + 1), 0), (Affine(1, CAP - 3), 4),    # past it
+    (Table((0, 2, 1)), 2), (ExpCeil(1), 3), (ExpCeil(1), 5000),
+    (Const(0), -1), (Identity(), -2)])
+def test_ratap_reads_f_as_evaluate_does(f, n, monkeypatch):
+    """ratap_witness reads f(n) as evaluate(f, n) gives it: it refuses a
+    negative n, and past the caps raises the marker; an affine f within
+    them is read from its form, with no evaluate call."""
+    xs = BoundedSeq(values=(0, 1), bound=1)
+    if n < 0:
+        with pytest.raises(ValueError, match="natural arguments"):
+            ratap_witness(xs, 0, n, f)
+        return
+    want = evaluate(f, n)
+    if not want.is_exact:
+        with pytest.raises(BudgetExceededError) as exc:
+            ratap_witness(xs, 0, n, f)
+        assert exc.value.stage == want.stage == "eval"
+        return
+    if f.affine_form() is not None:
+        def refused(*args):
+            raise AssertionError("evaluate called on an affine f")
+        monkeypatch.setattr(oracle, "evaluate", refused)
+    assert oracle._value_at(f, n) == want.value
+    assert ratap_witness(xs, 0, n, f) == 0
 
 
 def test_rationalapprox2_pins():
