@@ -239,8 +239,6 @@ BATTERY = (
     {"name": "R", "k": 0, "t": 5000, "a": 2},
     {"name": "proj", "k": 0, "n_arg": 1, "f": ("affine", 1, 1)},
     {"name": "proj", "k": 1, "n_arg": 2, "f": ("affine", 1, 1)},
-    {"name": "proj3", "k": 0, "n_arg": 1, "f": ("const", 0)},
-    {"name": "proj3", "k": 0, "n_arg": 2, "f": ("id",)},
     {"name": "varphi_suzuki1", "k": 0, "l": 1, "t": 2, "a": 2, "n_arg": 1,
      "f": ("affine", 1, 2), "nu": ("affine", 1, 0)},
     {"name": "chi_tilde", "k": 0, "a": 1, "n_arg": 2, "f": ("const", 0),

@@ -172,7 +172,10 @@ def _r_const(state: EvalState, a: int, k: int, t: int) -> int:
 
 def _proj_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
     """Metastability rate f**(N^2 (k+1)) (0) for the projection argument
-    under exact monotone-functional interpretation of inner convexity."""
+    under exact monotone-functional interpretation of inner convexity: for
+    every nonincreasing sequence (a_n) in [0, N^2] and monotone f, some
+    n <= f**(N^2 (k+1)) (0) has a window [n, max(n, f(n))] on which a
+    varies by at most 1/(k+1)."""
     if n < 1:
         raise ValueError("proj requires N >= 1")
     with _Stage(state, "proj"):
@@ -184,32 +187,6 @@ def _proj_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
             state.tick()
             v = f(v, state)
         return v
-
-
-def _proj3_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
-    """Metastability rate for the projection argument when only an
-    approximate witness of the infimum is available."""
-    if n < 1:
-        raise ValueError("proj3 requires N >= 1")
-    with _Stage(state, "proj3"):
-        state.tick()
-        r = state.check(4 * state.checked_pow(n, 4) * (k + 1) * (k + 1))
-        return _squaring(state, r, n, f)
-
-
-def _squaring(state: EvalState, r: int, n: int,
-              g: Callable[[int, EvalState], int]) -> int:
-    """24 n (v+1)^2 for v = g_hat**r (0), g_hat(m) = max(g(b), b) with
-    b = 24 n (m+1)^2: the squaring iteration of proj3 and psi, which
-    removes the weak compactness argument.  It opens no stage, so the
-    caller's stage names its markers."""
-    state.require(r)
-    v = 0
-    for _ in range(r):
-        state.tick()
-        blown = state.check(24 * n * (v + 1) * (v + 1))
-        v = max(g(blown, state), blown)
-    return state.check(24 * n * (v + 1) * (v + 1))
 
 
 # --- averaged-gap metastability (Suzuki-style lemmas) -------------------------
@@ -281,14 +258,21 @@ def _psi(state: EvalState, k: int, f: CountFn, moduli: Moduli) -> int:
     """Rate of metastability for the distance to the pinned resolvent value
     |z_n - J_(1/c)(z_n)| relative to inner products against ball points:
     psi(k, f) = xi(24 N (g_hat**R (0) + 1)^2, f + 1) with R = N^4 (k+1)^2
-    and g_hat(m) = max(f(xi(24N(m+1)^2, f+1)), 24N(m+1)^2)."""
+    and g_hat(m) = max(f(xi(24N(m+1)^2, f+1)), 24N(m+1)^2).  This squaring
+    iteration of v = g_hat(v), R steps from v = 0, is what removes the weak
+    compactness argument; its markers name psi's stage."""
     n_ball = derive_constants(moduli).N
     with _Stage(state, "psi"):
         state.tick()
         f1 = Shift(f, 1)
         r = state.check(state.checked_pow(n_ball, 4) * (k + 1) * (k + 1))
-        k_top = _squaring(state, r, n_ball,
-                          lambda m, st: f(_xi(st, m, f1, moduli), st))
+        state.require(r)
+        v = 0
+        for _ in range(r):
+            state.tick()
+            blown = state.check(24 * n_ball * (v + 1) * (v + 1))
+            v = max(f(_xi(state, blown, f1, moduli), state), blown)
+        k_top = state.check(24 * n_ball * (v + 1) * (v + 1))
         return _xi(state, k_top, f1, moduli)
 
 
@@ -358,7 +342,6 @@ sigma = _entry(_sigma)
 theta = _entry(_theta)
 r_const = _entry(_r_const)
 proj_bound = _entry(_proj_bound)
-proj3_bound = _entry(_proj3_bound)
 varphi_suzuki1 = _entry(_varphi_suzuki1)
 chi_tilde = _entry(_chi_tilde)
 chi0 = _entry(_chi0)
@@ -414,8 +397,6 @@ BOUNDS = {
                     r_const(a, k, t, budget=budget)),
     "proj": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
                        proj_bound(k, f, n_arg, budget=budget)),
-    "proj3": NamedBound(("f",), lambda k, n_arg, f, budget, **_:
-                        proj3_bound(k, f, n_arg, budget=budget)),
     "varphi_suzuki1": NamedBound(
         ("f", "nu", "l"), lambda k, l, t, a, n_arg, f, nu, budget, **_:
         varphi_suzuki1(k, f, l, t, a, nu, n_arg, budget=budget)),

@@ -255,8 +255,11 @@ def _check_rows(trace, cfg: ExperimentConfig, ctx, schedule, budget) -> list:
             if bv.is_exact:
                 nu_values[k] = bv.value
         found = gap_decrease_check(trace, nu_values)
-        rows.append(["gap_decrease",
-                     found[0] if found else "k <= 5, ok",
+        if not nu_values:
+            found = ["no k <= 5 compared: every nu(k) is a budget marker"]
+        ks = "k <= 5" if len(nu_values) == 6 else \
+            "k in {" + ", ".join(map(str, nu_values)) + "}"
+        rows.append(["gap_decrease", found[0] if found else f"{ks}, ok",
                      "FAIL" if found else "PASS"])
     else:
         rows.append(["gap_decrease", "vacuous (no steps)", "PASS"])

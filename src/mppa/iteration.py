@@ -160,7 +160,7 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     if (cs == 1.0 / c).all():
         jfix = jn
     else:
-        jfix = op._resolve_rows(np.full(horizon + 1, 1.0 / c), zs)
+        jfix = op._resolve_rows(1.0 / c, zs)
     return Trace(op=op, z=zs, jn=jn, jfix=jfix, lam=lam, gam=gam, delta=delta,
                  cs=cs, errs=errs, u=u, s=s_pt, target=t_pt)
 
@@ -273,7 +273,7 @@ def recurrence_check(trace: Trace, p, m1: int) -> float:
     # a constant c_n has one J_m(p), whose gap broadcasts over the rows
     if (cs == cs[:1]).all():
         cs = cs[:1]
-    jp = op._resolve_rows(cs, np.broadcast_to(p, (cs.size, p.size)))
+    jp = np.array([op._resolve(c, p) for c in cs.tolist()]).reshape(-1, p.size)
     jgap = row_norm(jp - p)
     dist = row_norm(trace.z - p)
     dzp = dist[:-1]

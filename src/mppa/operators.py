@@ -7,14 +7,15 @@ zero of T so traces can be measured against the solution set.
 `resolvent` is the checked entry point for one point: it takes a finite
 c > 0.  Callers that have already validated their inputs use the unchecked
 `_resolve(c, x)`, its form on a list of Python floats `_resolve_floats(c,
-x)`, and its row-batched form `_resolve_rows(cs, xs)`; all three agree bit
-for bit.
+x)`, and its row-batched form `_resolve_rows(c, xs)`, one c for every row;
+all three agree bit for bit.
 
 `LinearPSD._resolve` solves its cached system through `solve1`, the LAPACK
 gufunc (dgesv) that `np.linalg.solve` itself calls on a vector right-hand
-side.  It is the same call, so the bits are the same, without the wrapper's
-type checks and the error-state switch that turns a singular system into
-LinAlgError: below the spectral threshold the system is never singular.
+side, and `_resolve_rows` broadcasts it over the rows.  It is the same
+call, so the bits are the same, without the wrapper's type checks and the
+error-state switch that turns a singular system into LinAlgError: below
+the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
@@ -56,9 +57,6 @@ SLACK = 1e-9
 INEQ_TOL = 1e-8
 
 _WITNESS_CS = (0.1, 1.0, 10.0)
-
-# Rows per stacked LinearPSD solve: bounds the (rows, dim, dim) systems array.
-_SOLVE_CHUNK = 256
 
 # cond(I + cA) past which LinearPSD resolves through the eigendecomposition
 # of A: a solve's rounding grows as cond * eps, about 1e-8 (INEQ_TOL) here.
@@ -114,9 +112,8 @@ class ResolventOperator:
     _resolve(c, x) on an array or, when it is a per-coordinate closed form,
     as _resolve_floats(c, x) on a list of Python floats; the base class
     derives the other one.  They also implement the row-batched form
-    _resolve_rows(cs, xs) for a (rows,) parameter array and a (rows, dim)
-    point array, and come with a zero_set_witness, a known point s with
-    0 in T(s).
+    _resolve_rows(c, xs) for one parameter and a (rows, dim) point array,
+    and come with a zero_set_witness, a known point s with 0 in T(s).
     """
 
     kind = "abstract"
@@ -149,7 +146,7 @@ class ResolventOperator:
         operation as numpy does, so it equals _resolve bit for bit."""
         return self._resolve(c, np.array(x, dtype=float)).tolist()
 
-    def _resolve_rows(self, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def _resolve_rows(self, c: float, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -176,8 +173,8 @@ class QuadraticProx(ResolventOperator):
         den = 1.0 + cw
         return [(xi + cw * mi) / den for xi, mi in zip(x, self._center)]
 
-    def _resolve_rows(self, cs, xs):
-        cw = (cs * self.weight)[:, None]
+    def _resolve_rows(self, c, xs):
+        cw = c * self.weight
         return (xs + cw * self.center) / (1.0 + cw)
 
 
@@ -202,7 +199,7 @@ class BallProjection(ResolventOperator):
             return x.copy()
         return self.center + d * (self.radius / dist)
 
-    def _resolve_rows(self, cs, xs):
+    def _resolve_rows(self, c, xs):
         d = xs - self.center
         dist = row_norm(d)
         out = xs.copy()
@@ -237,7 +234,7 @@ class BoxProjection(ResolventOperator):
         return [mi if (mi != mi or mi < hi) else hi
                 for mi, hi in zip(m, self._hi)]
 
-    def _resolve_rows(self, cs, xs):
+    def _resolve_rows(self, c, xs):
         # the same rule spelled out: numpy 2's np.clip keeps x on a tie in
         # its broadcasting loop, and takes the face in its 1-d loop
         m = np.where((xs != xs) | (xs > self.lo), xs, self.lo)
@@ -275,7 +272,8 @@ class LinearPSD(ResolventOperator):
         self._eigs = np.where(eigs > tol, eigs, 0.0)
         self._eig_lo, self._eig_hi = float(self._eigs[0]), float(self._eigs[-1])
         self.matrix = mat
-        # the last c _resolve saw, and its I + cA, or None where J_c is spectral
+        # the last c _system_at saw, and its I + cA, or None where J_c is
+        # spectral
         self._c, self._system = None, None
         self._solve1 = np.linalg._umath_linalg.solve1
         if zero_set_witness is None:
@@ -287,50 +285,43 @@ class LinearPSD(ResolventOperator):
         super().__init__(mat.shape[0], zero_set_witness)
 
     def _is_spectral(self, c):
-        """Whether cond(I + cA) passes _SPECTRAL_COND, for a scalar c or
-        elementwise for an array of them.  Where c lam_min overflows too,
-        the ratio is inf/inf = NaN, and such a c is spectral: its system
-        would hold infinities."""
+        """Whether cond(I + cA) passes _SPECTRAL_COND.  Where c lam_min
+        overflows too, the ratio is inf/inf = NaN, and such a c is spectral:
+        its system would hold infinities."""
         cond = (1.0 + c * self._eig_hi) / (1.0 + c * self._eig_lo)
         return (cond > _SPECTRAL_COND) | (cond != cond)
 
-    def _spectral_rows(self, cs, xs):
+    def _spectral_rows(self, c, xs):
         """Q diag(1/(1 + c lam)) Q^T x for each row, as a stack of one-row
         products, so that a row's bits do not depend on the row count.
         Where c lam overflows, 1/(1 + c lam) is 0, with no warning."""
         coef = np.matmul(xs[:, None, :], self._vecs)[:, 0, :]
         with np.errstate(over="ignore"):
-            coef = coef / (1.0 + cs[:, None] * self._eigs)
+            coef = coef / (1.0 + c * self._eigs)
         return np.matmul(coef[:, None, :], self._vecs.T)[:, 0, :]
 
-    def _resolve(self, c, x):
+    def _system_at(self, c):
+        """I + cA, or None where J_c is spectral, cached for the last c."""
         if c != self._c:
             self._c = c
             self._system = None if self._is_spectral(c) else \
                 np.eye(self.dim) + c * self.matrix
-        if self._system is None:
-            return self._spectral_rows(np.array([c]), x[None, :])[0]
-        return self._solve1(self._system, x, signature="dd->d")
+        return self._system
 
-    def _resolve_rows(self, cs, xs):
-        # One system and one LAPACK solve per row, as in _resolve: solving
-        # many right-hand sides against one factorization rounds otherwise.
-        # Chunks keep the stack of systems small whatever the row count.
-        out = np.empty_like(xs)
-        eye = np.eye(self.dim)
-        for lo in range(0, cs.shape[0], _SOLVE_CHUNK):
-            rows = np.s_[lo:lo + _SOLVE_CHUNK]
-            with np.errstate(over="ignore", invalid="ignore"):
-                far = self._is_spectral(cs[rows])
-            if far.any():
-                idx = np.arange(lo, lo + far.size)
-                out[idx[far]] = self._spectral_rows(cs[idx[far]], xs[idx[far]])
-                rows = idx[~far]
-                if not rows.size:
-                    continue
-            systems = eye + cs[rows, None, None] * self.matrix
-            out[rows] = np.linalg.solve(systems, xs[rows][:, :, None])[:, :, 0]
-        return out
+    def _resolve(self, c, x):
+        system = self._system_at(c)
+        if system is None:
+            return self._spectral_rows(c, x[None, :])[0]
+        return self._solve1(system, x, signature="dd->d")
+
+    def _resolve_rows(self, c, xs):
+        # solve1 broadcasts the one system over the rows and solves each
+        # row on its own, as _resolve does: solving many right-hand sides
+        # against one factorization rounds otherwise.
+        system = self._system_at(c)
+        if system is None:
+            return self._spectral_rows(c, xs)
+        return self._solve1(system, xs, signature="dd->d")
 
 
 class Rotation2D(ResolventOperator):
@@ -352,10 +343,10 @@ class Rotation2D(ResolventOperator):
         det = 1.0 + c * c
         return [(x0 + c * x1) / det, (x1 - c * x0) / det]
 
-    def _resolve_rows(self, cs, xs):
-        det = 1.0 + cs * cs
+    def _resolve_rows(self, c, xs):
+        det = 1.0 + c * c
         x0, x1 = xs[:, 0], xs[:, 1]
-        return np.stack([(x0 + cs * x1) / det, (x1 - cs * x0) / det], axis=1)
+        return np.stack([(x0 + c * x1) / det, (x1 - c * x0) / det], axis=1)
 
 
 def check_resolvent_identity(op: ResolventOperator, a: float, b: float, x) -> float:

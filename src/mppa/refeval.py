@@ -234,21 +234,6 @@ def ref_proj(st: RefState, k: int, f: RefFn, n: int) -> int:
         st.stage = prev
 
 
-def ref_proj3(st: RefState, k: int, f: RefFn, n: int) -> int:
-    prev = _enter(st, "proj3")
-    try:
-        rounds = st.chk(4 * st.pow(n, 4) * (k + 1) * (k + 1))
-        st.require(rounds)
-        v = 0
-        for _ in range(rounds):
-            st.tick()
-            blown = st.chk(24 * n * (v + 1) * (v + 1))
-            v = max(st.invoke(f, blown), blown)
-        return st.chk(24 * n * (v + 1) * (v + 1))
-    finally:
-        st.stage = prev
-
-
 def ref_varphi_suzuki1(st: RefState, k: int, f: RefFn, l: int, t: int,
                        a: int, nu: RefFn, n_bound: int) -> int:
     prev = _enter(st, "varphi_suzuki1")
@@ -488,8 +473,6 @@ def ref_bound(name: str, *, k: int, n: int = 0, t: int = 1, l: int = 0,
             out = ref_r_const(st, a, k, t)
         elif name == "proj":
             out = ref_proj(st, k, ffn, n_arg)
-        elif name == "proj3":
-            out = ref_proj3(st, k, ffn, n_arg)
         elif name == "varphi_suzuki1":
             out = ref_varphi_suzuki1(st, k, ffn, l, t, a, nufn, n_arg)
         elif name == "chi_tilde":

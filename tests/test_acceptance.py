@@ -59,8 +59,9 @@ def test_readme_shows_the_verify_output(results):
 
 def test_budget_bits_variable_is_not_read(monkeypatch):
     # A magnitude cap read from the environment would bind the production
-    # evaluator alone: it would disagree with refeval on proj3, and the
-    # suzuki2 oracle would crash on a premise bound over the cap.
+    # evaluator alone: it would disagree with refeval on every instance whose
+    # value passes the cap, and the suzuki2 oracle would crash on a premise
+    # bound over the cap.
     monkeypatch.setenv("PPA_BUDGET_BITS", "16")
     res = criterion_equivalence()
     assert res.passed, res.detail

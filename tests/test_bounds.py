@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import inspect
+import itertools
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from mppa.acceptance import _T1, moduli_from
 from mppa.config import count_fn
 from mppa.countfn import (Affine, BoundValue, Budget, Const, EvalState,
                           ExpCeil, Identity, Shift, Table, ceil_ln, evaluate)
-from mppa.schedules import Moduli
+from mppa.schedules import Moduli, derive_constants
 
 BIG = Budget(magnitude_bits=4096, max_calls=10 ** 7)
 
@@ -104,8 +106,6 @@ def test_proj_pins():
     assert exact(bounds.proj_bound(1, Affine(1, 1), 2)) == 8
     with pytest.raises(ValueError):
         bounds.proj_bound(0, Identity(), 0)
-    with pytest.raises(ValueError):
-        bounds.proj3_bound(0, Identity(), 0)
 
 
 def test_varphi_chi_validation():
@@ -130,7 +130,7 @@ def test_res_bounds_triple(toy_cc):
 def test_marker_stages(toy_cc):
     assert bounds.r_const(2, 0, 5000).stage == "R"
     assert bounds.theta(10 ** 7, 0, 1, 2, Const(0)).stage == "theta"
-    assert bounds.proj3_bound(0, Identity(), 2).stage == "proj3"
+    assert bounds.proj_bound(10 ** 7, Identity(), 2).stage == "proj"
     for fn in (bounds.psi, bounds.psi_cap, bounds.phi):
         bv = fn(0, Const(0), toy_cc)
         assert not bv.is_exact
@@ -310,16 +310,56 @@ def test_proj_is_iterated_f(k, n, f):
     assert exact(bounds.proj_bound(k, f, n, budget=BIG)) == v
 
 
-@given(small_f)
+def test_proj_bounds_a_window_of_every_nonincreasing_sequence():
+    # proj's lemma on every nonincreasing a_0..a_3 in [0, N^2] on the grid
+    # 1/3 and every monotone f with values below 4, so that every window
+    # lies inside the sequence: some n <= proj(k, f, N) has
+    # a_n - a_max(n, f(n)) <= 1/(k+1).  Half the steps of proj leave a
+    # counterexample at N = 2, k = 0.
+    length = 4
+    tables = [Table(values) for values in
+              itertools.combinations_with_replacement(range(length), length)]
+    for n in (1, 2):
+        grid = [Fraction(j, 3) for j in range(3 * n * n + 1)]
+        seqs = [seq[::-1] for seq in
+                itertools.combinations_with_replacement(grid, length)]
+        for k in (0, 1):
+            tol = Fraction(1, k + 1)
+            for f in tables:
+                top = exact(bounds.proj_bound(k, f, n))
+                windows = [(m, max(m, f.values[m])) for m in range(top + 1)]
+                for a in seqs:
+                    assert any(a[m] - a[w] <= tol for m, w in windows), \
+                        (n, k, f, a)
+
+
+@given(st.sampled_from(((2, 0), (1, 1), (1, 2))), small_f)
 @settings(max_examples=30, deadline=None)
-def test_proj3_is_the_squaring_iteration(f):
+def test_psi_is_the_squaring_iteration(nk, f):
+    # xi replaced by a cheap monotone stand-in and the ball radius N set, so
+    # that the loop's values stay small enough to check: R = N^4 (k+1)^2
+    # steps of b = 24 N (v+1)^2, v = max(f(xi(b, f+1)), b), then
+    # xi(24 N (v+1)^2, f+1)
+    n, k = nk
+    moduli = moduli_from(_T1)
+    ctx = dataclasses.replace(derive_constants(moduli), N=n)
+    wide = Budget(magnitude_bits=1 << 22)
+
     def fv(m):
-        return exact(evaluate(f, m, BIG))
+        return exact(evaluate(f, m, wide))
+
+    def xi(m):                  # the stand-in at f + 1
+        return m + fv(m) + 1
 
     v = 0
-    for _ in range(4):          # 4 N^4 (k+1)^2 steps at N = 1, k = 0
-        v = max(fv(24 * (v + 1) ** 2), 24 * (v + 1) ** 2)
-    assert exact(bounds.proj3_bound(0, f, 1, budget=BIG)) == 24 * (v + 1) ** 2
+    for _ in range(n ** 4 * (k + 1) ** 2):
+        b = 24 * n * (v + 1) ** 2
+        v = max(fv(xi(b)), b)
+    with mock.patch.object(bounds, "_xi",
+                           lambda st, m, g, _: st.check(m + g(m, st))), \
+            mock.patch.object(bounds, "derive_constants", lambda _: ctx):
+        got = exact(bounds.psi(k, f, moduli, budget=wide))
+    assert got == xi(24 * n * (v + 1) ** 2)
 
 
 # --- structural properties ------------------------------------------------------------

@@ -7,6 +7,7 @@ exactly the same number of budget ticks, which is what makes marker
 placement deterministic rather than accidental.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -32,8 +33,6 @@ FROZEN = (
     "BUDGET_EXCEEDED(R)",
     "1",
     "8",
-    "11760895219231078522197964134138363672720024",
-    "BUDGET_EXCEEDED(proj3)",
     "135239930216522",
     "1729",
     "139188",
@@ -48,14 +47,20 @@ FROZEN = (
 )
 
 
+# Test ids number the battery in order.  The number of a removed instance is
+# retired rather than reused, so that an id always names the same instance.
+RETIRED = (12, 13)
+
+
 def ids():
-    return [f"{i:02d}-{inst['name']}" for i, inst in enumerate(BATTERY)]
+    numbers = (n for n in itertools.count() if n not in RETIRED)
+    return [f"{n:02d}-{inst['name']}" for n, inst in zip(numbers, BATTERY)]
 
 
 def test_battery_shape():
-    assert len(BATTERY) == len(FROZEN) == 25
+    assert len(BATTERY) == len(FROZEN) == 23
     markers = sum(1 for text in FROZEN if text.startswith("BUDGET_EXCEEDED"))
-    assert markers == 6
+    assert markers == 5
 
 
 def test_every_battery_name_is_registered():
@@ -131,9 +136,10 @@ def test_tick_parity(case):
 def test_marker_parity_includes_tick_budget():
     # A tightened call budget must strand both evaluators at the same stage.
     tight = 5000
-    bv = production_bound(dict(BATTERY[16]),
+    inst = next(inst for inst in BATTERY if inst["name"] == "chi0")
+    bv = production_bound(dict(inst),
                           budget=Budget(magnitude_bits=4096, max_calls=tight))
-    rv = refeval.ref_bound(calls=tight, **BATTERY[16])
+    rv = refeval.ref_bound(calls=tight, **inst)
     assert not bv.is_exact and not rv.is_exact
     assert bv.stage == rv.stage
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mppa.acceptance import _T1
 from mppa.cli import (_NEEDS_F, BOUND_NAMES, _check_rows, _property_rows,
                       _Watched, main)
 from mppa.config import count_fn, parse_config, parse_fspec, render_fspec
-from mppa.countfn import Affine, evaluate
+from mppa.countfn import Affine, BoundValue, ExpCeil, evaluate
 from mppa.iteration import run
 from mppa.operators import QuadraticProx
 from mppa.schedules import (ConstantSeq, GeometricError, Schedule,
@@ -95,6 +96,38 @@ def test_nan_row_fails_its_checks(cfg_a):
         assert status[name] == "FAIL"
 
 
+def _gap_decrease_row(cfg, horizon):
+    schedule = cfg.iteration.build()
+    trace = run(cfg.problem.build(), schedule, cfg.iteration.u,
+                cfg.iteration.z0, horizon, c=cfg.moduli.c, s=cfg.problem.s)
+    rows = _check_rows(trace, cfg, derive_constants(cfg.moduli), schedule,
+                       cfg.budget())
+    return next(row[1:] for row in rows if row[0] == "gap_decrease")
+
+
+def test_gap_decrease_fails_when_it_compares_nothing(cfg_a):
+    # ell = expceil 4 with N1 = 200 puts every nu(k), k <= 5, past the
+    # magnitude cap: no k is compared, so the row cannot pass
+    assert _gap_decrease_row(cfg_a, 500) == ["k <= 5, ok", "PASS"]
+    moduli = dataclasses.replace(cfg_a.moduli, ell=ExpCeil(4), N1=200)
+    cfg = dataclasses.replace(cfg_a, moduli=moduli)
+    assert all(not bounds.nu(k, moduli, budget=cfg.budget()).is_exact
+               for k in range(6))
+    assert _gap_decrease_row(cfg, 500) == [
+        "no k <= 5 compared: every nu(k) is a budget marker", "FAIL"]
+
+
+def test_gap_decrease_names_the_k_it_compared(cfg_a):
+    real_nu = bounds.nu
+
+    def nu(k, moduli, *, budget=None):
+        return real_nu(k, moduli, budget=budget) if k in (0, 2, 3) \
+            else BoundValue.exceeded("nu")
+
+    with mock.patch.object(bounds, "nu", nu):
+        assert _gap_decrease_row(cfg_a, 500) == ["k in {0, 2, 3}, ok", "PASS"]
+
+
 def _trace_and_rows(cfg):
     """A run of cfg to n = 300, and the map from a trace to its checks.csv
     statuses."""
@@ -128,8 +161,8 @@ class _SquaredParameterProx(QuadraticProx):
     def _resolve_floats(self, c, x):
         return super()._resolve_floats(c * c, x)
 
-    def _resolve_rows(self, cs, xs):
-        return super()._resolve_rows(cs * cs, xs)
+    def _resolve_rows(self, c, xs):
+        return super()._resolve_rows(c * c, xs)
 
 
 def test_resolvent_identity_row_fails_on_a_broken_resolvent(cfg_a):
@@ -577,7 +610,7 @@ def test_bound_names_are_what_the_command_line_supplies(tmp_path, capsys):
     # the config supplies the moduli, N, D and a, --fspec supplies f; no
     # flag supplies a nu rate or l
     needs = {name: set(entry.needs) for name, entry in bounds.BOUNDS.items()}
-    assert len(needs) == 17
+    assert len(needs) == 16
     assert set(needs) - set(BOUND_NAMES) == {"chi_tilde", "varphi_suzuki1"}
     assert all(needs[name] <= {"f"} for name in BOUND_NAMES)
     assert _NEEDS_F == {name for name in BOUND_NAMES if needs[name]}
@@ -593,7 +626,7 @@ def test_bound_names_are_what_the_command_line_supplies(tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"name,k,f_spec,value\n{name},0,{f_spec},"
             f"BUDGET_EXCEEDED({stage})\n")
-    for name in ("chi_tilde", "varphi_suzuki1"):
+    for name in ("chi_tilde", "varphi_suzuki1", "proj3"):
         assert main(["bound", str(cfg), name, "--fspec", "const 0"]) == 2
         assert "unknown bound name" in capsys.readouterr().err
 

@@ -853,7 +853,7 @@ def run_ref(op, schedule, u, z0, horizon, c):
     step, with resolvents from the numpy rows form, which does not go
     through _resolve_floats.  Returns z, J_(c_n)(z_n) and J_(1/c)(z_n)."""
     def resolve(c_n, x):
-        return op._resolve_rows(np.array([c_n]), x[None, :])[0]
+        return op._resolve_rows(c_n, x[None, :])[0]
 
     lam, gam, delta, cs, errs = schedule.snapshot(horizon)
     zs = np.empty((horizon + 1, op.dim))
