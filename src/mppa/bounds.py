@@ -13,9 +13,10 @@ bit for bit, including which stage a budget marker names:
   up front when the remaining allowance is provably smaller than the loop
   length, which is the same outcome the literal loop would reach;
 * a loop that skips steps in closed form (theta with a constant
-  counterfunction skips to the first step that can trip a cap) charges the
-  ticks of the skipped steps and runs the literal loop from there, so it
-  raises where the literal loop raises.
+  counterfunction, proj with an f of slope 0 or 1) skips to the first step
+  that can trip a cap, charges the ticks of the skipped steps (`_skip`) and
+  runs the literal loop from there, so it raises where the literal loop
+  raises.
 
 Each formula is written once, as a body `_name(state, ...)` that bodies of
 later formulas call with the state they share.  Its public entry point
@@ -52,6 +53,16 @@ def _entry(body):
     entry.__name__ = entry.__qualname__ = body.__name__.lstrip("_")
     entry.__doc__ = body.__doc__
     return entry
+
+
+def _skip(state: EvalState, steps: int, ticks: int, *limits: int) -> int:
+    """Charge the calls of the steps a loop can skip, and return their
+    count: at most `steps`, no more than the calls left pay for at 1 + ticks
+    calls a step, and no more than any of `limits`, each the first step
+    that can trip a magnitude check."""
+    skip = min(steps, state.remaining() // (1 + ticks), *limits)
+    state.calls += skip * (1 + ticks)
+    return skip
 
 
 # --- fixed points of nearby resolvents --------------------------------------
@@ -144,11 +155,9 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
             # the steps before them all and run the literal loop from there.
             _, c, ticks = form
             first_arg = m_start + p_steps * t
-            skip = min(p_steps, state.remaining() // (1 + ticks),
-                       cap // (t + c),
-                       0 if first_arg > cap
-                       else (cap - first_arg) // c + 1 if c else p_steps)
-            state.calls += skip * (1 + ticks)
+            skip = _skip(state, p_steps, ticks, cap // (t + c),
+                         0 if first_arg > cap
+                         else (cap - first_arg) // c + 1 if c else p_steps)
             r = skip * (t + c)
         for i in range(p_steps - skip - 1, -1, -1):
             state.tick()
@@ -176,14 +185,23 @@ def _proj_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
     every nonincreasing sequence (a_n) in [0, N^2] and monotone f, some
     n <= f**(N^2 (k+1)) (0) has a window [n, max(n, f(n))] on which a
     varies by at most 1/(k+1)."""
-    if n < 1:
-        raise ValueError("proj requires N >= 1")
+    if k < 0 or n < 1:
+        raise ValueError("proj requires k >= 0 and N >= 1")
     with _Stage(state, "proj"):
         state.tick()
         r = state.check(n * n * (k + 1))
         state.require(r)
-        v = 0
-        for _ in range(r):
+        cap = 1 << state.magnitude_bits
+        skip = v = 0
+        form = f.affine_form()
+        if form is not None and form[0] <= 1 and form[1] <= cap:
+            # f is v -> slope v + b, so step j (from v = 0) charges
+            # 1 + ticks calls and leaves b for slope 0, j b for slope 1:
+            # only a slope-1 step past cap // b can trip the magnitude cap
+            slope, b, ticks = form
+            skip = _skip(state, r, ticks, cap // b if slope and b else r)
+            v = skip * b if slope else (b if skip else 0)
+        for _ in range(r - skip):
             state.tick()
             v = f(v, state)
         return v

@@ -19,12 +19,19 @@ the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
-`schedules` and `oracle` import from this module.
+`schedules` and `oracle` import from this module.  An operator with a
+native float form (`_resolve_floats`: QuadraticProx, BoxProjection,
+Rotation2D) given its points as tuples or lists of floats reads them as
+Python floats and checks its zero-set witness on them, so building it
+loads no numpy; its point arrays are built at first read.
 """
 
 from __future__ import annotations
 
+import math
 import sys
+from functools import cached_property
+from typing import Optional
 
 
 class _Numpy:
@@ -75,6 +82,16 @@ def as_point(coords) -> np.ndarray:
     return pt
 
 
+def _float_coords(coords) -> Optional[list]:
+    """as_point(coords).tolist(), read without numpy, when coords is a
+    nonempty tuple or list of finite Python floats; else None, which leaves
+    the reading, and any refusal, to as_point."""
+    if type(coords) in (tuple, list) and coords \
+            and all(type(v) is float and math.isfinite(v) for v in coords):
+        return list(coords)
+    return None
+
+
 def norm(x) -> float:
     x = as_point(x)
     return float(np.linalg.norm(x))
@@ -114,12 +131,23 @@ class ResolventOperator:
     derives the other one.  They also implement the row-batched form
     _resolve_rows(c, xs) for one parameter and a (rows, dim) point array,
     and come with a zero_set_witness, a known point s with 0 in T(s).
+
+    With a native float form, a witness that _float_coords reads is checked
+    on floats, and zero_set_witness is built from them at first read.  The
+    float check only accepts, where each residual is at most SLACK / 2;
+    any other witness takes the array check, which words the refusal.
     """
 
     kind = "abstract"
 
     def __init__(self, dim: int, zero_set_witness):
         self.dim = dim
+        if type(self)._resolve_floats is not ResolventOperator._resolve_floats:
+            witness = _float_coords(zero_set_witness)
+            if witness is not None and len(witness) == dim \
+                    and self._fixes_on_floats(witness):
+                self._witness = witness
+                return
         self.zero_set_witness = as_point(zero_set_witness)
         if self.zero_set_witness.size != dim:
             raise ValueError("zero set witness has wrong dimension")
@@ -129,6 +157,23 @@ class ResolventOperator:
                 raise ValueError(
                     f"declared zero is not fixed by the resolvent at c={c} "
                     f"(residual {res:.3e})")
+
+    def _fixes_on_floats(self, witness: list) -> bool:
+        """Whether J_c moves the witness by at most SLACK / 2 at every
+        witness c.  The residual rounds as the array check's norm does up
+        to a relative dim * eps, far inside the margin; a NaN residual
+        passes, as it passes the array check."""
+        for c in _WITNESS_CS:
+            fixed = self._resolve_floats(c, witness)
+            res = math.sqrt(sum((r - w) * (r - w)
+                                for r, w in zip(fixed, witness)))
+            if res > SLACK / 2:
+                return False
+        return True
+
+    @cached_property
+    def zero_set_witness(self) -> np.ndarray:
+        return as_point(self._witness)
 
     def resolvent(self, c: float, x) -> np.ndarray:
         if not (0 < c < np.inf):
@@ -161,12 +206,15 @@ class QuadraticProx(ResolventOperator):
     def __init__(self, center, weight: float = 1.0, zero_set_witness=None):
         if not (weight > 0):
             raise ValueError("weight must be positive")
-        self.center = as_point(center)
         self.weight = float(weight)
-        self._center = self.center.tolist()
+        self._center = _float_coords(center) or as_point(center).tolist()
         if zero_set_witness is None:
-            zero_set_witness = self.center
-        super().__init__(self.center.size, zero_set_witness)
+            zero_set_witness = self._center
+        super().__init__(len(self._center), zero_set_witness)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        return as_point(self._center)
 
     def _resolve_floats(self, c, x):
         cw = c * self.weight
@@ -214,16 +262,24 @@ class BoxProjection(ResolventOperator):
     kind = "box_projection"
 
     def __init__(self, lo, hi, zero_set_witness=None):
-        self.lo = as_point(lo)
-        self.hi = as_point(hi)
-        if self.lo.size != self.hi.size:
+        self._lo = _float_coords(lo) or as_point(lo).tolist()
+        self._hi = _float_coords(hi) or as_point(hi).tolist()
+        if len(self._lo) != len(self._hi):
             raise ValueError("box corners must have equal dimension")
-        if np.any(self.lo > self.hi):
+        if any(l > h for l, h in zip(self._lo, self._hi)):
             raise ValueError("box is empty")
-        self._lo, self._hi = self.lo.tolist(), self.hi.tolist()
         if zero_set_witness is None:
-            zero_set_witness = (self.lo + self.hi) / 2.0
-        super().__init__(self.lo.size, zero_set_witness)
+            zero_set_witness = [(l + h) / 2.0
+                                for l, h in zip(self._lo, self._hi)]
+        super().__init__(len(self._lo), zero_set_witness)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return as_point(self._lo)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return as_point(self._hi)
 
     def _resolve_floats(self, c, x):
         # np.clip's rule, not min/max: NaN passes through, and a tie with a
@@ -335,7 +391,7 @@ class Rotation2D(ResolventOperator):
 
     def __init__(self, zero_set_witness=None):
         if zero_set_witness is None:
-            zero_set_witness = np.zeros(2)
+            zero_set_witness = [0.0, 0.0]
         super().__init__(2, zero_set_witness)
 
     def _resolve_floats(self, c, x):

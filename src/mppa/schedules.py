@@ -13,6 +13,7 @@ phrased in.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -32,6 +33,10 @@ class ConstantSeq:
     def values(self, count: int) -> np.ndarray:
         return np.full(count, self.value)
 
+    def at(self, n: int) -> float:
+        """values(count)[n] as a Python float, for any count > n."""
+        return self.value
+
 
 @dataclass(frozen=True)
 class HarmonicSeq:
@@ -45,6 +50,11 @@ class HarmonicSeq:
 
     def values(self, count: int) -> np.ndarray:
         return 1.0 / (np.arange(count) + self.shift)
+
+    def at(self, n: int) -> float:
+        """values(count)[n] as a Python float, for any count > n: the same
+        two roundings."""
+        return 1.0 / (n + self.shift)
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,37 @@ class Schedule:
         return self.scalars(horizon) + (self.error.values(max(horizon, 0)),)
 
 
+# The families that are nonincreasing in n.  Rounding is monotone, so in
+# floats too; delta = 1 - lambda - gamma is then nondecreasing.
+_NONINCREASING = (ConstantSeq, HarmonicSeq)
+
+
 def validate_schedule(schedule: Schedule, horizon: int) -> list:
     """All of lambda, gamma, delta must lie in (0, 1) and c must be positive
-    and finite up to the horizon; returns located violation messages."""
+    and finite up to the horizon; returns located violation messages.
+
+    When every family is nonincreasing, each of the four sequences is
+    monotone, so it lies in its interval if its two ends n = 0 and n =
+    horizon do, and those decide acceptance without arrays.  Anything else
+    goes through the array scan, the one writer of the messages."""
+    if horizon >= 0 and _ends_inside(schedule, horizon):
+        return []
     return _schedule_problems(*schedule.scalars(horizon))
+
+
+def _ends_inside(schedule: Schedule, horizon: int) -> bool:
+    """Whether every family is nonincreasing and, at n = 0 and n = horizon,
+    lambda, gamma and delta lie in (0, 1) and c in (0, inf), each computed
+    as schedule.scalars computes it."""
+    families = (schedule.lam, schedule.gamma, schedule.c)
+    if not all(type(fam) in _NONINCREASING for fam in families):
+        return False
+    for n in (0, horizon):
+        lam, gam, c = (fam.at(n) for fam in families)
+        if not (0 < lam < 1 and 0 < gam < 1 and 0 < 1.0 - lam - gam < 1
+                and 0 < c < math.inf):
+            return False
+    return True
 
 
 def _schedule_problems(lam, gam, delta, cs) -> list:

@@ -106,6 +106,10 @@ def test_proj_pins():
     assert exact(bounds.proj_bound(1, Affine(1, 1), 2)) == 8
     with pytest.raises(ValueError):
         bounds.proj_bound(0, Identity(), 0)
+    # a loop of N^2 (k + 1) < 0 steps, which the skip-ahead would count
+    # backwards
+    with pytest.raises(ValueError, match="proj requires k >= 0"):
+        bounds.proj_bound(-3, Const(5), 2)
 
 
 def test_varphi_chi_validation():
@@ -218,17 +222,18 @@ def test_theta_matches_brute_force(k, m_start, t, n_cells, f):
 # --- theta's closed form for a constant counterfunction ----------------------
 
 
-def theta_both_ways(k, m_start, t, n_cells, g, budget):
-    """theta with g's constant form, then with every form hidden (the same
-    nodes and ticks, so the literal loop runs): each render and final
-    EvalState.calls."""
+def both_ways(formula, *args, budget):
+    """formula with the functions' affine forms, then with every form
+    hidden (the same nodes and ticks, so the literal loop runs): each
+    render and final EvalState.calls."""
     patch, log = logged_states()
     with patch:
-        fast = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
+        fast = formula(*args, budget=budget)
         with mock.patch.object(Const, "affine_form", lambda self: None), \
+                mock.patch.object(Identity, "affine_form", lambda self: None), \
                 mock.patch.object(Affine, "affine_form", lambda self: None), \
                 mock.patch.object(Shift, "affine_form", lambda self: None):
-            literal = bounds.theta(k, m_start, t, n_cells, g, budget=budget)
+            literal = formula(*args, budget=budget)
     return (fast.render(), log[0].calls), (literal.render(), log[1].calls)
 
 
@@ -249,7 +254,8 @@ def constant_fns(draw):
 @settings(max_examples=400, deadline=None)
 def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
                                                budget):
-    fast, literal = theta_both_ways(k, m_start, t, n_cells, g, budget)
+    fast, literal = both_ways(bounds.theta, k, m_start, t, n_cells, g,
+                              budget=budget)
     assert fast == literal
 
 
@@ -270,7 +276,48 @@ def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
         "refused-up-front"])
 def test_theta_closed_form_events(g, k, m_start, t, n_cells, budget, render,
                                   calls):
-    fast, literal = theta_both_ways(k, m_start, t, n_cells, g, budget)
+    fast, literal = both_ways(bounds.theta, k, m_start, t, n_cells, g,
+                              budget=budget)
+    assert fast == literal == (render, calls)
+
+
+# --- proj's closed form for an f of slope 0 or 1 ---------------------------
+
+
+@st.composite
+def slope_fns(draw):
+    """A constant function as constant_fns draws it, id, or affine 1 b;
+    now and then affine 2 b, which proj runs literally."""
+    offset = draw(st.integers(0, 40) | st.integers(0, 2 ** 14))
+    return draw(constant_fns() | st.sampled_from(
+        (Identity(), Affine(1, offset), Affine(2, offset))))
+
+
+@given(st.integers(0, 5), st.integers(1, 5), slope_fns(),
+       st.builds(Budget, st.integers(2, 14),
+                 st.integers(0, 300) | st.integers(0, 10 ** 4)))
+@settings(max_examples=400, deadline=None)
+def test_proj_closed_form_is_the_literal_loop(k, n, f, budget):
+    fast, literal = both_ways(bounds.proj_bound, k, f, n, budget=budget)
+    assert fast == literal
+
+
+# One case per way the loop can end: (f, k, N, budget, render, calls).
+@pytest.mark.parametrize("f,k,n,budget,render,calls", [
+    (Const(3), 0, 2, Budget(8, 100), "3", 9),
+    (Affine(1, 3), 1, 2, Budget(8, 100), "24", 17),
+    (Affine(1, 1), 0, 2, Budget(8, 5), "BUDGET_EXCEEDED(proj)", 6),
+    (Affine(1, 1), 0, 2, Budget(8, 6), "BUDGET_EXCEEDED(proj)", 7),
+    (Shift(Shift(Const(1), 2), 1), 0, 2, Budget(8, 8),
+     "BUDGET_EXCEEDED(proj)", 9),
+    (Affine(1, 3), 0, 2, Budget(3, 100), "BUDGET_EXCEEDED(proj)", 7),
+    (Affine(1, 1), 0, 2, Budget(8, 4), "BUDGET_EXCEEDED(proj)", 1),
+    (Const(20), 0, 1, Budget(4, 100), "BUDGET_EXCEEDED(proj)", 3),
+], ids=["exact", "exact-slope-1", "cap-at-loop-tick", "cap-in-f",
+        "cap-in-nested-f", "slope-1-passes-magnitude", "refused-up-front",
+        "one-step-const-over-cap"])
+def test_proj_closed_form_events(f, k, n, budget, render, calls):
+    fast, literal = both_ways(bounds.proj_bound, k, f, n, budget=budget)
     assert fast == literal == (render, calls)
 
 

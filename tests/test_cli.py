@@ -696,8 +696,7 @@ print(*sorted({"numpy", "mppa.iteration"} & set(sys.modules)), file=sys.stderr)
 sys.exit(rc)
 """
 
-_CONFIG_A = str(Path(__file__).resolve().parent.parent / "configs"
-                / "experiment_a.cfg")
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("argv, out, loaded", [
@@ -707,16 +706,29 @@ _CONFIG_A = str(Path(__file__).resolve().parent.parent / "configs"
       for lemma in ("ratap", "limsup2", "xu")),
     (["oracle", "--lemma", "suzuki1", "--trials", "5"],
      "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "numpy"),
-    # parse_config builds the operator and checks the schedule on arrays
-    (["bound", _CONFIG_A, "nu", "--k", "3"],
-     "name,k,f_spec,value\nnu,3,,832\n", "numpy"),
-], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound"])
-def test_only_the_commands_that_build_arrays_load_numpy(argv, out, loaded):
+    # quadratic_prox, rotation2d and box_projection check their witness on
+    # floats, and const and harmonic schedules are checked at their ends
+    (["bound", str(_CONFIGS / "experiment_a.cfg"), "nu", "--k", "3"],
+     "name,k,f_spec,value\nnu,3,,832\n", ""),
+    (["bound", "t1.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
+    (["bound", "box.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
+    # ball_projection checks its witness on arrays
+    (["bound", str(_CONFIGS / "experiment_b.cfg"), "nu", "--k", "3"],
+     "name,k,f_spec,value\nnu,3,,448\n", "numpy"),
+], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound",
+        "bound-rotation2d", "bound-box", "bound-ball"])
+def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, out,
+                                                        loaded):
+    write_cfg(tmp_path, t1_config(), "t1.cfg")
+    write_cfg(tmp_path, t1_config().replace(
+        "kind = rotation2d", "kind = box_projection\nlo = -1,-1\nhi = 1,1"),
+        "box.cfg")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     fresh = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, *argv],
-                           capture_output=True, text=True, env=env)
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out,
                                                               loaded + "\n")
 

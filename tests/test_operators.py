@@ -82,6 +82,74 @@ def test_zero_witness_is_validated():
     assert np.allclose(op.zero_set_witness, (1.0, 0.0))
 
 
+# --- the zero-set witness checked on floats -----------------------------------
+
+
+def witness_outcomes(make, witness):
+    """make(witness) with the witness as a tuple, which the float check
+    reads, and as an array, which the array check reads: each the witness
+    it keeps, or the message it refuses with."""
+    def outcome(w):
+        try:
+            return make(w).zero_set_witness.tolist()
+        except ValueError as exc:
+            return str(exc)
+
+    return outcome(tuple(witness)), outcome(np.array(witness, dtype=float))
+
+
+# offsets around the refusal threshold SLACK = 1e-9 and its float-check
+# margin SLACK / 2, and far from both
+offsets = st.lists(
+    st.sampled_from((0.0, 1e-12, 4.9e-10, 5e-10, 5.1e-10, 9.9e-10, 1e-9,
+                     1.0000001e-9, 2e-9, 1e-3, -5e-10, -1e-9, -2e-9))
+    | st.floats(-3e-9, 3e-9), min_size=2, max_size=2)
+coords = st.lists(st.floats(-10, 10), min_size=2, max_size=2)
+
+
+@given(coords, st.floats(0.01, 10), offsets)
+@settings(max_examples=200, deadline=None)
+def test_quadratic_prox_float_witness_check_is_the_array_check(
+        center, weight, offset):
+    witness = [m + d for m, d in zip(center, offset)]
+    fast, arrays_ = witness_outcomes(
+        lambda w: QuadraticProx(center=tuple(center), weight=weight,
+                                zero_set_witness=w), witness)
+    assert fast == arrays_
+
+
+@given(offsets)
+@settings(max_examples=100, deadline=None)
+def test_rotation2d_float_witness_check_is_the_array_check(offset):
+    fast, arrays_ = witness_outcomes(
+        lambda w: Rotation2D(zero_set_witness=w), offset)
+    assert fast == arrays_
+
+
+@given(coords, st.lists(st.floats(0, 5), min_size=2, max_size=2), coords,
+       offsets)
+@settings(max_examples=200, deadline=None)
+def test_box_projection_float_witness_check_is_the_array_check(
+        lo, width, inside, offset):
+    # a point of the box, or one moved off a face by the offset
+    hi = [l + w for l, w in zip(lo, width)]
+    witness = [min(max(x, l), h) + d
+               for x, l, h, d in zip(inside, lo, hi, offset)]
+    fast, arrays_ = witness_outcomes(
+        lambda w: BoxProjection(lo=tuple(lo), hi=tuple(hi),
+                                zero_set_witness=w), witness)
+    assert fast == arrays_
+
+
+def test_float_form_operators_hold_no_array_until_read():
+    ops = (QuadraticProx(center=(1.0, -1.0)), Rotation2D(),
+           BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0)))
+    for op in ops:
+        assert not any(isinstance(v, np.ndarray) for v in vars(op).values())
+    assert QuadraticProx(center=(1.0, -1.0)).center.tolist() == [1.0, -1.0]
+    assert ops[2].zero_set_witness.tolist() == [0.0, 1.0]
+
+
 def test_ball_projection():
     op = BallProjection(center=(0.0, 0.0), radius=1.0)
     assert np.allclose(op.resolvent(1.0, (0.3, 0.4)), (0.3, 0.4))

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppa.countfn import Affine, Budget, Const, ExpCeil, Identity, evaluate
 from mppa.schedules import (ConstantSeq, GeometricError, HarmonicSeq, Moduli,
-                            Schedule, ZeroError, derive_constants,
+                            Schedule, ZeroError, _ends_inside,
+                            _schedule_problems, derive_constants,
                             validate_anchors, validate_moduli,
                             validate_schedule)
 
@@ -65,6 +68,39 @@ def test_validate_schedule():
     # harmonic shift 2 with gamma 1/2 makes delta_0 exactly zero
     bad = validate_schedule(make_schedule(lam=HarmonicSeq(shift=2.0)), 10)
     assert any("delta" in msg and "n=0" in msg for msg in bad)
+
+
+# const and harmonic families, with values on both sides of 0 and 1 and
+# shifts that put 1/shift there too
+families = st.one_of(
+    st.builds(ConstantSeq,
+              st.sampled_from((0.0, 0.5, 1.0, 1.5, -0.25, 1e-300, np.inf,
+                               1e308)) | st.floats(-0.5, 1.5)),
+    st.builds(HarmonicSeq,
+              st.sampled_from((0.5, 1.0, 2.0, 3.0, 1e-300))
+              | st.floats(0.01, 1e4)))
+
+
+@given(families, families, families, st.integers(0, 10 ** 4))
+@example(HarmonicSeq(2.0), ConstantSeq(0.5), ConstantSeq(1.0), 10)
+@example(HarmonicSeq(3.0), ConstantSeq(1.5), ConstantSeq(1.0), 10)
+@example(HarmonicSeq(3.0), ConstantSeq(0.5), HarmonicSeq(1.0), 10 ** 4)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_schedule_ends_accept_what_the_scan_accepts(lam, gamma, c, horizon):
+    # the two ends decide acceptance for monotone families; the scan of
+    # every n is the reference, messages included
+    schedule = make_schedule(lam=lam, gamma=gamma, c=c)
+    assert validate_schedule(schedule, horizon) \
+        == _schedule_problems(*schedule.scalars(horizon))
+
+
+def test_the_last_index_is_an_end_too():
+    # 1 - 1/(n+3) - 1/(n+3) rounds to 1 once 2/(n+3) < 2**-54, so delta
+    # leaves (0, 1) at a horizon no array scan reaches
+    schedule = make_schedule(lam=HarmonicSeq(3.0), gamma=HarmonicSeq(3.0))
+    assert _ends_inside(schedule, 10 ** 16)
+    assert not _ends_inside(schedule, 4 * 10 ** 16)
 
 
 @dataclasses.dataclass(frozen=True)
