@@ -3,6 +3,14 @@ calculus predicts about it.
 
 z_(n+1) = lambda_n u + gamma_n z_n + delta_n J_(c_n)(z_n) + e_n
 
+`run` steps the recursion on Python floats, with one trajectory kernel per
+shape of resolvent that the operator declares (see operators): a separable
+operator's coordinates are stepped one at a time, each as a scalar
+recurrence; a planar operator's two coordinates in one unrolled loop; any
+other operator's whole points, through its resolvent on a list of floats.
+Each kernel keeps the numpy expression's order of operations, so all give
+the bits of one numpy loop.
+
 The trace keeps every iterate together with the per-step parameters so the
 empirical searches (metastability witnesses, residual window indices) and the
 diagnostic inequalities can be evaluated after the fact without re-running
@@ -130,30 +138,18 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
     if bad.any():
         raise ValueError(f"invalid schedule at n={int(np.argmax(bad))}")
 
-    # The inputs were checked above, so the loop calls the unchecked
-    # resolvent.  It steps on Python floats, which round each operation as
-    # numpy does, in the order lam_n u + gam_n z_n + delta_n J(z_n) + e_n.
-    # A diverging iterate is caught once, after the loop, and its overflow
-    # on the way raises no numpy warning.
-    resolve = op._resolve_floats
-    u_l = u.tolist()
-    e_n = iter(errs.ravel().tolist())
-    z = z0.tolist()
-    zbuf, jbuf = array("d", z), array("d")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lam_n, gam_n, delta_n, c_n in zip(lam.tolist(), gam.tolist(),
-                                              delta.tolist(),
-                                              cs[:horizon].tolist()):
-            jz = resolve(c_n, z)
-            jbuf.extend(jz)
-            # zip stops on u_l before it draws from e_n, so each step takes
-            # exactly dim errors
-            z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
-                 for ui, zi, ji, ei in zip(u_l, z, jz, e_n)]
-            zbuf.extend(z)
-        jbuf.extend(resolve(float(cs[horizon]), z))
-    zs = np.frombuffer(zbuf).reshape(horizon + 1, op.dim)
-    jn = np.frombuffer(jbuf).reshape(horizon + 1, op.dim)
+    # The inputs were checked above, so the kernels call the unchecked
+    # resolvent, in the form the operator's shape states it.
+    steps = (lam.tolist(), gam.tolist(), delta.tolist(),
+             cs[:horizon].tolist())
+    if op._coordinate_maps is not None:
+        kernel, form = _run_separable, op._coordinate_maps
+    elif op._resolve_pair is not None:
+        kernel, form = _run_planar, op._resolve_pair
+    else:
+        kernel, form = _run_points, op._resolve_floats
+    zs, jn = kernel(form, u.tolist(), z0.tolist(), steps, errs,
+                    float(cs[horizon]))
     if not np.isfinite(zs).all():
         raise ValueError("point has non-finite coordinates")
     # where every c_n is 1/c, J_(1/c)(z_n) is J_(c_n)(z_n), bit for bit
@@ -163,6 +159,83 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
         jfix = op._resolve_rows(1.0 / c, zs)
     return Trace(op=op, z=zs, jn=jn, jfix=jfix, lam=lam, gam=gam, delta=delta,
                  cs=cs, errs=errs, u=u, s=s_pt, target=t_pt)
+
+
+# --- trajectory kernels ---------------------------------------------------------
+#
+# Each kernel steps z_(n+1) = lam_n u + gam_n z_n + delta_n J(z_n) + e_n on
+# Python floats, which round each operation as numpy does, in the order of
+# the numpy expression, so the iterates are the numpy loop's bits.  The
+# error is added even where it is zero: -0.0 + 0.0 is +0.0.  `steps` is
+# (lam, gam, delta, c) as lists, lam, gam and delta running one past the
+# last step; `last_c` is c_horizon, for the final resolvent.  Each returns
+# z and J_(c_n)(z_n) as (horizon + 1, dim) arrays.  A diverging iterate is
+# caught after the kernel, by run.
+
+
+def _run_separable(maps, u, z0, steps, errs, last_c):
+    """One scalar recurrence per coordinate i, each in its own loop:
+    z_i <- lam_n u_i + gam_n z_i + delta_n J_i(c_n, z_i) + e_i.  Only
+    coordinate i's errors are held as floats while it runs."""
+    lam, gam, delta, cs = steps
+    zs = np.empty((len(cs) + 1, len(maps)))
+    jn = np.empty_like(zs)
+    for i, (j, ui, zi) in enumerate(zip(maps, u, z0)):
+        zcol, jcol = array("d", (zi,)), array("d")
+        z_append, j_append = zcol.append, jcol.append
+        for lam_n, gam_n, delta_n, c_n, ei in zip(lam, gam, delta, cs,
+                                                  errs[:, i].tolist()):
+            ji = j(c_n, zi)
+            j_append(ji)
+            zi = lam_n * ui + gam_n * zi + delta_n * ji + ei
+            z_append(zi)
+        j_append(j(last_c, zi))
+        zs[:, i] = np.frombuffer(zcol)
+        jn[:, i] = np.frombuffer(jcol)
+    return zs, jn
+
+
+def _run_planar(pair, u, z0, steps, errs, last_c):
+    """The two coordinates of a planar resolvent, stepped together."""
+    lam, gam, delta, cs = steps
+    u0, u1 = u
+    x0, x1 = z0
+    zbuf, jbuf = array("d", z0), array("d")
+    for lam_n, gam_n, delta_n, c_n, e0, e1 in zip(lam, gam, delta, cs,
+                                                  *errs.T.tolist()):
+        j0, j1 = pair(c_n, x0, x1)
+        jbuf.append(j0)
+        jbuf.append(j1)
+        x0 = lam_n * u0 + gam_n * x0 + delta_n * j0 + e0
+        x1 = lam_n * u1 + gam_n * x1 + delta_n * j1 + e1
+        zbuf.append(x0)
+        zbuf.append(x1)
+    jbuf.extend(pair(last_c, x0, x1))
+    return (np.frombuffer(zbuf).reshape(-1, 2),
+            np.frombuffer(jbuf).reshape(-1, 2))
+
+
+def _run_points(resolve, u, z0, steps, errs, last_c):
+    """Whole points, for a resolvent stated on arrays: `resolve` is the
+    operator's _resolve_floats, and its overflow raises no numpy
+    warning."""
+    lam, gam, delta, cs = steps
+    dim = len(z0)
+    e_n = iter(errs.ravel().tolist())
+    z = z0
+    zbuf, jbuf = array("d", z), array("d")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam_n, gam_n, delta_n, c_n in zip(lam, gam, delta, cs):
+            jz = resolve(c_n, z)
+            jbuf.extend(jz)
+            # zip stops on u before it draws from e_n, so each step takes
+            # exactly dim errors
+            z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
+                 for ui, zi, ji, ei in zip(u, z, jz, e_n)]
+            zbuf.extend(z)
+        jbuf.extend(resolve(last_c, z))
+    return (np.frombuffer(zbuf).reshape(-1, dim),
+            np.frombuffer(jbuf).reshape(-1, dim))
 
 
 # --- empirical searches -------------------------------------------------------

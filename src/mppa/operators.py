@@ -10,6 +10,13 @@ c > 0.  Callers that have already validated their inputs use the unchecked
 x)`, and its row-batched form `_resolve_rows(c, xs)`, one c for every row;
 all three agree bit for bit.
 
+An operator states J_c once, in the form its shape allows, and the base
+class derives the others.  A separable resolvent (QuadraticProx,
+BoxProjection) is one scalar map (c, x_i) -> J_c(x)_i per coordinate, in
+`_coordinate_maps`; a planar one (Rotation2D) is `_resolve_pair(c, x0,
+x1)`; any other (BallProjection, LinearPSD) is `_resolve` on an array.
+`iteration.run` steps each shape with its own kernel.
+
 `LinearPSD._resolve` solves its cached system through `solve1`, the LAPACK
 gufunc (dgesv) that `np.linalg.solve` itself calls on a vector right-hand
 side, and `_resolve_rows` broadcasts it over the rows.  It is the same
@@ -19,11 +26,11 @@ the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
-`schedules` and `oracle` import from this module.  An operator with a
-native float form (`_resolve_floats`: QuadraticProx, BoxProjection,
-Rotation2D) given its points as tuples or lists of floats reads them as
-Python floats and checks its zero-set witness on them, so building it
-loads no numpy; its point arrays are built at first read.
+`schedules` and `oracle` import from this module.  An operator given its
+points as tuples or lists of floats reads them as Python floats.  When it
+can also accept its zero-set witness on them (`_fixes_on_floats`: every
+operator but LinearPSD), building it loads no numpy; its point arrays are
+built at first read.
 """
 
 from __future__ import annotations
@@ -68,6 +75,10 @@ _WITNESS_CS = (0.1, 1.0, 10.0)
 # cond(I + cA) past which LinearPSD resolves through the eigendecomposition
 # of A: a solve's rounding grows as cond * eps, about 1e-8 (INEQ_TOL) here.
 _SPECTRAL_COND = 1e8
+
+# Largest (dim + 1) * magnitude at which BallProjection accepts a witness
+# on floats: the float check's rounding stays far inside its margin.
+_BALL_FLOAT_SCALE = 2.0 ** 16
 
 
 def as_point(coords) -> np.ndarray:
@@ -125,29 +136,33 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 class ResolventOperator:
     """Base class: a maximal monotone operator presented through resolvents.
 
-    Subclasses state the single-point resolvent for c > 0 once, either as
-    _resolve(c, x) on an array or, when it is a per-coordinate closed form,
-    as _resolve_floats(c, x) on a list of Python floats; the base class
-    derives the other one.  They also implement the row-batched form
-    _resolve_rows(c, xs) for one parameter and a (rows, dim) point array,
-    and come with a zero_set_witness, a known point s with 0 in T(s).
+    Subclasses state the single-point resolvent for c > 0 once, in the
+    form of its shape: as `_coordinate_maps`, one scalar map (c, x_i) ->
+    J_c(x)_i per coordinate, when J_c is separable; as `_resolve_pair(c,
+    x0, x1)` when it acts on one plane; otherwise as `_resolve(c, x)` on an
+    array.  The base class derives `_resolve_floats(c, x)`, the form on a
+    list of Python floats, and `_resolve`.  Subclasses also implement the
+    row-batched form `_resolve_rows(c, xs)` for one parameter and a (rows,
+    dim) point array, and come with a zero_set_witness, a known point s
+    with 0 in T(s).
 
-    With a native float form, a witness that _float_coords reads is checked
-    on floats, and zero_set_witness is built from them at first read.  The
-    float check only accepts, where each residual is at most SLACK / 2;
-    any other witness takes the array check, which words the refusal.
+    A witness that _float_coords reads is offered to `_fixes_on_floats`
+    first, and zero_set_witness is built from it at first read when that
+    accepts.  The float check only accepts; any other witness takes the
+    array check, which words the refusal.
     """
 
     kind = "abstract"
+    _coordinate_maps: Optional[tuple] = None
+    _resolve_pair = None
 
     def __init__(self, dim: int, zero_set_witness):
         self.dim = dim
-        if type(self)._resolve_floats is not ResolventOperator._resolve_floats:
-            witness = _float_coords(zero_set_witness)
-            if witness is not None and len(witness) == dim \
-                    and self._fixes_on_floats(witness):
-                self._witness = witness
-                return
+        witness = _float_coords(zero_set_witness)
+        if witness is not None and len(witness) == dim \
+                and self._fixes_on_floats(witness):
+            self._witness = witness
+            return
         self.zero_set_witness = as_point(zero_set_witness)
         if self.zero_set_witness.size != dim:
             raise ValueError("zero set witness has wrong dimension")
@@ -159,10 +174,14 @@ class ResolventOperator:
                     f"(residual {res:.3e})")
 
     def _fixes_on_floats(self, witness: list) -> bool:
-        """Whether J_c moves the witness by at most SLACK / 2 at every
-        witness c.  The residual rounds as the array check's norm does up
-        to a relative dim * eps, far inside the margin; a NaN residual
-        passes, as it passes the array check."""
+        """Whether J_c, stated on floats, moves the witness by at most
+        SLACK / 2 at every witness c.  The residual rounds as the array
+        check's norm does up to a relative dim * eps, far inside the
+        margin; a NaN residual passes, as it passes the array check.  An
+        operator stated on arrays leaves every witness to the array
+        check."""
+        if self._coordinate_maps is None and self._resolve_pair is None:
+            return False
         for c in _WITNESS_CS:
             fixed = self._resolve_floats(c, witness)
             res = math.sqrt(sum((r - w) * (r - w)
@@ -189,16 +208,39 @@ class ResolventOperator:
     def _resolve_floats(self, c: float, x: list) -> list:
         """J_c(x) for a list of floats; Python float arithmetic rounds each
         operation as numpy does, so it equals _resolve bit for bit."""
+        if self._coordinate_maps is not None:
+            return [j(c, xi) for j, xi in zip(self._coordinate_maps, x)]
+        if self._resolve_pair is not None:
+            return list(self._resolve_pair(c, *x))
         return self._resolve(c, np.array(x, dtype=float)).tolist()
 
     def _resolve_rows(self, c: float, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
+def _prox_map(weight: float, center: float):
+    """J_c on one coordinate of QuadraticProx."""
+    def j(c, x):
+        cw = c * weight
+        return (x + cw * center) / (1.0 + cw)
+    return j
+
+
+def _clip_map(lo: float, hi: float):
+    """J_c on one coordinate of BoxProjection.  np.clip's rule, not
+    min/max: NaN passes through, and a tie with a face takes the face, so
+    -0.0 clips to a +0.0 face as +0.0 where max(-0.0, 0.0) is -0.0."""
+    def j(c, x):
+        m = x if (x != x or x > lo) else lo
+        return m if (m != m or m < hi) else hi
+    return j
+
+
 class QuadraticProx(ResolventOperator):
     """Gradient of the squared distance to a center, scaled by a weight.
 
-    T(x) = w*(x - m), so J_c(x) = (x + c*w*m) / (1 + c*w).
+    T(x) = w*(x - m), so J_c(x) = (x + c*w*m) / (1 + c*w), coordinate by
+    coordinate.
     """
 
     kind = "quadratic_prox"
@@ -208,6 +250,8 @@ class QuadraticProx(ResolventOperator):
             raise ValueError("weight must be positive")
         self.weight = float(weight)
         self._center = _float_coords(center) or as_point(center).tolist()
+        self._coordinate_maps = tuple(_prox_map(self.weight, m)
+                                      for m in self._center)
         if zero_set_witness is None:
             zero_set_witness = self._center
         super().__init__(len(self._center), zero_set_witness)
@@ -216,29 +260,56 @@ class QuadraticProx(ResolventOperator):
     def center(self) -> np.ndarray:
         return as_point(self._center)
 
-    def _resolve_floats(self, c, x):
-        cw = c * self.weight
-        den = 1.0 + cw
-        return [(xi + cw * mi) / den for xi, mi in zip(x, self._center)]
-
     def _resolve_rows(self, c, xs):
         cw = c * self.weight
         return (xs + cw * self.center) / (1.0 + cw)
 
 
 class BallProjection(ResolventOperator):
-    """Normal cone of a closed ball; every resolvent is the metric projection."""
+    """Normal cone of a closed ball; every resolvent is the metric projection.
+
+    It has no float form.  Its distance is np.linalg.norm, a BLAS dot
+    product, which OpenBLAS may compute with fused multiply-adds, so
+    math.sqrt(x*x + y*y) is not its bits: with numpy 2.4.6 on OpenBLAS
+    0.3.31, 23 767 of 300 000 standard-normal 2-d norms differed, each
+    checked one being sqrt(fma(y, y, x*x)).  Its witness is still
+    accepted on floats (`_fixes_on_floats`).
+    """
 
     kind = "ball_projection"
 
     def __init__(self, center, radius: float, zero_set_witness=None):
         if not (radius > 0):
             raise ValueError("radius must be positive")
-        self.center = as_point(center)
+        self._center = _float_coords(center) or as_point(center).tolist()
         self.radius = float(radius)
         if zero_set_witness is None:
-            zero_set_witness = self.center
-        super().__init__(self.center.size, zero_set_witness)
+            zero_set_witness = self._center
+        super().__init__(len(self._center), zero_set_witness)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        return as_point(self._center)
+
+    def _fixes_on_floats(self, witness: list) -> bool:
+        """Whether the naive float distance from the center to the witness
+        is at most radius + SLACK / 4, with every coordinate of both, and
+        the radius, at most _BALL_FLOAT_SCALE / (dim + 1) in magnitude.
+
+        Such a witness passes the array check: where numpy's distance is
+        at most the radius, J_c returns the witness itself; elsewhere the
+        residual is the distance past the sphere, at most SLACK / 4 plus
+        rounding, and the rounding of the subtraction, the norms and the
+        scaled projection is below 12 (dim + 1) eps/2 times that
+        magnitude, under SLACK / 10 on the scale."""
+        center = self._center
+        scale = max(max(map(abs, center)), max(map(abs, witness)),
+                    self.radius)
+        if (len(center) + 1) * scale > _BALL_FLOAT_SCALE:
+            return False
+        dist = math.sqrt(sum((w - m) * (w - m)
+                             for w, m in zip(witness, center)))
+        return dist <= self.radius + SLACK / 4
 
     def _resolve(self, c, x):
         d = x - self.center
@@ -268,6 +339,8 @@ class BoxProjection(ResolventOperator):
             raise ValueError("box corners must have equal dimension")
         if any(l > h for l, h in zip(self._lo, self._hi)):
             raise ValueError("box is empty")
+        self._coordinate_maps = tuple(_clip_map(l, h)
+                                      for l, h in zip(self._lo, self._hi))
         if zero_set_witness is None:
             zero_set_witness = [(l + h) / 2.0
                                 for l, h in zip(self._lo, self._hi)]
@@ -281,17 +354,8 @@ class BoxProjection(ResolventOperator):
     def hi(self) -> np.ndarray:
         return as_point(self._hi)
 
-    def _resolve_floats(self, c, x):
-        # np.clip's rule, not min/max: NaN passes through, and a tie with a
-        # face takes the face, so -0.0 clips to a +0.0 face as +0.0 where
-        # max(-0.0, 0.0) is -0.0
-        m = [xi if (xi != xi or xi > lo) else lo
-             for xi, lo in zip(x, self._lo)]
-        return [mi if (mi != mi or mi < hi) else hi
-                for mi, hi in zip(m, self._hi)]
-
     def _resolve_rows(self, c, xs):
-        # the same rule spelled out: numpy 2's np.clip keeps x on a tie in
+        # _clip_map's rule on arrays: numpy 2's np.clip keeps x on a tie in
         # its broadcasting loop, and takes the face in its 1-d loop
         m = np.where((xs != xs) | (xs > self.lo), xs, self.lo)
         return np.where((m != m) | (m < self.hi), m, self.hi)
@@ -394,10 +458,9 @@ class Rotation2D(ResolventOperator):
             zero_set_witness = [0.0, 0.0]
         super().__init__(2, zero_set_witness)
 
-    def _resolve_floats(self, c, x):
-        x0, x1 = x
+    def _resolve_pair(self, c, x0, x1):
         det = 1.0 + c * c
-        return [(x0 + c * x1) / det, (x1 - c * x0) / det]
+        return (x0 + c * x1) / det, (x1 - c * x0) / det
 
     def _resolve_rows(self, c, xs):
         det = 1.0 + c * c

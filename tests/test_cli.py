@@ -264,9 +264,24 @@ GOLDEN = {
         "metastability.csv": "7e983972aafc8fe1fc6c674c0061c73c28f6e7dd4d47b24fed71825320af4e48",
         "trace.csv": "c29d0f706c9626cbebfed8be479f101af3bf58577be9477050dc171024e2010a",
     },
+    "box_projection_1": {
+        "asymptotic.csv": "268ee86889f9bbc11a8630a958cf13711c823b3449ef8c29d50983170468cffa",
+        "checks.csv": "6c11dc24108fbd4f29a5f02777e3d2871a5ab70433aaec91a59421d3b13176f3",
+        "metastability.csv": "f2788122980a49ea087b980ed2abea7db81506871bfb501517de87d3a78e8a28",
+        "trace.csv": "1fa97b8cac354af5aab9b81700fcb610777aafe9cb783ccf9c882910717336b9",
+    },
+    "rotation2d_1": {
+        "asymptotic.csv": "cf92c7ed0063b1a6d038bee656fe4f659be9993afa14e10cf4b57309dc0bc5d1",
+        "checks.csv": "7af5ad264df31acfe6e33ba648759e03ec3443ca8145ed5baa64f25f3aed5e26",
+        "metastability.csv": "bdbeed9eaac5118dfe9de86d6e67d1e46c43680dbe4392ec4084bb6153e5de64",
+        "trace.csv": "7296ab167cb8ba3a44e17396609bfa87a9583f3693537778bb7e605e81af0679",
+    },
 }
 # The generated configs pinned above: box (dim 3), linear_psd (dim 8, a
-# two-dimensional kernel) and rotation2d, at horizon 5000.
+# two-dimensional kernel) and rotation2d, at horizon 5000; and, for the
+# per-coordinate and two-coordinate step loops, a box with signed-zero
+# faces and starting points, zero errors and c_n = 2 against 1/c = 1, and
+# a rotation with geometric errors and c_n = 1/c, at horizon 3000.
 GENERATED = {
     "box_projection_0": """\
 [problem]
@@ -363,6 +378,70 @@ N3 = 3
 horizon = 5000
 ks = 0,1,2,3,4,5
 fs = const 0; const 10; id
+""",
+    "box_projection_1": """\
+[problem]
+kind = box_projection
+lo = -0.5,-0,0
+hi = 0.25,0,1.5
+s = 0,0,0.5
+target = 0.25,0,0
+
+[iteration]
+u = 0.75,-0,-0.5
+z0 = -2,-0,3
+lam = harmonic 4
+gamma = const 0.34
+c = const 2
+error = zero
+
+[moduli]
+a = 3
+c = 1
+Cmaj = const 2
+ell = id
+L = expceil 5
+Gamma = const 0
+E = const 0
+N1 = 2
+N2 = 4
+N3 = 5
+
+[run]
+horizon = 3000
+ks = 0,1,2,3
+fs = const 0; id
+""",
+    "rotation2d_1": """\
+[problem]
+kind = rotation2d
+s = 0,0
+target = -0,0
+
+[iteration]
+u = 1.5,-0
+z0 = -0,-2.25
+lam = harmonic 5
+gamma = const 0.5
+c = const 1
+error = geometric 0.5 0.125,-0.0625
+
+[moduli]
+a = 3
+c = 1
+Cmaj = const 1
+ell = id
+L = expceil 6
+Gamma = const 0
+E = affine 1 0
+N1 = 3
+N2 = 2
+N3 = 3
+
+[run]
+horizon = 3000
+ks = 0,1,2,3
+fs = const 0; id
 """,
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -706,15 +785,15 @@ _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
       for lemma in ("ratap", "limsup2", "xu")),
     (["oracle", "--lemma", "suzuki1", "--trials", "5"],
      "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "numpy"),
-    # quadratic_prox, rotation2d and box_projection check their witness on
-    # floats, and const and harmonic schedules are checked at their ends
+    # quadratic_prox, rotation2d, box_projection and ball_projection check
+    # their witness on floats, and const and harmonic schedules are checked
+    # at their ends
     (["bound", str(_CONFIGS / "experiment_a.cfg"), "nu", "--k", "3"],
      "name,k,f_spec,value\nnu,3,,832\n", ""),
     (["bound", "t1.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
     (["bound", "box.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
-    # ball_projection checks its witness on arrays
     (["bound", str(_CONFIGS / "experiment_b.cfg"), "nu", "--k", "3"],
-     "name,k,f_spec,value\nnu,3,,448\n", "numpy"),
+     "name,k,f_spec,value\nnu,3,,448\n", ""),
 ], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound",
         "bound-rotation2d", "bound-box", "bound-ball"])
 def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, out,

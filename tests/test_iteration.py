@@ -896,11 +896,16 @@ def test_run_matches_numpy_loop_on_drawn_cases(args):
 @pytest.mark.parametrize("op", [
     LinearPSD(matrix=((1.0, 0.0), (0.0, 2.0))),
     Rotation2D(),
+    QuadraticProx(center=(1.0, -1.0)),
+    BoxProjection(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+    BallProjection(center=(0.0, 0.0), radius=1.0),
 ], ids=lambda op: op.kind)
 def test_run_diverging_iterate_raises_for_other_operators(op, capfd):
-    # as in test_run_diverging_iterate_raises_without_warnings, through the
-    # numpy resolvent behind a conversion and through a second closed form
-    sched = Schedule(lam=ConstantSeq(-10.0), gamma=ConstantSeq(0.5),
+    # as in test_run_diverging_iterate_raises_without_warnings, on each
+    # step loop: whole points through a numpy resolvent, the two-coordinate
+    # loop and the per-coordinate one.  gamma = 2 against lambda = -2
+    # doubles z at each step, whatever the resolvent, bounded or not.
+    sched = Schedule(lam=ConstantSeq(-2.0), gamma=ConstantSeq(2.0),
                      c=HarmonicSeq(shift=1.0),
                      error=GeometricError(ratio=0.5, base=(1.0, -1.0)))
     with warnings.catch_warnings():
@@ -908,6 +913,76 @@ def test_run_diverging_iterate_raises_for_other_operators(op, capfd):
         with pytest.raises(ValueError, match="point has non-finite coordinates"):
             run(op, sched, u=(1.0, 1.0), z0=(2.0, -1.0), horizon=2000)
     assert capfd.readouterr().err == ""
+
+
+# --- the per-coordinate and two-coordinate kernels ---------------------------
+
+signed = st.sampled_from((0.0, -0.0)) | st.floats(-5.0, 5.0)
+
+
+def const_or_harmonic(values, shifts):
+    return st.builds(ConstantSeq, values) | st.builds(HarmonicSeq, shifts)
+
+
+@st.composite
+def kernel_args(draw):
+    """Arguments of runs of the operators stepped one coordinate, or one
+    plane, at a time: quadratic prox weights and centers, box faces with
+    signed-zero ties, and the rotation; const or harmonic lambda, gamma and
+    c, so that c_n varies; zero or geometric errors; points with signed
+    zeros; horizons 0, 1 and up to a few hundred."""
+    kind = draw(st.sampled_from(("quadratic_prox", "box_projection",
+                                 "rotation2d")))
+    dim = 2 if kind == "rotation2d" else draw(st.integers(1, 4))
+    point = st.lists(signed, min_size=dim, max_size=dim).map(tuple)
+    if kind == "quadratic_prox":
+        op = QuadraticProx(center=draw(point),
+                           weight=draw(st.floats(0.05, 20.0)))
+    elif kind == "box_projection":
+        pairs = draw(st.lists(st.tuples(signed, signed), min_size=dim,
+                              max_size=dim))
+        # a tie keeps the order drawn, so faces may be (0.0, -0.0)
+        op = BoxProjection(lo=tuple(b if b < a else a for a, b in pairs),
+                           hi=tuple(a if b < a else b for a, b in pairs))
+    else:
+        op = Rotation2D()
+    if draw(st.booleans()):
+        error = ZeroError(dim=dim)
+    else:
+        error = GeometricError(ratio=draw(st.floats(0.05, 0.9)),
+                               base=draw(point))
+    # lambda <= 0.5 and gamma <= 0.45 keep delta positive
+    sched = Schedule(
+        lam=draw(const_or_harmonic(st.floats(0.0, 0.5), st.floats(2.0, 10.0))),
+        gamma=draw(const_or_harmonic(st.floats(0.0, 0.45),
+                                     st.floats(2.5, 10.0))),
+        c=draw(const_or_harmonic(st.floats(0.05, 20.0), st.floats(0.05, 4.0))),
+        error=error)
+    horizon = draw(st.sampled_from((0, 1)) | st.integers(2, 300))
+    return (op, sched, draw(point), draw(point), horizon,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_args())
+def test_kernels_match_numpy_loop_on_drawn_cases(args):
+    assert_run_matches_ref(*args)
+
+
+@pytest.mark.parametrize("op", [
+    QuadraticProx(center=(-0.0, 1.0)),
+    BoxProjection(lo=(-0.0, -1.0), hi=(-0.0, 1.0)),
+    Rotation2D(),
+], ids=lambda op: op.kind)
+def test_kernels_add_zero_errors(op):
+    # from u = z0 = (-0, -0), lam u + gam z + delta J(z) is -0 in the first
+    # coordinate; adding the zero error makes it +0, as the numpy loop does
+    sched = Schedule(lam=HarmonicSeq(shift=3.0), gamma=ConstantSeq(0.5),
+                     c=ConstantSeq(1.0), error=ZeroError(dim=2))
+    trace = run(op, sched, u=(-0.0, -0.0), z0=(-0.0, -0.0), horizon=3)
+    assert math.copysign(1.0, trace.jn[0, 0]) == -1.0
+    assert math.copysign(1.0, trace.z[1, 0]) == 1.0
+    assert_run_matches_ref(op, sched, (-0.0, -0.0), (-0.0, -0.0), 3, 1)
 
 
 # --- resolvents computed once ---------------------------------------------------

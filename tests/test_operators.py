@@ -1,5 +1,6 @@
 """Operators: closed-form resolvents, witness validation, shared identities."""
 
+import math
 import warnings
 
 import numpy as np
@@ -141,13 +142,73 @@ def test_box_projection_float_witness_check_is_the_array_check(
     assert fast == arrays_
 
 
+# distances past the sphere around the ball's float-check margin
+# SLACK / 4 and the refusal threshold SLACK, inside it, and far out
+ball_offsets = st.sampled_from(
+    (0.0, 1e-12, 2.4e-10, 2.5e-10, 2.6e-10, 9.9e-10, 1e-9, 1.01e-9, 2e-9,
+     1e-3, -1e-9, -0.5)) | st.floats(-3e-9, 3e-9)
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.lists(st.floats(-10, 10) | st.floats(-3e4, 3e4), min_size=dim,
+             max_size=dim),
+    st.lists(st.floats(-1, 1), min_size=dim, max_size=dim))),
+    st.floats(0.01, 10) | st.floats(1e3, 3e4), ball_offsets)
+@settings(max_examples=300, deadline=None)
+def test_ball_projection_float_witness_check_is_the_array_check(
+        center_direction, radius, offset):
+    # a point at distance radius + offset from the center, up to rounding
+    center, direction = center_direction
+    length = math.hypot(*direction)
+    assume(length > 0.1)
+    witness = [m + (radius + offset) * v / length
+               for m, v in zip(center, direction)]
+    fast, arrays_ = witness_outcomes(
+        lambda w: BallProjection(center=tuple(center), radius=radius,
+                                 zero_set_witness=w), witness)
+    assert fast == arrays_
+
+
+def test_ball_projection_leaves_large_witnesses_to_the_array_check():
+    # On this sphere of radius 1e9 the naive float distance of the witness
+    # is the radius, while np.linalg.norm reads one ulp more, and the
+    # projection then moves the witness by about 1.7e-7: a float check
+    # without the magnitude bound would accept it.
+    witness = (-652995056.6464227, 757362169.6357267)
+    fast, arrays_ = witness_outcomes(
+        lambda w: BallProjection(center=(0.0, 0.0), radius=1e9,
+                                 zero_set_witness=w), witness)
+    assert fast == arrays_
+    assert fast.startswith("declared zero is not fixed by the resolvent")
+
+
 def test_float_form_operators_hold_no_array_until_read():
     ops = (QuadraticProx(center=(1.0, -1.0)), Rotation2D(),
-           BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0)))
+           BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0)),
+           BallProjection(center=(0.0, 2.0), radius=1.0,
+                          zero_set_witness=(0.0, 1.0)))
     for op in ops:
         assert not any(isinstance(v, np.ndarray) for v in vars(op).values())
     assert QuadraticProx(center=(1.0, -1.0)).center.tolist() == [1.0, -1.0]
     assert ops[2].zero_set_witness.tolist() == [0.0, 1.0]
+    assert ops[3].center.tolist() == [0.0, 2.0]
+    assert ops[3].zero_set_witness.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("op, shape", [
+    (QuadraticProx(center=(1.0, -1.0, 0.0)), "separable"),
+    (BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0)), "separable"),
+    (Rotation2D(), "planar"),
+    (BallProjection(center=(0.0, 0.0), radius=1.0), "array"),
+    (LinearPSD(matrix=((1.0, 0.0), (0.0, 2.0))), "array"),
+], ids=lambda v: getattr(v, "kind", v))
+def test_operators_declare_their_shape(op, shape):
+    maps, pair = op._coordinate_maps, op._resolve_pair
+    assert (maps is not None, pair is not None) == {
+        "separable": (True, False), "planar": (False, True),
+        "array": (False, False)}[shape]
+    if maps is not None:
+        assert len(maps) == op.dim
 
 
 def test_ball_projection():
