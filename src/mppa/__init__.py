@@ -12,12 +12,12 @@ The package has three layers:
 numpy is loaded only where arrays are built.  The second layer never
 imports it.  ``operators``, ``schedules`` and ``oracle`` share one binding
 that imports it at first use: when an operator or a schedule builds arrays
-or a Suzuki suite builds its pair.  ``parse_config`` builds none for an
-operator that checks its zero-set witness on floats (every kind but
-linear_psd) and const or harmonic schedules, so ``mppa bound`` on such a
-config loads no numpy.  ``iteration`` and ``acceptance`` import it eagerly, and ``cli``
-imports ``iteration`` only inside the run pipeline, so ``import mppa.cli``
-and the integer oracle suites run without it.
+or a Suzuki suite builds its pair.  Every operator but linear_psd decides
+its zero-set witness exactly, in integers, so ``mppa bound`` on a config
+of one with const or harmonic schedules loads no numpy, whether it accepts
+the witness or not.  ``iteration`` and ``acceptance`` import it eagerly,
+and ``cli`` imports ``iteration`` only inside the run pipeline, so
+``import mppa.cli`` and the integer oracle suites run without it.
 """
 
 __version__ = "0.1.0"

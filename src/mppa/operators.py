@@ -26,11 +26,10 @@ the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
-`schedules` and `oracle` import from this module.  An operator given its
-points as tuples or lists of floats reads them as Python floats.  When it
-can also accept its zero-set witness on them (`_fixes_on_floats`: every
-operator but LinearPSD), building it loads no numpy; its point arrays are
-built at first read.
+`schedules` and `oracle` import from this module.  Every operator but
+LinearPSD reads points given as tuples or lists of floats as Python floats
+and decides its zero-set witness on their exact rationals, in integers, so
+building it loads no numpy; its point arrays are built at first read.
 """
 
 from __future__ import annotations
@@ -69,16 +68,13 @@ np = _Numpy()
 # resolvent identity and the diagnostic inequalities accumulate over a trace.
 SLACK = 1e-9
 INEQ_TOL = 1e-8
+_SLACK_NUM, _SLACK_DEN = SLACK.as_integer_ratio()
 
 _WITNESS_CS = (0.1, 1.0, 10.0)
 
 # cond(I + cA) past which LinearPSD resolves through the eigendecomposition
 # of A: a solve's rounding grows as cond * eps, about 1e-8 (INEQ_TOL) here.
 _SPECTRAL_COND = 1e8
-
-# Largest (dim + 1) * magnitude at which BallProjection accepts a witness
-# on floats: the float check's rounding stays far inside its margin.
-_BALL_FLOAT_SCALE = 2.0 ** 16
 
 
 def as_point(coords) -> np.ndarray:
@@ -93,19 +89,41 @@ def as_point(coords) -> np.ndarray:
     return pt
 
 
-def _float_coords(coords) -> Optional[list]:
-    """as_point(coords).tolist(), read without numpy, when coords is a
-    nonempty tuple or list of finite Python floats; else None, which leaves
-    the reading, and any refusal, to as_point."""
+def _floats(coords) -> list:
+    """as_point(coords).tolist(), without numpy for floats in a tuple or list."""
     if type(coords) in (tuple, list) and coords \
             and all(type(v) is float and math.isfinite(v) for v in coords):
         return list(coords)
-    return None
+    return as_point(coords).tolist()
 
 
-def norm(x) -> float:
-    x = as_point(x)
-    return float(np.linalg.norm(x))
+def sq_dist(x, y) -> tuple:
+    """|x - y|^2 for two equal-length sequences of finite floats, exactly, as
+    integers (num, den): each float is an integer over a power of two."""
+    num, den = 0, 1
+    for u, v in zip(x, y):
+        if u != v:
+            (a, b), (c, d) = u.as_integer_ratio(), v.as_integer_ratio()
+            e = b if b > d else d
+            t = a * (e // b) - c * (e // d)
+            if e > den:
+                num, den = num * (e // den) ** 2, e
+            num += (t * (den // e)) ** 2
+    return num, den * den
+
+
+def excess(num: int, den: int, radius=0.0) -> Optional[float]:
+    """None when sqrt(num / den) <= radius + SLACK, decided exactly; else
+    sqrt(num / den) - radius, within 2^-100 before its one rounding."""
+    rn, rd = radius.as_integer_ratio()
+    top = rn * _SLACK_DEN + _SLACK_NUM * rd
+    if num * (rd * _SLACK_DEN) ** 2 <= top * top * den:
+        return None
+    top = math.isqrt(num * den << 200) * rd - (rn * den << 100)
+    try:
+        return top / (den * rd << 100)
+    except OverflowError:
+        return math.inf
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -143,13 +161,11 @@ class ResolventOperator:
     array.  The base class derives `_resolve_floats(c, x)`, the form on a
     list of Python floats, and `_resolve`.  Subclasses also implement the
     row-batched form `_resolve_rows(c, xs)` for one parameter and a (rows,
-    dim) point array, and come with a zero_set_witness, a known point s
-    with 0 in T(s).
-
-    A witness that _float_coords reads is offered to `_fixes_on_floats`
-    first, and zero_set_witness is built from it at first read when that
-    accepts.  The float check only accepts; any other witness takes the
-    array check, which words the refusal.
+    dim) point array, and come with a zero_set_witness s, 0 in T(s).  For
+    each c in _WITNESS_CS (once where J_c does not read c),
+    `_witness_residuals(s)` is None when J_c moves s, a list of floats, by
+    at most SLACK, else |J_c(s) - s| as a float; the constructor refuses s
+    at the first c where it is not None.
     """
 
     kind = "abstract"
@@ -158,37 +174,15 @@ class ResolventOperator:
 
     def __init__(self, dim: int, zero_set_witness):
         self.dim = dim
-        witness = _float_coords(zero_set_witness)
-        if witness is not None and len(witness) == dim \
-                and self._fixes_on_floats(witness):
-            self._witness = witness
-            return
-        self.zero_set_witness = as_point(zero_set_witness)
-        if self.zero_set_witness.size != dim:
+        witness = _floats(zero_set_witness)
+        if len(witness) != dim:
             raise ValueError("zero set witness has wrong dimension")
-        for c in _WITNESS_CS:
-            res = norm(self._resolve(c, self.zero_set_witness) - self.zero_set_witness)
-            if res > SLACK:
+        for c, res in zip(_WITNESS_CS, self._witness_residuals(witness)):
+            if res is not None:
                 raise ValueError(
                     f"declared zero is not fixed by the resolvent at c={c} "
                     f"(residual {res:.3e})")
-
-    def _fixes_on_floats(self, witness: list) -> bool:
-        """Whether J_c, stated on floats, moves the witness by at most
-        SLACK / 2 at every witness c.  The residual rounds as the array
-        check's norm does up to a relative dim * eps, far inside the
-        margin; a NaN residual passes, as it passes the array check.  An
-        operator stated on arrays leaves every witness to the array
-        check."""
-        if self._coordinate_maps is None and self._resolve_pair is None:
-            return False
-        for c in _WITNESS_CS:
-            fixed = self._resolve_floats(c, witness)
-            res = math.sqrt(sum((r - w) * (r - w)
-                                for r, w in zip(fixed, witness)))
-            if res > SLACK / 2:
-                return False
-        return True
+        self._witness = witness
 
     @cached_property
     def zero_set_witness(self) -> np.ndarray:
@@ -249,7 +243,7 @@ class QuadraticProx(ResolventOperator):
         if not (weight > 0):
             raise ValueError("weight must be positive")
         self.weight = float(weight)
-        self._center = _float_coords(center) or as_point(center).tolist()
+        self._center = _floats(center)
         self._coordinate_maps = tuple(_prox_map(self.weight, m)
                                       for m in self._center)
         if zero_set_witness is None:
@@ -259,6 +253,13 @@ class QuadraticProx(ResolventOperator):
     @cached_property
     def center(self) -> np.ndarray:
         return as_point(self._center)
+
+    def _witness_residuals(self, w):
+        # J_c(x) - x = cw (m - x) / (1 + cw), cw = (p a) / (q b)
+        num, den = sq_dist(w, self._center)
+        a, b = self.weight.as_integer_ratio()
+        return [excess(num * (p * a) ** 2, den * (q * b + p * a) ** 2)
+                for p, q in map(float.as_integer_ratio, _WITNESS_CS)]
 
     def _resolve_rows(self, c, xs):
         cw = c * self.weight
@@ -272,8 +273,7 @@ class BallProjection(ResolventOperator):
     product, which OpenBLAS may compute with fused multiply-adds, so
     math.sqrt(x*x + y*y) is not its bits: with numpy 2.4.6 on OpenBLAS
     0.3.31, 23 767 of 300 000 standard-normal 2-d norms differed, each
-    checked one being sqrt(fma(y, y, x*x)).  Its witness is still
-    accepted on floats (`_fixes_on_floats`).
+    checked one being sqrt(fma(y, y, x*x)).
     """
 
     kind = "ball_projection"
@@ -281,7 +281,7 @@ class BallProjection(ResolventOperator):
     def __init__(self, center, radius: float, zero_set_witness=None):
         if not (radius > 0):
             raise ValueError("radius must be positive")
-        self._center = _float_coords(center) or as_point(center).tolist()
+        self._center = _floats(center)
         self.radius = float(radius)
         if zero_set_witness is None:
             zero_set_witness = self._center
@@ -291,25 +291,9 @@ class BallProjection(ResolventOperator):
     def center(self) -> np.ndarray:
         return as_point(self._center)
 
-    def _fixes_on_floats(self, witness: list) -> bool:
-        """Whether the naive float distance from the center to the witness
-        is at most radius + SLACK / 4, with every coordinate of both, and
-        the radius, at most _BALL_FLOAT_SCALE / (dim + 1) in magnitude.
-
-        Such a witness passes the array check: where numpy's distance is
-        at most the radius, J_c returns the witness itself; elsewhere the
-        residual is the distance past the sphere, at most SLACK / 4 plus
-        rounding, and the rounding of the subtraction, the norms and the
-        scaled projection is below 12 (dim + 1) eps/2 times that
-        magnitude, under SLACK / 10 on the scale."""
-        center = self._center
-        scale = max(max(map(abs, center)), max(map(abs, witness)),
-                    self.radius)
-        if (len(center) + 1) * scale > _BALL_FLOAT_SCALE:
-            return False
-        dist = math.sqrt(sum((w - m) * (w - m)
-                             for w, m in zip(witness, center)))
-        return dist <= self.radius + SLACK / 4
+    def _witness_residuals(self, w):
+        # J_c moves a point outside the ball by its distance past the sphere
+        return [excess(*sq_dist(w, self._center), self.radius)]
 
     def _resolve(self, c, x):
         d = x - self.center
@@ -333,8 +317,8 @@ class BoxProjection(ResolventOperator):
     kind = "box_projection"
 
     def __init__(self, lo, hi, zero_set_witness=None):
-        self._lo = _float_coords(lo) or as_point(lo).tolist()
-        self._hi = _float_coords(hi) or as_point(hi).tolist()
+        self._lo = _floats(lo)
+        self._hi = _floats(hi)
         if len(self._lo) != len(self._hi):
             raise ValueError("box corners must have equal dimension")
         if any(l > h for l, h in zip(self._lo, self._hi)):
@@ -353,6 +337,10 @@ class BoxProjection(ResolventOperator):
     @cached_property
     def hi(self) -> np.ndarray:
         return as_point(self._hi)
+
+    def _witness_residuals(self, w):
+        # the distance to the clipped point, which is exact at every c
+        return [excess(*sq_dist(w, self._resolve_floats(1.0, w)))]
 
     def _resolve_rows(self, c, xs):
         # _clip_map's rule on arrays: numpy 2's np.clip keeps x on a tie in
@@ -381,7 +369,7 @@ class LinearPSD(ResolventOperator):
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite entries")
-        if not np.allclose(mat, mat.T, atol=SLACK):
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=SLACK):
             raise ValueError("matrix must be symmetric")
         eigs, self._vecs = np.linalg.eigh(mat)
         if eigs.min() < -SLACK:
@@ -397,12 +385,17 @@ class LinearPSD(ResolventOperator):
         self._c, self._system = None, None
         self._solve1 = np.linalg._umath_linalg.solve1
         if zero_set_witness is None:
-            zero_set_witness = np.zeros(mat.shape[0])
-        else:
-            image = mat @ as_point(zero_set_witness)
-            if float(np.linalg.norm(image)) > SLACK:
-                raise ValueError("declared zero is not in the kernel")
+            zero_set_witness = [0.0] * mat.shape[0]
         super().__init__(mat.shape[0], zero_set_witness)
+
+    def _witness_residuals(self, w):
+        # no closed form: A w, then the residual of a float solve
+        x = np.array(w)
+        if float(np.linalg.norm(self.matrix @ x)) > SLACK:
+            raise ValueError("declared zero is not in the kernel")
+        res = [float(np.linalg.norm(self._resolve(c, x) - x))
+               for c in _WITNESS_CS]
+        return [r if r > SLACK else None for r in res]
 
     def _is_spectral(self, c):
         """Whether cond(I + cA) passes _SPECTRAL_COND.  Where c lam_min
@@ -457,6 +450,12 @@ class Rotation2D(ResolventOperator):
         if zero_set_witness is None:
             zero_set_witness = [0.0, 0.0]
         super().__init__(2, zero_set_witness)
+
+    def _witness_residuals(self, w):
+        # |J_c(w) - w|^2 = c^2 |w|^2 / (1 + c^2), with c = p / q
+        num, den = sq_dist(w, (0.0, 0.0))
+        return [excess(num * p * p, den * (p * p + q * q))
+                for p, q in map(float.as_integer_ratio, _WITNESS_CS)]
 
     def _resolve_pair(self, c, x0, x1):
         det = 1.0 + c * c

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .countfn import (Affine, Budget, Composed, CountFn, evaluate,
                       evaluate_prefix)
-from .operators import SLACK, as_point, norm, np
+from .operators import SLACK, as_point, excess, np, sq_dist
 
 # Integers at least this large exceed every finite float.
 _FLOAT_MAX = int(sys.float_info.max)
@@ -336,12 +336,11 @@ def validate_moduli(schedule: Schedule, moduli: Moduli, horizon: int,
 def validate_anchors(moduli: Moduli, schedule: Schedule, u, z0, s,
                      budget: Optional[Budget] = None) -> list:
     """The numeric envelopes N1, N2, N3 against the concrete experiment."""
-    u = as_point(u)
-    z0 = as_point(z0)
-    s = as_point(s)
+    u, z0, s = (as_point(p).tolist() for p in (u, z0, s))
     problems = []
-    if moduli.N1 + SLACK < norm(u):
-        problems.append(f"N1={moduli.N1} < |u|={norm(u)!r}")
+    past = excess(*sq_dist(u, [0.0] * len(u)), moduli.N1)
+    if past is not None:
+        problems.append(f"N1={moduli.N1} < |u|={moduli.N1 + past!r}")
     e0 = evaluate(moduli.E, 0, budget)
     if e0.is_exact:
         mass = float(np.sum(schedule.error.norms(e0.value + 1)))
@@ -349,7 +348,8 @@ def validate_anchors(moduli: Moduli, schedule: Schedule, u, z0, s,
             problems.append(f"N2={moduli.N2} < error mass {mass!r} + 1")
     else:
         problems.append("E(0) exceeded the evaluation budget")
-    need = max(norm(u - s), norm(z0 - s))
-    if moduli.N3 + SLACK < need:
+    past = [excess(*sq_dist(p, s), moduli.N3) for p in (u, z0)]
+    if past != [None, None]:
+        need = moduli.N3 + max(x for x in past if x is not None)
         problems.append(f"N3={moduli.N3} < max(|u-s|, |z0-s|)={need!r}")
     return problems

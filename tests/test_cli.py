@@ -778,38 +778,44 @@ sys.exit(rc)
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("argv, out, loaded", [
-    ([], "", ""),
-    *((["oracle", "--lemma", lemma, "--trials", "5"],
+@pytest.mark.parametrize("argv, rc, out, err", [
+    ([], 0, "", ""),
+    *((["oracle", "--lemma", lemma, "--trials", "5"], 0,
        f"lemma,trials,passes,status\n{lemma},5,5,PASS\n", "")
       for lemma in ("ratap", "limsup2", "xu")),
-    (["oracle", "--lemma", "suzuki1", "--trials", "5"],
+    (["oracle", "--lemma", "suzuki1", "--trials", "5"], 0,
      "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "numpy"),
-    # quadratic_prox, rotation2d, box_projection and ball_projection check
+    # quadratic_prox, rotation2d, box_projection and ball_projection decide
     # their witness on floats, and const and harmonic schedules are checked
     # at their ends
-    (["bound", str(_CONFIGS / "experiment_a.cfg"), "nu", "--k", "3"],
+    (["bound", str(_CONFIGS / "experiment_a.cfg"), "nu", "--k", "3"], 0,
      "name,k,f_spec,value\nnu,3,,832\n", ""),
-    (["bound", "t1.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
-    (["bound", "box.cfg", "nu"], "name,k,f_spec,value\nnu,0,,32\n", ""),
-    (["bound", str(_CONFIGS / "experiment_b.cfg"), "nu", "--k", "3"],
+    (["bound", "t1.cfg", "nu"], 0, "name,k,f_spec,value\nnu,0,,32\n", ""),
+    (["bound", "box.cfg", "nu"], 0, "name,k,f_spec,value\nnu,0,,32\n", ""),
+    (["bound", str(_CONFIGS / "experiment_b.cfg"), "nu", "--k", "3"], 0,
      "name,k,f_spec,value\nnu,3,,448\n", ""),
+    # and refuse one there too, before the probe's empty line
+    (["bound", "refused.cfg", "nu"], 2, "",
+     "config error: problem: declared zero is not fixed by the resolvent "
+     "at c=0.1 (residual 4.975e-01)\n"),
 ], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound",
-        "bound-rotation2d", "bound-box", "bound-ball"])
-def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, out,
-                                                        loaded):
+        "bound-rotation2d", "bound-box", "bound-ball", "bound-refusal"])
+def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, rc,
+                                                        out, err):
     write_cfg(tmp_path, t1_config(), "t1.cfg")
     write_cfg(tmp_path, t1_config().replace(
         "kind = rotation2d", "kind = box_projection\nlo = -1,-1\nhi = 1,1"),
         "box.cfg")
+    write_cfg(tmp_path, t1_config().replace(
+        "kind = rotation2d", "kind = rotation2d\ns = 5,0"), "refused.cfg")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     fresh = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, *argv],
                            capture_output=True, text=True, env=env,
                            cwd=tmp_path)
-    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out,
-                                                              loaded + "\n")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (rc, out,
+                                                              err + "\n")
 
 
 # --- README --------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mppa.operators import (INEQ_TOL, BallProjection, BoxProjection,
+from mppa.operators import (INEQ_TOL, SLACK, BallProjection, BoxProjection,
                             LinearPSD, QuadraticProx, Rotation2D, as_point,
-                            check_resolvent_identity, norm, row_dot,
-                            row_norm)
+                            check_resolvent_identity, excess, row_dot,
+                            row_norm, sq_dist)
 
 RNG = np.random.default_rng(11)
 
@@ -51,10 +53,6 @@ def test_as_point():
         as_point(())
 
 
-def test_norm():
-    assert norm((3, 4)) == 5.0
-
-
 # --- constructor validation --------------------------------------------------
 
 
@@ -83,103 +81,183 @@ def test_zero_witness_is_validated():
     assert np.allclose(op.zero_set_witness, (1.0, 0.0))
 
 
-# --- the zero-set witness checked on floats -----------------------------------
+# --- the zero-set witness, decided exactly ------------------------------------
 
 
-def witness_outcomes(make, witness):
-    """make(witness) with the witness as a tuple, which the float check
-    reads, and as an array, which the array check reads: each the witness
-    it keeps, or the message it refuses with."""
-    def outcome(w):
-        try:
-            return make(w).zero_set_witness.tolist()
-        except ValueError as exc:
-            return str(exc)
-
-    return outcome(tuple(witness)), outcome(np.array(witness, dtype=float))
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-# offsets around the refusal threshold SLACK = 1e-9 and its float-check
-# margin SLACK / 2, and far from both
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(finite, min_size=n, max_size=n),
+    st.lists(finite, min_size=n, max_size=n))),
+    finite.map(abs))
+@example(([0.0], [1e-9]), 0.0)                      # on the bound: within
+@example(([0.0], [math.nextafter(1e-9, 1.0)]), 0.0)  # one ulp past it
+@example(([3.0, 0.0], [0.0, 4.0]), 5.0)
+@example(([0.0], [5.0 + 1e-9]), 5.0)
+@example(([-1e308], [1e308]), 0.0)                    # past the float range
+@settings(max_examples=300, deadline=None)
+def test_exact_distance_helpers(xy, radius):
+    x, y = xy
+    num, den = sq_dist(x, y)
+    exact = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
+    assert Fraction(num, den) == exact
+    bound = Fraction(radius) + Fraction(SLACK)
+    got = excess(num, den, radius)
+    assert (got is None) == (exact <= bound * bound)
+    if got is not None:
+        # off by less than 2^-100 before it rounds, and inf past the float
+        # range; 800 digits hold every such value to far below that
+        with localcontext() as ctx:
+            ctx.prec = 800
+            want = float((Decimal(num) / Decimal(den)).sqrt()
+                         - Decimal(radius))
+        assert math.isclose(got, want, rel_tol=2 ** -52, abs_tol=2 ** -99)
+
+
+def ref_residual(op, c, w):
+    """(whether J_c moves w by at most SLACK, |J_c(w) - w| to 60 digits),
+    from J_c(w) computed in Fractions."""
+    c, w, slack = Fraction(c), [Fraction(v) for v in w], Fraction(SLACK)
+    if op.kind == "ball_projection":
+        # J_c(w) = m + (w - m) r / |w - m| outside the ball: it moves w by
+        # its distance past the sphere
+        r = Fraction(op.radius)
+        d2 = sum((v - Fraction(m)) ** 2 for v, m in zip(w, op._center))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dist = (Decimal(d2.numerator) / Decimal(d2.denominator)).sqrt()
+            return d2 <= (r + slack) ** 2, dist - Decimal(op.radius)
+    if op.kind == "quadratic_prox":
+        cw = c * Fraction(op.weight)
+        fixed = [(v + cw * Fraction(m)) / (1 + cw)
+                 for v, m in zip(w, op._center)]
+    elif op.kind == "rotation2d":
+        det = 1 + c * c
+        fixed = [(w[0] + c * w[1]) / det, (w[1] - c * w[0]) / det]
+    else:
+        fixed = [min(max(v, Fraction(lo)), Fraction(hi))
+                 for v, lo, hi in zip(w, op._lo, op._hi)]
+    res2 = sum((j - v) ** 2 for j, v in zip(fixed, w))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        res = (Decimal(res2.numerator) / Decimal(res2.denominator)).sqrt()
+    return res2 <= slack * slack, res
+
+
+def check_witness(op, w):
+    """op's predicate on w against the Fraction reference at each witness c,
+    and, where every coordinate and the radius are at most 2^16, against the
+    float decision through op.resolvent wherever the exact residual lies
+    outside [SLACK/2, 2 SLACK]."""
+    small = max(map(abs, w)) <= 2.0 ** 16 and \
+        getattr(op, "radius", 0.0) <= 2.0 ** 16
+    for c, got in zip((0.1, 1.0, 10.0), op._witness_residuals(list(w))):
+        fixed, res = ref_residual(op, c, w)
+        assert (got is None) == fixed
+        if got is not None:
+            assert math.isclose(got, float(res), rel_tol=1e-12)
+        if small and not (SLACK / 2 <= res <= 2 * SLACK):
+            moved = float(np.linalg.norm(op.resolvent(c, w) - np.array(w)))
+            assert (moved <= SLACK) == fixed
+
+
+# offsets around the refusal threshold SLACK = 1e-9 and far from it
 offsets = st.lists(
     st.sampled_from((0.0, 1e-12, 4.9e-10, 5e-10, 5.1e-10, 9.9e-10, 1e-9,
                      1.0000001e-9, 2e-9, 1e-3, -5e-10, -1e-9, -2e-9))
-    | st.floats(-3e-9, 3e-9), min_size=2, max_size=2)
-coords = st.lists(st.floats(-10, 10), min_size=2, max_size=2)
+    | st.floats(-3e-9, 3e-9) | st.floats(-3.0, 3.0), min_size=2, max_size=2)
+coords = st.lists(st.floats(-10, 10) | st.floats(-3e4, 3e4), min_size=2,
+                  max_size=2)
 
 
-@given(coords, st.floats(0.01, 10), offsets)
-@settings(max_examples=200, deadline=None)
-def test_quadratic_prox_float_witness_check_is_the_array_check(
-        center, weight, offset):
-    witness = [m + d for m, d in zip(center, offset)]
-    fast, arrays_ = witness_outcomes(
-        lambda w: QuadraticProx(center=tuple(center), weight=weight,
-                                zero_set_witness=w), witness)
-    assert fast == arrays_
+@given(coords, st.floats(0.01, 10) | st.floats(1e-6, 1e6), offsets)
+@settings(max_examples=300, deadline=None)
+def test_quadratic_prox_witness_check_is_exact(center, weight, offset):
+    op = QuadraticProx(center=tuple(center), weight=weight)
+    check_witness(op, [m + d for m, d in zip(center, offset)])
 
 
-@given(offsets)
-@settings(max_examples=100, deadline=None)
-def test_rotation2d_float_witness_check_is_the_array_check(offset):
-    fast, arrays_ = witness_outcomes(
-        lambda w: Rotation2D(zero_set_witness=w), offset)
-    assert fast == arrays_
+@given(offsets | st.lists(finite, min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_rotation2d_witness_check_is_exact(witness):
+    check_witness(Rotation2D(), witness)
 
 
 @given(coords, st.lists(st.floats(0, 5), min_size=2, max_size=2), coords,
        offsets)
-@settings(max_examples=200, deadline=None)
-def test_box_projection_float_witness_check_is_the_array_check(
-        lo, width, inside, offset):
+@settings(max_examples=300, deadline=None)
+def test_box_projection_witness_check_is_exact(lo, width, inside, offset):
     # a point of the box, or one moved off a face by the offset
     hi = [l + w for l, w in zip(lo, width)]
-    witness = [min(max(x, l), h) + d
-               for x, l, h, d in zip(inside, lo, hi, offset)]
-    fast, arrays_ = witness_outcomes(
-        lambda w: BoxProjection(lo=tuple(lo), hi=tuple(hi),
-                                zero_set_witness=w), witness)
-    assert fast == arrays_
+    op = BoxProjection(lo=tuple(lo), hi=tuple(hi))
+    check_witness(op, [min(max(x, l), h) + d
+                       for x, l, h, d in zip(inside, lo, hi, offset)])
 
 
-# distances past the sphere around the ball's float-check margin
-# SLACK / 4 and the refusal threshold SLACK, inside it, and far out
+# distances past the sphere around the refusal threshold SLACK, inside the
+# ball, and far out
 ball_offsets = st.sampled_from(
-    (0.0, 1e-12, 2.4e-10, 2.5e-10, 2.6e-10, 9.9e-10, 1e-9, 1.01e-9, 2e-9,
-     1e-3, -1e-9, -0.5)) | st.floats(-3e-9, 3e-9)
+    (0.0, 1e-12, 2.5e-10, 5e-10, 9.9e-10, 1e-9, 1.01e-9, 2e-9, 1e-3, -1e-9,
+     -0.5)) | st.floats(-3e-9, 3e-9)
 
 
 @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
     st.lists(st.floats(-10, 10) | st.floats(-3e4, 3e4), min_size=dim,
              max_size=dim),
     st.lists(st.floats(-1, 1), min_size=dim, max_size=dim))),
-    st.floats(0.01, 10) | st.floats(1e3, 3e4), ball_offsets)
+    st.floats(0.01, 10) | st.floats(1e3, 3e4) | st.floats(1e8, 1e12),
+    ball_offsets)
 @settings(max_examples=300, deadline=None)
-def test_ball_projection_float_witness_check_is_the_array_check(
-        center_direction, radius, offset):
+def test_ball_projection_witness_check_is_exact(center_direction, radius,
+                                                offset):
     # a point at distance radius + offset from the center, up to rounding
     center, direction = center_direction
     length = math.hypot(*direction)
     assume(length > 0.1)
-    witness = [m + (radius + offset) * v / length
-               for m, v in zip(center, direction)]
-    fast, arrays_ = witness_outcomes(
-        lambda w: BallProjection(center=tuple(center), radius=radius,
-                                 zero_set_witness=w), witness)
-    assert fast == arrays_
+    op = BallProjection(center=tuple(center), radius=radius)
+    check_witness(op, [m + (radius + offset) * v / length
+                       for m, v in zip(center, direction)])
 
 
-def test_ball_projection_leaves_large_witnesses_to_the_array_check():
-    # On this sphere of radius 1e9 the naive float distance of the witness
-    # is the radius, while np.linalg.norm reads one ulp more, and the
-    # projection then moves the witness by about 1.7e-7: a float check
-    # without the magnitude bound would accept it.
-    witness = (-652995056.6464227, 757362169.6357267)
-    fast, arrays_ = witness_outcomes(
-        lambda w: BallProjection(center=(0.0, 0.0), radius=1e9,
-                                 zero_set_witness=w), witness)
-    assert fast == arrays_
-    assert fast.startswith("declared zero is not fixed by the resolvent")
+def test_ball_projection_decides_large_witnesses_exactly():
+    # On the sphere of radius 1e9 the float projection moves each witness
+    # by about 1e-7 wherever the float distance reads one ulp past the
+    # radius.  This one lies 4.975e-08 past the sphere and is refused with
+    # that distance.
+    with pytest.raises(ValueError, match=r"^declared zero is not fixed by "
+                       r"the resolvent at c=0\.1 \(residual 4\.975e-08\)$"):
+        BallProjection(center=(0.0, 0.0), radius=1e9,
+                       zero_set_witness=(-652995056.6464227,
+                                         757362169.6357267))
+    # This one lies 5.7e-10 past it, within SLACK, and is accepted, though
+    # both the naive float distance and np.linalg.norm read it one ulp long.
+    witness = (-999495243.0800778, 31768837.88079534)
+    op = BallProjection(center=(0.0, 0.0), radius=1e9,
+                        zero_set_witness=witness)
+    assert op.zero_set_witness.tolist() == list(witness)
+    assert math.sqrt(witness[0] ** 2 + witness[1] ** 2) > 1e9
+    check_witness(op, witness)
+
+
+@pytest.mark.parametrize("make, witness, message", [
+    (lambda w: QuadraticProx(center=(1.0, -1.0), zero_set_witness=w),
+     (1.0, 0.0), "c=0.1 (residual 9.091e-02)"),
+    (lambda w: Rotation2D(zero_set_witness=w), (0.0, 2e-9),
+     "c=1.0 (residual 1.414e-09)"),
+    (lambda w: BoxProjection(lo=(0.0, 0.0), hi=(1.0, 1.0),
+                             zero_set_witness=w), (1.0, 1.0 + 3e-9),
+     "c=0.1 (residual 3.000e-09)"),
+    # in the kernel up to SLACK, and moved past it only at c = 10
+    (lambda w: LinearPSD(matrix=((1e-3, 0.0), (0.0, 0.0)),
+                         zero_set_witness=w), (1e-6, 1.0),
+     "c=10.0 (residual 9.901e-09)"),
+], ids=["quadratic_prox", "rotation2d", "box_projection", "linear_psd"])
+def test_witness_refusals_name_the_first_c(make, witness, message):
+    with pytest.raises(ValueError) as exc:
+        make(witness)
+    assert str(exc.value) == \
+        f"declared zero is not fixed by the resolvent at {message}"
 
 
 def test_float_form_operators_hold_no_array_until_read():
@@ -238,6 +316,14 @@ def test_linear_psd():
         LinearPSD(matrix=((-1.0, 0.0), (0.0, 1.0)))     # not psd
     with pytest.raises(ValueError):
         LinearPSD(matrix=((1.0, 0.0),))                 # not square
+
+
+def test_linear_psd_symmetry_is_checked_to_slack():
+    # |a_ij - a_ji| <= SLACK, with no tolerance relative to the entries:
+    # 9e-6 passes a relative one of 1e-5
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        LinearPSD(matrix=((2.0, 1.0), (1.000009, 2.0)))
+    LinearPSD(matrix=((2.0, 1.0), (1.0 + 5e-10, 2.0)))
 
 
 @settings(max_examples=150, deadline=None)

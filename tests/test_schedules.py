@@ -288,6 +288,23 @@ def test_validate_anchors():
     assert any(msg.startswith("N3=") for msg in bad)
 
 
+def test_validate_anchors_decides_each_norm_exactly():
+    # N1 = N3 = 4: a norm within SLACK past 4 passes, one 2e-9 past fails,
+    # and the failing detail prints the norm
+    sched = make_schedule()
+    assert validate_anchors(MODULI_A, sched, u=(4.0 + 5e-10, 0.0),
+                            z0=(0.0, 0.0), s=(0.0, 0.0)) == []
+    assert validate_anchors(MODULI_A, sched, u=(0.0, 0.0),
+                            z0=(0.0, -4.0 - 5e-10), s=(0.0, 0.0)) == []
+    assert validate_anchors(MODULI_A, sched, u=(4.0 + 2e-9, 0.0),
+                            z0=(0.0, 1.0), s=(0.0, 0.0)) == [
+        "N1=4 < |u|=4.000000002",
+        "N3=4 < max(|u-s|, |z0-s|)=4.000000002"]
+    assert validate_anchors(MODULI_A, sched, u=(0.0, 0.0), z0=(3.0, 4.0),
+                            s=(0.0, 0.0)) == [
+        "N3=4 < max(|u-s|, |z0-s|)=5.0"]
+
+
 def test_validate_anchors_error_mass():
     sched = make_schedule(error=GeometricError(ratio=0.5, base=(3.0, 0.0)))
     small_n2 = Moduli(a=2, c=1, Cmaj=Const(1), ell=Identity(), Ldiv=ExpCeil(4),
