@@ -6,10 +6,11 @@ z_(n+1) = lambda_n u + gamma_n z_n + delta_n J_(c_n)(z_n) + e_n
 `run` steps the recursion on Python floats, with one trajectory kernel per
 shape of resolvent that the operator declares (see operators): a separable
 operator's coordinates are stepped one at a time, each as a scalar
-recurrence; a planar operator's two coordinates in one unrolled loop; any
-other operator's whole points, through its resolvent on a list of floats.
-Each kernel keeps the numpy expression's order of operations, so all give
-the bits of one numpy loop.
+recurrence; a planar operator's two coordinates in one unrolled loop; an
+array routine's whole points, resolved from one row of the result arrays
+into another; any other operator's whole points, through its resolvent on
+a list of floats.  Each kernel keeps the numpy expression's order of
+operations, so all give the bits of one numpy loop.
 
 The trace keeps every iterate together with the per-step parameters so the
 empirical searches (metastability witnesses, residual window indices) and the
@@ -22,6 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
+from struct import Struct
 from typing import Optional, TextIO
 
 import numpy as np
@@ -146,6 +148,8 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
         kernel, form = _run_separable, op._coordinate_maps
     elif op._resolve_pair is not None:
         kernel, form = _run_planar, op._resolve_pair
+    elif op._resolve_into is not None:
+        kernel, form = _run_rows, op._resolve_into
     else:
         kernel, form = _run_points, op._resolve_floats
     zs, jn = kernel(form, u.tolist(), z0.tolist(), steps, errs,
@@ -165,12 +169,15 @@ def run(op: ResolventOperator, schedule, u, z0, horizon: int, *,
 #
 # Each kernel steps z_(n+1) = lam_n u + gam_n z_n + delta_n J(z_n) + e_n on
 # Python floats, which round each operation as numpy does, in the order of
-# the numpy expression, so the iterates are the numpy loop's bits.  The
-# error is added even where it is zero: -0.0 + 0.0 is +0.0.  `steps` is
-# (lam, gam, delta, c) as lists, lam, gam and delta running one past the
-# last step; `last_c` is c_horizon, for the final resolvent.  Each returns
-# z and J_(c_n)(z_n) as (horizon + 1, dim) arrays.  A diverging iterate is
-# caught after the kernel, by run.
+# the numpy expression, so the iterates are the numpy loop's bits.  Only
+# _run_rows leaves the floats, to resolve: it solves from one row of the
+# result array into another, with no list-to-array conversion, and reads
+# J's row back as floats for the update.  The error is added even where
+# it is zero: -0.0 + 0.0 is +0.0.  `steps` is (lam, gam, delta, c) as
+# lists, lam, gam and delta running one past the last step; `last_c` is
+# c_horizon, for the final resolvent.  Each returns z and J_(c_n)(z_n) as
+# (horizon + 1, dim) arrays.  A diverging iterate is caught after the
+# kernel, by run.
 
 
 def _run_separable(maps, u, z0, steps, errs, last_c):
@@ -215,25 +222,47 @@ def _run_planar(pair, u, z0, steps, errs, last_c):
             np.frombuffer(jbuf).reshape(-1, 2))
 
 
+def _run_rows(resolve_into, u, z0, steps, errs, last_c):
+    """Whole points, for a resolvent stated as an array routine:
+    `resolve_into` writes J_(c_n)(z_n) from row n of z into row n of J, and
+    the update runs on that row's floats.  Each new iterate is packed into
+    row n + 1 of z, which costs about half of assigning the list to it.
+    No numpy warning is raised."""
+    lam, gam, delta, cs = steps
+    zs = np.empty((len(cs) + 1, len(z0)))
+    jn = np.empty_like(zs)
+    put = Struct(f"{len(z0)}d").pack_into
+    buf, at, stride = memoryview(zs), 0, zs.strides[0]
+    zs[0] = z = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z_row, j_row, lam_n, gam_n, delta_n, c_n, e_n in zip(
+                zs, jn, lam, gam, delta, cs, errs.tolist()):
+            resolve_into(c_n, z_row, j_row)
+            z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
+                 for ui, zi, ji, ei in zip(u, z, j_row.tolist(), e_n)]
+            at += stride
+            put(buf, at, *z)
+        resolve_into(last_c, zs[-1], jn[-1])
+    return zs, jn
+
+
 def _run_points(resolve, u, z0, steps, errs, last_c):
-    """Whole points, for a resolvent stated on arrays: `resolve` is the
-    operator's _resolve_floats, and its overflow raises no numpy
-    warning."""
+    """Whole points, for a resolvent stated on a list of floats: `resolve`
+    is the operator's _resolve_floats."""
     lam, gam, delta, cs = steps
     dim = len(z0)
     e_n = iter(errs.ravel().tolist())
     z = z0
     zbuf, jbuf = array("d", z), array("d")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lam_n, gam_n, delta_n, c_n in zip(lam, gam, delta, cs):
-            jz = resolve(c_n, z)
-            jbuf.extend(jz)
-            # zip stops on u before it draws from e_n, so each step takes
-            # exactly dim errors
-            z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
-                 for ui, zi, ji, ei in zip(u, z, jz, e_n)]
-            zbuf.extend(z)
-        jbuf.extend(resolve(last_c, z))
+    for lam_n, gam_n, delta_n, c_n in zip(lam, gam, delta, cs):
+        jz = resolve(c_n, z)
+        jbuf.extend(jz)
+        # zip stops on u before it draws from e_n, so each step takes
+        # exactly dim errors
+        z = [lam_n * ui + gam_n * zi + delta_n * ji + ei
+             for ui, zi, ji, ei in zip(u, z, jz, e_n)]
+        zbuf.extend(z)
+    jbuf.extend(resolve(last_c, z))
     return (np.frombuffer(zbuf).reshape(-1, dim),
             np.frombuffer(jbuf).reshape(-1, dim))
 

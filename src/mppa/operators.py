@@ -14,15 +14,19 @@ An operator states J_c once, in the form its shape allows, and the base
 class derives the others.  A separable resolvent (QuadraticProx,
 BoxProjection) is one scalar map (c, x_i) -> J_c(x)_i per coordinate, in
 `_coordinate_maps`; a planar one (Rotation2D) is `_resolve_pair(c, x0,
-x1)`; any other (BallProjection, LinearPSD) is `_resolve` on an array.
-`iteration.run` steps each shape with its own kernel.
+x1)`; BallProjection states `_resolve_floats` on the whole point; and
+LinearPSD, whose J_c is a LAPACK solve, states `_resolve_into(c, x, out)`,
+which writes J_c(x) into a given array row.  `iteration.run` steps each
+shape with its own kernel.  The ball's float form calls no BLAS: it sums
+its squares left to right in Python floats, so its bits do not depend on
+the BLAS kernel that numpy loads.
 
-`LinearPSD._resolve` solves its cached system through `solve1`, the LAPACK
-gufunc (dgesv) that `np.linalg.solve` itself calls on a vector right-hand
-side, and `_resolve_rows` broadcasts it over the rows.  It is the same
-call, so the bits are the same, without the wrapper's type checks and the
-error-state switch that turns a singular system into LinAlgError: below
-the spectral threshold the system is never singular.
+`LinearPSD._resolve_into` solves its cached system through `solve1`, the
+LAPACK gufunc (dgesv) that `np.linalg.solve` itself calls on a vector
+right-hand side, and `_resolve_rows` broadcasts it over the rows.  It is
+the same call, so the bits are the same, without the wrapper's type checks
+and the error-state switch that turns a singular system into LinAlgError:
+below the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
@@ -151,15 +155,27 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(x, x))
 
 
+def _sum_squares(terms):
+    """0.0 + t_1 t_1 + ... + t_n t_n, summed left to right: on floats, or
+    on the columns of an array, row by row.  A loop, not sum(), which
+    compensates its rounding on Python 3.12 and later."""
+    sq = 0.0
+    for t in terms:
+        sq = sq + t * t
+    return sq
+
+
 class ResolventOperator:
     """Base class: a maximal monotone operator presented through resolvents.
 
     Subclasses state the single-point resolvent for c > 0 once, in the
     form of its shape: as `_coordinate_maps`, one scalar map (c, x_i) ->
     J_c(x)_i per coordinate, when J_c is separable; as `_resolve_pair(c,
-    x0, x1)` when it acts on one plane; otherwise as `_resolve(c, x)` on an
-    array.  The base class derives `_resolve_floats(c, x)`, the form on a
-    list of Python floats, and `_resolve`.  Subclasses also implement the
+    x0, x1)` when it acts on one plane; as `_resolve_into(c, x, out)`,
+    which writes J_c(x) into the float64 array `out`, when it is an array
+    routine; otherwise as `_resolve_floats(c, x)` on a list of Python
+    floats.  The base class derives `_resolve(c, x)` on an array and, for
+    the first three, `_resolve_floats`.  Subclasses also implement the
     row-batched form `_resolve_rows(c, xs)` for one parameter and a (rows,
     dim) point array, and come with a zero_set_witness s, 0 in T(s).  For
     each c in _WITNESS_CS (once where J_c does not read c),
@@ -171,6 +187,7 @@ class ResolventOperator:
     kind = "abstract"
     _coordinate_maps: Optional[tuple] = None
     _resolve_pair = None
+    _resolve_into = None
 
     def __init__(self, dim: int, zero_set_witness):
         self.dim = dim
@@ -197,6 +214,10 @@ class ResolventOperator:
         return self._resolve(float(c), x)
 
     def _resolve(self, c: float, x: np.ndarray) -> np.ndarray:
+        if self._resolve_into is not None:
+            out = np.empty(self.dim)
+            self._resolve_into(c, x, out)
+            return out
         return np.array(self._resolve_floats(c, x.tolist()), dtype=float)
 
     def _resolve_floats(self, c: float, x: list) -> list:
@@ -269,11 +290,14 @@ class QuadraticProx(ResolventOperator):
 class BallProjection(ResolventOperator):
     """Normal cone of a closed ball; every resolvent is the metric projection.
 
-    It has no float form.  Its distance is np.linalg.norm, a BLAS dot
-    product, which OpenBLAS may compute with fused multiply-adds, so
-    math.sqrt(x*x + y*y) is not its bits: with numpy 2.4.6 on OpenBLAS
-    0.3.31, 23 767 of 300 000 standard-normal 2-d norms differed, each
-    checked one being sqrt(fma(y, y, x*x)).
+    J_c(x) is computed in a stated order, in both forms: d_i = x_i - m_i;
+    sq = 0.0 + d_1 d_1 + ... + d_n d_n, summed left to right; dist =
+    sqrt(sq); x itself when dist <= r, else m_i + d_i (r / dist).  Only
+    where sq overflows, d is first divided by its largest |d_i|, which
+    keeps a far point off the center; where x is finite and some d_i
+    overflows, d is x_i / 2 - m_i / 2 before that division.  No step is a
+    BLAS call: np.linalg.norm is a dot product that OpenBLAS may compute
+    with fused multiply-adds, in an order that depends on the CPU.
     """
 
     kind = "ball_projection"
@@ -295,18 +319,36 @@ class BallProjection(ResolventOperator):
         # J_c moves a point outside the ball by its distance past the sphere
         return [excess(*sq_dist(w, self._center), self.radius)]
 
-    def _resolve(self, c, x):
-        d = x - self.center
-        dist = float(np.linalg.norm(d))
+    def _resolve_floats(self, c, x):
+        d = [xi - mi for xi, mi in zip(x, self._center)]
+        dist = math.sqrt(_sum_squares(d))
         if dist <= self.radius:
-            return x.copy()
-        return self.center + d * (self.radius / dist)
+            return x
+        if dist == math.inf and all(map(math.isfinite, x)):
+            # a square overflows; where x - m itself does, its halves do not
+            top = max(map(abs, d))
+            if top == math.inf:
+                d = [xi * 0.5 - mi * 0.5 for xi, mi in zip(x, self._center)]
+                top = max(map(abs, d))
+            d = [di / top for di in d]
+            dist = math.sqrt(_sum_squares(d))
+        gain = self.radius / dist
+        return [mi + di * gain for mi, di in zip(self._center, d)]
 
     def _resolve_rows(self, c, xs):
-        d = xs - self.center
-        dist = row_norm(d)
-        out = xs.copy()
+        # _resolve_floats's steps on columns, with no warning where a
+        # square overflows
+        with np.errstate(over="ignore"):
+            d = xs - self.center
+            dist = np.sqrt(_sum_squares(d.T))
         far = ~(dist <= self.radius)
+        big = np.flatnonzero((dist == np.inf) & np.isfinite(xs).all(axis=1))
+        if big.size:
+            halve = big[~np.isfinite(d[big]).all(axis=1)]
+            d[halve] = xs[halve] * 0.5 - self.center * 0.5
+            d[big] /= np.abs(d[big]).max(axis=1)[:, None]
+            dist[big] = np.sqrt(_sum_squares(d[big].T))
+        out = xs.copy()
         out[far] = self.center + d[far] * (self.radius / dist[far])[:, None]
         return out
 
@@ -421,11 +463,12 @@ class LinearPSD(ResolventOperator):
                 np.eye(self.dim) + c * self.matrix
         return self._system
 
-    def _resolve(self, c, x):
+    def _resolve_into(self, c, x, out):
         system = self._system_at(c)
         if system is None:
-            return self._spectral_rows(c, x[None, :])[0]
-        return self._solve1(system, x, signature="dd->d")
+            out[:] = self._spectral_rows(c, x[None, :])[0]
+        else:
+            self._solve1(system, x, out=out, signature="dd->d")
 
     def _resolve_rows(self, c, xs):
         # solve1 broadcasts the one system over the rows and solves each

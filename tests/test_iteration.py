@@ -1012,6 +1012,21 @@ def test_run_reuses_jn_as_jfix_only_when_every_c_n_is_one_over_c(op, cs,
     assert_run_matches_ref(op, sched, u, z0, 20, 2)
 
 
+def test_run_crosses_the_spectral_threshold_both_ways():
+    # a rank-2 A in four dimensions: cond(I + cA) = 1 + c lam_max, which
+    # passes _SPECTRAL_COND from c = 1e7 on, so the row kernel alternates
+    # between the solve and the eigenbasis
+    factor = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 1.0], [-2.0, 0.0]])
+    op = LinearPSD(matrix=factor @ factor.T)
+    cs = [1.0, 1e9, 0.5, 0.5, 1e12, 1e8, 2.0, 1e16, 3.0, 1e9, 1e9, 0.25, 1e10]
+    spectral = [bool(op._is_spectral(c_n)) for c_n in cs]
+    assert {(False, True), (True, False)} <= set(zip(spectral, spectral[1:]))
+    sched = listed_c_schedule(cs, 4)
+    u, z0 = (3.0, -2.0, 1.0, 0.5), (-1.0, 4.0, 2.0, -3.0)
+    assert_run_matches_ref(op, sched, u, z0, len(cs) - 1, 1)
+    assert_run_matches_ref(op, sched, u, z0, len(cs) - 1, 3)
+
+
 @pytest.mark.parametrize("cs", [
     [1.0] * 31,
     [1.0, 1.0] + [8.0] * 29,         # c_0 = c_1, and c_n moves on after

@@ -297,6 +297,81 @@ def test_ball_projection():
         BallProjection(center=(0.0,), radius=0.0)
 
 
+def ball_ref(center, radius, x) -> list:
+    """The ball's stated order on Python floats: d = x - m; 0.0 plus the
+    squares left to right; its square root; x inside, else m + d (r/dist).
+    Only where the squares overflow, d is first divided by its largest
+    |d_i|, after taking it as x/2 - m/2 where x - m overflows."""
+    d = [xi - mi for xi, mi in zip(x, center)]
+    sq = 0.0
+    for di in d:
+        sq = sq + di * di
+    if sq == math.inf:
+        if not all(map(math.isfinite, d)):
+            d = [xi / 2 - mi / 2 for xi, mi in zip(x, center)]
+        top = max(abs(di) for di in d)
+        d = [di / top for di in d]
+        sq = 0.0
+        for di in d:
+            sq = sq + di * di
+    elif math.sqrt(sq) <= radius:
+        return list(x)
+    return [mi + di * (radius / math.sqrt(sq)) for mi, di in zip(center, d)]
+
+
+def ball_exact(center, radius, x) -> list:
+    """The projection onto the ball in Fractions, its distance to 2^-200
+    relative."""
+    d = [Fraction(xi) - Fraction(mi) for xi, mi in zip(x, center)]
+    sq = sum(di * di for di in d)
+    if sq <= Fraction(radius) ** 2:
+        return [Fraction(xi) for xi in x]
+    dist = Fraction(math.isqrt(sq.numerator * sq.denominator << 400),
+                    sq.denominator << 200)
+    return [Fraction(mi) + di * Fraction(radius) / dist
+            for mi, di in zip(center, d)]
+
+
+ball_coords = st.floats(-10.0, 10.0) | st.floats(-1e3, 1e3) | \
+    st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(ball_coords, min_size=n, max_size=n),
+    st.lists(ball_coords, min_size=n, max_size=n))),
+    st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+@example(([0.0, 0.0], [-2.6632602148755575, 2.220060931059839]), 0.5, 1.0)
+# far points, whose squares overflow: the projection is on the sphere
+@example(([0.0, 0.0], [1e200, 0.0]), 1.0, 1.0)
+@example(([0.0, 0.0], [3e154, 4e154]), 1.0, 1.0)
+@example(([0.0, 0.0], [1.7e308, -1.7e308]), 1.0, 1.0)
+@example(([1.0, -2.0, 0.5], [-3e154, 4e154, 1e-300]), 2.0, 1.0)
+@example(([-1e308, 0.0], [1e308, 0.0]), 1.0, 1.0)    # x - m overflows
+@settings(max_examples=300, deadline=None)
+def test_ball_projection_follows_its_stated_order(center_x, radius, c):
+    # every form is ball_ref bit for bit, with no BLAS call and no warning:
+    # the first example is one of the 2-d points whose np.linalg.norm, a
+    # fused multiply-add dot product under some OpenBLAS kernels, rounds
+    # otherwise
+    center, x = center_x
+    op = BallProjection(center=center, radius=radius)
+    want = ball_ref(op._center, op.radius, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op._resolve_floats(c, list(x))
+        point = op.resolvent(c, x)
+        rows = op._resolve_rows(c, np.array([x, center]))
+    assert bits(got) == bits(want)
+    assert bits(point) == bits(want)
+    assert bits(rows[0]) == bits(want)
+    # each coordinate within (dim + 6) ulps of the scale |m_i| + r of the
+    # exact projection
+    eps = Fraction(2.0 ** -52)
+    for g, e, m in zip(got, ball_exact(op._center, op.radius, x), op._center):
+        assert abs(Fraction(g) - e) <= (len(x) + 6) * eps * \
+            (abs(Fraction(m)) + Fraction(op.radius))
+
+
 def test_box_projection():
     op = BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0))
     assert np.allclose(op.resolvent(1.0, (5.0, -5.0)), (1.0, 0.0))
