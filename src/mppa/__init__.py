@@ -12,12 +12,13 @@ The package has three layers:
 numpy is loaded only where arrays are built.  The second layer never
 imports it.  ``operators``, ``schedules`` and ``oracle`` share one binding
 that imports it at first use: when an operator or a schedule builds arrays
-or a Suzuki suite builds its pair.  Every operator but linear_psd decides
-its zero-set witness exactly, in integers, so ``mppa bound`` on a config
-of one with const or harmonic schedules loads no numpy, whether it accepts
-the witness or not.  ``iteration`` and ``acceptance`` import it eagerly,
-and ``cli`` imports ``iteration`` only inside the run pipeline, so
-``import mppa.cli`` and the integer oracle suites run without it.
+or a Suzuki suite builds its pair.  Every operator decides its zero-set
+witness exactly, in integers, and linear_psd its matrix too, so ``mppa
+bound`` on a config with const or harmonic schedules loads no numpy,
+whether it accepts the config or not.  ``iteration`` and ``acceptance``
+import it eagerly, and ``cli`` imports ``iteration`` only inside the run
+pipeline, so ``import mppa.cli`` and the integer oracle suites run
+without it.
 """
 
 __version__ = "0.1.0"

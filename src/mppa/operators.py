@@ -30,10 +30,11 @@ below the spectral threshold the system is never singular.
 
 numpy is imported when an operator or a schedule first reads it, not when
 this module is: `np` here is the package's one binding of it, which
-`schedules` and `oracle` import from this module.  Every operator but
-LinearPSD reads points given as tuples or lists of floats as Python floats
-and decides its zero-set witness on their exact rationals, in integers, so
-building it loads no numpy; its point arrays are built at first read.
+`schedules` and `oracle` import from this module.  Every operator reads
+points given as tuples or lists of floats as Python floats and decides its
+zero-set witness on their exact rationals, in integers, as LinearPSD also
+decides its matrix, so building one loads no numpy; its arrays, and
+LinearPSD's eigendecomposition, are built at first read.
 """
 
 from __future__ import annotations
@@ -128,6 +129,77 @@ def excess(num: int, den: int, radius=0.0) -> Optional[float]:
         return top / (den * rd << 100)
     except OverflowError:
         return math.inf
+
+
+def _over_one_den(values) -> tuple:
+    """(nums, den) with values[i] = nums[i] / den exactly, for finite
+    floats: each is an integer over a power of two, so den is the largest."""
+    ratios = list(map(float.as_integer_ratio, values))
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _square_rows(matrix) -> list:
+    """The rows of a square matrix of finite reals, as lists of floats."""
+    if hasattr(matrix, "tolist"):
+        matrix = matrix.tolist()
+    try:
+        rows = [[float(v) for v in row] for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("matrix has non-finite entries")
+    return rows
+
+
+def _is_psd(lower) -> bool:
+    """Whether the symmetric integer matrix with lower triangle `lower`
+    (row i holds b_i0 .. b_ii) is positive semidefinite.
+
+    Fraction-free (Bareiss) symmetric elimination: each entry of the
+    reduced matrix is a minor of b, so every division is exact, and the
+    sign of each pivot is the sign of its Schur complement's.  A negative
+    pivot refuses; a zero pivot passes only with a zero row, which is then
+    dropped."""
+    prev = 1
+    while lower:
+        (p,), rest = lower[0], lower[1:]
+        col = [row[0] for row in rest]
+        if p < 0 or (p == 0 and any(col)):
+            return False
+        if p == 0:
+            lower = [row[1:] for row in rest]
+            continue
+        lower = [[(p * v - ci * cj) // prev for v, cj in zip(row[1:], col)]
+                 for ci, row in zip(col, rest)]
+        prev = p
+    return True
+
+
+def _solve(g, r) -> tuple:
+    """(xs, det) with g z = r for z = xs / det, xs integers and det the
+    determinant of the integer matrix g, whose leading principal minors
+    must be nonzero: fraction-free (Bareiss) elimination, then back
+    substitution, every division exact."""
+    n = len(g)
+    rows = [row + [ri] for row, ri in zip(g, r)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k]
+        p = pivot[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (p * row[j] - f * pivot[j]) // prev
+        prev = p
+    xs = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        top = prev * row[n] - sum(row[j] * xs[j] for j in range(i + 1, n))
+        xs[i] = top // row[i]
+    return xs, prev
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -401,59 +473,106 @@ class LinearPSD(ResolventOperator):
     for the eigendecomposition A = Q diag(lam) Q^T, whose rounding does not
     grow with c.  Both forms agree with their row-batched versions bit for
     bit.
+
+    The constructor decides on the exact rationals of the entries, in
+    integers: |a_ij - a_ji| <= SLACK, and A + SLACK I positive semidefinite
+    on the lower triangle, which is the triangle eigh reads.  The arrays
+    and the eigendecomposition are built at first read.
     """
 
     kind = "linear_psd"
 
     def __init__(self, matrix, zero_set_witness=None):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has non-finite entries")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=SLACK):
+        rows = _square_rows(matrix)
+        n = len(rows)
+        # A = m / den, with m an integer matrix
+        flat, self._den = _over_one_den([v for row in rows for v in row])
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+        # SLACK den SLACK_DEN
+        slack = _SLACK_NUM * self._den
+        if any(abs(m[i][j] - m[j][i]) * _SLACK_DEN > slack
+               for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        eigs, self._vecs = np.linalg.eigh(mat)
-        if eigs.min() < -SLACK:
+        # A >= 0 implies A + SLACK I >= 0, and m's entries are small for a
+        # matrix of integers; (A + SLACK I) den SLACK_DEN decides the rest
+        lower = [row[:i + 1] for i, row in enumerate(m)]
+        if not (_is_psd(lower) or _is_psd(
+                [[v * _SLACK_DEN for v in row[:-1]]
+                 + [row[-1] * _SLACK_DEN + slack] for row in lower])):
             raise ValueError("matrix must be positive semidefinite")
-        # eigenvalues within rounding of 0 (numpy's matrix_rank tolerance)
-        # belong to the kernel: c times their rounding would grow with c
-        tol = max(float(eigs[-1]), 0.0) * mat.shape[0] * np.finfo(float).eps
-        self._eigs = np.where(eigs > tol, eigs, 0.0)
-        self._eig_lo, self._eig_hi = float(self._eigs[0]), float(self._eigs[-1])
-        self.matrix = mat
+        self._rows, self._m = rows, m
         # the last c _system_at saw, and its I + cA, or None where J_c is
         # spectral
         self._c, self._system = None, None
-        self._solve1 = np.linalg._umath_linalg.solve1
         if zero_set_witness is None:
-            zero_set_witness = [0.0] * mat.shape[0]
-        super().__init__(mat.shape[0], zero_set_witness)
+            zero_set_witness = [0.0] * n
+        super().__init__(n, zero_set_witness)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return np.array(self._rows, dtype=float)
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        """(lam, Q) with A = Q diag(lam) Q^T.  Eigenvalues within rounding of
+        0 (numpy's matrix_rank tolerance) are 0: they belong to the kernel,
+        and c times their rounding would grow with c."""
+        eigs, vecs = np.linalg.eigh(self.matrix)
+        tol = max(float(eigs[-1]), 0.0) * self.dim * np.finfo(float).eps
+        return np.where(eigs > tol, eigs, 0.0), vecs
+
+    @cached_property
+    def _eig_range(self) -> tuple:
+        eigs = self._eigh[0]
+        return float(eigs[0]), float(eigs[-1])
+
+    @cached_property
+    def _solve1(self):
+        return np.linalg._umath_linalg.solve1
 
     def _witness_residuals(self, w):
-        # no closed form: A w, then the residual of a float solve
-        x = np.array(w)
-        if float(np.linalg.norm(self.matrix @ x)) > SLACK:
+        # A w = aw / (den wden), |A w|^2 = sq / sq_den
+        n = self.dim
+        ws, wden = _over_one_den(w)
+        aw = [sum(a * x for a, x in zip(row, ws)) for row in self._m]
+        sq, sq_den = sum(v * v for v in aw), (self._den * wden) ** 2
+        if excess(sq, sq_den) is not None:
             raise ValueError("declared zero is not in the kernel")
-        res = [float(np.linalg.norm(self._resolve(c, x) - x))
-               for c in _WITNESS_CS]
-        return [r if r > SLACK else None for r in res]
+        for p, q in map(float.as_integer_ratio, _WITNESS_CS):
+            # J_c(w) - w = -y for (I + cA) y = cAw.  A is symmetric and
+            # PSD up to SLACK, so |(I + cA)^-1| <= 1 / (1 - c SLACK (n+1)/2),
+            # at most 2 where c SLACK (n + 1) <= 1; then 2c|Aw| <= SLACK
+            # bounds |y| by SLACK
+            if p * _SLACK_NUM * (n + 1) <= q * _SLACK_DEN \
+                    and excess(4 * p * p * sq, q * q * sq_den) is None:
+                yield None
+                continue
+            # (q den I + p m) (wden y) = p m ws, solved as ys / det; the
+            # symmetric part of I + cA has eigenvalues at least
+            # 1 - c SLACK (n+1)/2 > 0, so no leading minor is zero
+            ys, det = _solve([[q * self._den * (i == j) + p * v
+                               for j, v in enumerate(row)]
+                              for i, row in enumerate(self._m)],
+                             [p * v for v in aw])
+            yield excess(sum(v * v for v in ys), (det * wden) ** 2)
 
     def _is_spectral(self, c):
         """Whether cond(I + cA) passes _SPECTRAL_COND.  Where c lam_min
         overflows too, the ratio is inf/inf = NaN, and such a c is spectral:
         its system would hold infinities."""
-        cond = (1.0 + c * self._eig_hi) / (1.0 + c * self._eig_lo)
+        lo, hi = self._eig_range
+        cond = (1.0 + c * hi) / (1.0 + c * lo)
         return (cond > _SPECTRAL_COND) | (cond != cond)
 
     def _spectral_rows(self, c, xs):
         """Q diag(1/(1 + c lam)) Q^T x for each row, as a stack of one-row
         products, so that a row's bits do not depend on the row count.
         Where c lam overflows, 1/(1 + c lam) is 0, with no warning."""
-        coef = np.matmul(xs[:, None, :], self._vecs)[:, 0, :]
+        eigs, vecs = self._eigh
+        coef = np.matmul(xs[:, None, :], vecs)[:, 0, :]
         with np.errstate(over="ignore"):
-            coef = coef / (1.0 + c * self._eigs)
-        return np.matmul(coef[:, None, :], self._vecs.T)[:, 0, :]
+            coef = coef / (1.0 + c * eigs)
+        return np.matmul(coef[:, None, :], vecs.T)[:, 0, :]
 
     def _system_at(self, c):
         """I + cA, or None where J_c is spectral, cached for the last c."""

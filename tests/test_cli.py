@@ -568,6 +568,15 @@ def test_run_to_an_existing_file_is_a_usage_error(tmp_path, capsys,
     assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
+def test_bound_refuses_a_ragged_matrix(tmp_path, capsys):
+    # in the package's words, not in numpy's, which vary with its version
+    cfg = write_cfg(tmp_path, t1_config().replace(
+        "kind = rotation2d", "kind = linear_psd\nmatrix = 1,0;0"))
+    assert main(["bound", str(cfg), "nu"]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: problem: matrix must be square\n")
+
+
 def test_run_bad_config_reports_each_error(tmp_path, capsys, config_b_text):
     text = config_b_text.replace("a = 2", "a = x") + "bogus = 1\n"
     cfg = write_cfg(tmp_path, text)
@@ -798,8 +807,13 @@ _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     (["bound", "refused.cfg", "nu"], 2, "",
      "config error: problem: declared zero is not fixed by the resolvent "
      "at c=0.1 (residual 4.975e-01)\n"),
+    # linear_psd decides its matrix and its witness in integers as well
+    (["bound", "psd.cfg", "nu"], 0, "name,k,f_spec,value\nnu,0,,32\n", ""),
+    (["bound", "psd-refused.cfg", "nu"], 2, "",
+     "config error: problem: declared zero is not in the kernel\n"),
 ], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound",
-        "bound-rotation2d", "bound-box", "bound-ball", "bound-refusal"])
+        "bound-rotation2d", "bound-box", "bound-ball", "bound-refusal",
+        "bound-linear_psd", "bound-linear_psd-refusal"])
 def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, rc,
                                                         out, err):
     write_cfg(tmp_path, t1_config(), "t1.cfg")
@@ -808,6 +822,10 @@ def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, rc,
         "box.cfg")
     write_cfg(tmp_path, t1_config().replace(
         "kind = rotation2d", "kind = rotation2d\ns = 5,0"), "refused.cfg")
+    for s, name in (("1,0", "psd.cfg"), ("1,1", "psd-refused.cfg")):
+        write_cfg(tmp_path, t1_config().replace(
+            "kind = rotation2d",
+            f"kind = linear_psd\nmatrix = 0,0;0,1\ns = {s}"), name)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))

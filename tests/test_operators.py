@@ -1,5 +1,6 @@
 """Operators: closed-form resolvents, witness validation, shared identities."""
 
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -264,13 +265,17 @@ def test_float_form_operators_hold_no_array_until_read():
     ops = (QuadraticProx(center=(1.0, -1.0)), Rotation2D(),
            BoxProjection(lo=(-1.0, 0.0), hi=(1.0, 2.0)),
            BallProjection(center=(0.0, 2.0), radius=1.0,
-                          zero_set_witness=(0.0, 1.0)))
+                          zero_set_witness=(0.0, 1.0)),
+           LinearPSD(matrix=((1.0, 0.0), (0.0, 0.0)),
+                     zero_set_witness=(0.0, 3.0)))
     for op in ops:
         assert not any(isinstance(v, np.ndarray) for v in vars(op).values())
     assert QuadraticProx(center=(1.0, -1.0)).center.tolist() == [1.0, -1.0]
     assert ops[2].zero_set_witness.tolist() == [0.0, 1.0]
     assert ops[3].center.tolist() == [0.0, 2.0]
     assert ops[3].zero_set_witness.tolist() == [0.0, 1.0]
+    assert ops[4].matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert ops[4].zero_set_witness.tolist() == [0.0, 3.0]
 
 
 @pytest.mark.parametrize("op, shape", [
@@ -389,8 +394,10 @@ def test_linear_psd():
         LinearPSD(matrix=((1.0, 2.0), (0.0, 1.0)))      # not symmetric
     with pytest.raises(ValueError):
         LinearPSD(matrix=((-1.0, 0.0), (0.0, 1.0)))     # not psd
-    with pytest.raises(ValueError):
-        LinearPSD(matrix=((1.0, 0.0),))                 # not square
+    for matrix in (((1.0, 0.0),), ((1.0, 0.0), (0.0,)), (),
+                   ((1.0, (0.0,)), (0.0, 1.0))):        # not square
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            LinearPSD(matrix=matrix)
 
 
 def test_linear_psd_symmetry_is_checked_to_slack():
@@ -399,6 +406,181 @@ def test_linear_psd_symmetry_is_checked_to_slack():
     with pytest.raises(ValueError, match="^matrix must be symmetric$"):
         LinearPSD(matrix=((2.0, 1.0), (1.000009, 2.0)))
     LinearPSD(matrix=((2.0, 1.0), (1.0 + 5e-10, 2.0)))
+
+
+def frac_det(m) -> Fraction:
+    """The determinant of a square matrix of Fractions, by elimination."""
+    m, det = [list(row) for row in m], Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            row[k:] = [v - f * p for v, p in zip(row[k:], m[k][k:])]
+    return det
+
+
+def ref_psd(sym, shift) -> bool:
+    """Whether sym + shift I is positive semidefinite: every principal
+    minor is >= 0."""
+    n = len(sym)
+    return all(frac_det([[sym[i][j] + shift * (i == j) for j in idx]
+                         for i in idx]) >= 0
+               for size in range(1, n + 1)
+               for idx in itertools.combinations(range(n), size))
+
+
+def ref_linear_psd(matrix, w) -> tuple:
+    """(the constructor's message, or None where it accepts; whether a
+    decision it reached lay in [SLACK/2, 2 SLACK]), in Fractions: the
+    symmetry gap, A + SLACK I >= 0 on the lower triangle, |A w|, and at each
+    witness c, |y| for (I + cA) y = cAw by Cramer's rule."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    w, n, slack = [Fraction(v) for v in w], len(matrix), Fraction(SLACK)
+
+    def near(sq):
+        return slack ** 2 / 4 <= sq <= 4 * slack ** 2
+
+    gap = max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(n)),
+              default=Fraction(0))
+    if gap > slack:
+        return "matrix must be symmetric", near(gap * gap)
+    sym = [[a[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    close = not ref_psd(sym, slack / 2) and ref_psd(sym, 2 * slack)
+    if not ref_psd(sym, slack):
+        return "matrix must be positive semidefinite", close
+    close = close or near(gap * gap)
+    aw = [sum(x * y for x, y in zip(row, w)) for row in a]
+    sq = sum(v * v for v in aw)
+    close = close or near(sq)
+    if sq > slack ** 2:
+        return "declared zero is not in the kernel", close
+    for c in map(Fraction, (0.1, 1.0, 10.0)):
+        g = [[(i == j) + c * a[i][j] for j in range(n)] for i in range(n)]
+        det = frac_det(g)
+        y = [frac_det([[c * aw[i] if k == j else g[i][k] for k in range(n)]
+                       for i in range(n)]) / det for j in range(n)]
+        sq = sum(v * v for v in y)
+        close = close or near(sq)
+        if sq > slack ** 2:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                res = (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+            return ("declared zero is not fixed by the resolvent at "
+                    f"c={float(c)} (residual {float(res):.3e})"), close
+    return None, close
+
+
+def float_linear_psd(matrix, w):
+    """The message a float check gives: np.allclose, eigvalsh (on the lower
+    triangle, as eigh) and np.linalg.solve, up to the residual's digits."""
+    a, w = np.array(matrix, dtype=float), np.array(w, dtype=float)
+    if not np.allclose(a, a.T, rtol=0.0, atol=SLACK):
+        return "matrix must be symmetric"
+    if np.linalg.eigvalsh(a).min() < -SLACK:
+        return "matrix must be positive semidefinite"
+    if np.linalg.norm(a @ w) > SLACK:
+        return "declared zero is not in the kernel"
+    for c in (0.1, 1.0, 10.0):
+        y = np.linalg.solve(np.eye(len(w)) + c * a, w)
+        if np.linalg.norm(y - w) > SLACK:
+            return f"declared zero is not fixed by the resolvent at c={c}"
+    return None
+
+
+def linear_psd_verdict(matrix, w):
+    try:
+        LinearPSD(matrix=matrix, zero_set_witness=w)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# shifts and gaps around the refusal threshold SLACK = 1e-9 and far from it
+near_slack = st.sampled_from(
+    (0.0, 1e-12, 2.5e-10, 5e-10, 9.9e-10, 1e-9, 1.0000001e-9, 2e-9, 3e-9,
+     1e-3)) | st.floats(0.0, 3e-9)
+
+
+@st.composite
+def psd_problems(draw):
+    """A = scale F F^T + shift I, with some rows of F zero, and one entry
+    moved off symmetry by a gap; w is any point on the zero rows' axes,
+    moved off them by offsets of about SLACK / scale."""
+    n = draw(st.integers(1, 4))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    factor = [[draw(st.integers(-3, 3)) if on else 0 for _ in range(n)]
+              for on in live]
+    scale = draw(st.sampled_from((1.0, 1e-3)))
+    shift = draw(st.sampled_from((1e-3, 0.0)) | near_slack.map(lambda v: -v))
+    a = [[scale * sum(x * y for x, y in zip(fi, fj)) + shift * (i == j)
+          for j, fj in enumerate(factor)] for i, fi in enumerate(factor)]
+    if n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        gap = draw(st.just(0.0) | near_slack)
+        a[i][j] += gap * draw(st.sampled_from((1.0, -1.0)))
+    w = [draw(st.integers(-9, 9).map(float) | st.floats(-10, 10)) if not on
+         else draw(near_slack | st.floats(-1e-8, 1e-8)) / scale
+         for on in live]
+    return tuple(map(tuple, a)), w
+
+
+@given(psd_problems())
+@example((((-SLACK, 0.0), (SLACK, 1.0)), [0.0, 0.0]))
+@example((((1e-3, 0.0), (0.0, 0.0)), [4e-7, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_linear_psd_decisions_are_exact(problem):
+    # the constructor's decisions equal the Fraction reference's, and the
+    # float checks' wherever every quantity decided lies outside
+    # [SLACK/2, 2 SLACK]; the entries are small, so the float checks round
+    # far less than that
+    matrix, w = problem
+    got = linear_psd_verdict(matrix, w)
+    want, close = ref_linear_psd(matrix, w)
+    assert got == want
+    if not close:
+        assert (got or "").split(" (residual")[0] == \
+            (float_linear_psd(matrix, w) or "")
+
+
+@pytest.mark.parametrize("matrix, accepted", [
+    # A + SLACK I has a zero pivot with a zero row: on the boundary, within
+    (((-SLACK, 0.0), (0.0, 1.0)), True),
+    # one ulp below it
+    (((-math.nextafter(SLACK, 1.0), 0.0), (0.0, 1.0)), False),
+    # a zero pivot with a nonzero row, of A and of A + SLACK I
+    (((0.0, 1.0), (1.0, 1.0)), False),
+    (((-SLACK, 1.0), (1.0, 1.0)), False),
+    # a zero pivot with a zero row
+    (((0.0, 0.0), (0.0, 1.0)), True),
+    # symmetric up to SLACK, and decided on the lower triangle
+    (((-SLACK, 0.0), (SLACK, 1.0)), False),
+    (((-SLACK, SLACK), (0.0, 1.0)), True),
+    # v v^T for a float v, rounded entry by entry: lam_min is about
+    # +1.1e-8 where numpy 2.4's eigh read -3.0e-8, and about -1.9e-9 where
+    # it read 0
+    (((494599215.64736986, 336776506.9476451),
+      (336776506.9476451, 229313779.81141043)), True),
+    (((58461214.2216206, 205390775.65354127),
+      (205390775.65354127, 721595869.7614937)), False),
+])
+def test_linear_psd_decides_semidefiniteness_exactly(matrix, accepted):
+    assert linear_psd_verdict(matrix, [0.0, 0.0]) == (
+        None if accepted else "matrix must be positive semidefinite")
+    assert ref_linear_psd(matrix, [0.0, 0.0])[0] == \
+        linear_psd_verdict(matrix, [0.0, 0.0])
+
+
+def test_linear_psd_witness_bound_reads_c():
+    # |A w| = 4e-10 <= SLACK / 2, but J_10 moves w by 10 |A w| / 1.01
+    with pytest.raises(ValueError, match=r"^declared zero is not fixed by "
+                       r"the resolvent at c=10\.0 \(residual 3\.960e-09\)$"):
+        LinearPSD(matrix=((1e-3, 0.0), (0.0, 0.0)),
+                  zero_set_witness=(4e-7, 1.0))
 
 
 @settings(max_examples=150, deadline=None)
