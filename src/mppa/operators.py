@@ -476,8 +476,11 @@ class LinearPSD(ResolventOperator):
 
     The constructor decides on the exact rationals of the entries, in
     integers: |a_ij - a_ji| <= SLACK, and A + SLACK I positive semidefinite
-    on the lower triangle, which is the triangle eigh reads.  The arrays
-    and the eigendecomposition are built at first read.
+    on the lower triangle, which is the triangle eigh reads.  The integers
+    of each elimination step grow with the step, so these checks serve
+    small matrices: they take about n^3/3 operations on integers of up to
+    n times an entry's bits.  The arrays and the eigendecomposition are built at first
+    read.
     """
 
     kind = "linear_psd"
@@ -493,12 +496,10 @@ class LinearPSD(ResolventOperator):
         if any(abs(m[i][j] - m[j][i]) * _SLACK_DEN > slack
                for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        # A >= 0 implies A + SLACK I >= 0, and m's entries are small for a
-        # matrix of integers; (A + SLACK I) den SLACK_DEN decides the rest
-        lower = [row[:i + 1] for i, row in enumerate(m)]
-        if not (_is_psd(lower) or _is_psd(
-                [[v * _SLACK_DEN for v in row[:-1]]
-                 + [row[-1] * _SLACK_DEN + slack] for row in lower])):
+        # (A + SLACK I) den SLACK_DEN, on the lower triangle
+        if not _is_psd([[v * _SLACK_DEN for v in row[:i]]
+                        + [row[i] * _SLACK_DEN + slack]
+                        for i, row in enumerate(m)]):
             raise ValueError("matrix must be positive semidefinite")
         self._rows, self._m = rows, m
         # the last c _system_at saw, and its I + cA, or None where J_c is
@@ -532,19 +533,14 @@ class LinearPSD(ResolventOperator):
 
     def _witness_residuals(self, w):
         # A w = aw / (den wden), |A w|^2 = sq / sq_den
-        n = self.dim
         ws, wden = _over_one_den(w)
         aw = [sum(a * x for a, x in zip(row, ws)) for row in self._m]
         sq, sq_den = sum(v * v for v in aw), (self._den * wden) ** 2
         if excess(sq, sq_den) is not None:
             raise ValueError("declared zero is not in the kernel")
         for p, q in map(float.as_integer_ratio, _WITNESS_CS):
-            # J_c(w) - w = -y for (I + cA) y = cAw.  A is symmetric and
-            # PSD up to SLACK, so |(I + cA)^-1| <= 1 / (1 - c SLACK (n+1)/2),
-            # at most 2 where c SLACK (n + 1) <= 1; then 2c|Aw| <= SLACK
-            # bounds |y| by SLACK
-            if p * _SLACK_NUM * (n + 1) <= q * _SLACK_DEN \
-                    and excess(4 * p * p * sq, q * q * sq_den) is None:
+            # J_c(w) - w = -y for (I + cA) y = cAw, and y = 0 where Aw = 0
+            if not sq:
                 yield None
                 continue
             # (q den I + p m) (wden y) = p m ws, solved as ys / det; the
