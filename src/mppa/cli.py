@@ -303,8 +303,8 @@ def run_experiment(cfg: ExperimentConfig) -> Experiment:
         if not report.ok:
             return Experiment(report, None, [], [], [])
 
-    trace = run(cfg.problem.build(), schedule, cfg.iteration.u,
-                cfg.iteration.z0, horizon, c=moduli.c, s=cfg.problem.s,
+    trace = run(cfg.problem.operator, schedule, cfg.iteration.u,
+                cfg.iteration.z0, horizon, c=moduli.c,
                 target=cfg.problem.target, snapshot=snapshot)
     meta_rows, res_rows = [], []
     if horizon >= 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .countfn import (Affine, Budget, Const, CountFn, ExpCeil, Identity,
@@ -151,16 +152,21 @@ def _render_error_family(fam) -> str:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A kind, its operator's arguments as (key, value) pairs, s, target."""
+    """A kind, its operator's arguments as (key, value) pairs, s, target.
+    `operator` is built and checked at first read; a copy builds its own."""
 
     kind: str
     args: tuple = ()
     s: Optional[tuple] = None
     target: Optional[tuple] = None
 
-    def build(self) -> ResolventOperator:
+    @cached_property
+    def operator(self) -> ResolventOperator:
         op, _ = _OPERATORS[self.kind]
         return op(**dict(self.args), zero_set_witness=self.s)
+
+    def build(self) -> ResolventOperator:
+        return self.operator
 
 
 @dataclass(frozen=True)
@@ -352,7 +358,7 @@ def _fit(cfg: ExperimentConfig, sections: dict) -> ExperimentConfig:
     """Build the operator, then fit every sized value to its dimension: a
     vector must have it, and an error family is made with it."""
     try:
-        dim = cfg.problem.build().dim
+        dim = cfg.problem.operator.dim
     except ValueError as exc:
         raise ConfigError([f"problem: {exc}"]) from None
     specs, errors = {}, []
@@ -368,7 +374,7 @@ def _fit(cfg: ExperimentConfig, sections: dict) -> ExperimentConfig:
             if size != dim:
                 errors.append(f"line {sections[name][row.key][0]}: {row.key}: "
                               f"dimension {size}, the operator's is {dim}")
-        specs[name] = replace(spec, **fitted)
+        specs[name] = replace(spec, **fitted) if fitted else spec
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(**specs)

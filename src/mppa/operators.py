@@ -205,18 +205,12 @@ def _solve(g, r) -> tuple:
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of two (rows, dim) arrays.
 
-    A stack of 1 x dim by dim x 1 products sums each row in the same order
-    as np.dot, so entry i equals np.dot(x[i], y[i]) bit for bit;
-    np.linalg.norm(axis=1), einsum and (x * y).sum(1) sum in other orders.
-    In one dimension np.dot returns the bare product, whose zero may be
-    negative, where the stacked sum starts from +0.  BLAS sums a row whose
-    coordinates lie a stride apart in yet another order, so such rows are
-    copied contiguous first, as np.linalg.norm copies its vector.
+    A stack of 1 x dim by dim x 1 products sums each contiguous row (every
+    caller's are) in np.dot's order, so entry i equals np.dot(x[i], y[i]) bit
+    for bit; np.linalg.norm(axis=1), einsum and (x * y).sum(1) sum in other
+    orders.  In one dimension np.dot returns the bare product, whose zero may
+    be negative, where the stacked sum starts from +0.
     """
-    if x.strides[1] != x.itemsize:
-        x = np.ascontiguousarray(x)
-    if y.strides[1] != y.itemsize:
-        y = np.ascontiguousarray(y)
     if x.shape[1] == 1:
         return x[:, 0] * y[:, 0]
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]

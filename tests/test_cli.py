@@ -21,7 +21,7 @@ from mppa.cli import (_NEEDS_F, BOUND_NAMES, _check_rows, _property_rows,
 from mppa.config import count_fn, parse_config, parse_fspec, render_fspec
 from mppa.countfn import Affine, BoundValue, ExpCeil, evaluate
 from mppa.iteration import run
-from mppa.operators import QuadraticProx
+from mppa.operators import QuadraticProx, ResolventOperator
 from mppa.schedules import (ConstantSeq, GeometricError, Schedule,
                             derive_constants)
 
@@ -474,6 +474,25 @@ def test_run_takes_one_schedule_snapshot(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, GENERATED["box_projection_0"])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"Schedule.snapshot": 1, "GeometricError.values": 1}
+
+
+def test_each_config_builds_its_operator_once(tmp_path, monkeypatch):
+    """parse_config builds and checks the operator, and the run steps that
+    operator: `mppa verify` reads config A and experiment B once each."""
+    built = Counter()
+    real = ResolventOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolventOperator, "__init__", counted)
+    cfg = write_cfg(tmp_path, GENERATED["linear_psd_0"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built == {"LinearPSD": 1}
+    built.clear()
+    assert main(["verify", str(CONFIGS / "experiment_a.cfg")]) == 0
+    assert built == {"QuadraticProx": 1, "BallProjection": 1}
 
 
 @pytest.mark.parametrize("read", [lambda f: evaluate(f, 3),

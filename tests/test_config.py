@@ -1,5 +1,6 @@
 """Config grammar: located errors, canonical round-trips, budget plumbing."""
 
+import dataclasses
 import hashlib
 import logging
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mppa.acceptance import EXPERIMENT_B_TEXT
+from mppa.cli import main
 from mppa.config import (ConfigError, count_fn, parse_config, parse_fspec,
                          render_fspec, serialize_config)
 from mppa.countfn import (DEFAULT_MAGNITUDE_BITS, DEFAULT_MAX_CALLS, Affine,
@@ -227,6 +229,28 @@ def test_rotation_witness_is_checked_at_parse_time():
     assert errors_of(text) == [
         "problem: declared zero is not fixed by the resolvent at c=0.1 "
         "(residual 4.975e-01)"]
+
+
+def test_section_errors_come_before_the_witness_refusal(tmp_path, capsys,
+                                                       config_a_text):
+    # the operator is built only once every section's spec is made
+    text = config_a_text.replace("s = 1,-1", "s = 5,5") \
+        .replace("\na = 2\n", "\na = 0\n")
+    path = tmp_path / "a.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: moduli: a must be a positive integer\n")
+
+
+def test_a_replaced_problem_builds_and_checks_its_own_operator(cfg_a):
+    kept = cfg_a.problem.operator
+    assert cfg_a.problem.build() is kept
+    moved = dataclasses.replace(cfg_a.problem, s=(5.0, 5.0))
+    with pytest.raises(ValueError, match="^declared zero is not fixed by "
+                                         "the resolvent at c=0.1 "):
+        moved.build()
+    assert cfg_a.problem.operator is kept
 
 
 @pytest.mark.parametrize("key, old, new, line, dim", [
