@@ -18,7 +18,8 @@ bound`` on a config with const or harmonic schedules loads no numpy,
 whether it accepts the config or not.  ``iteration`` and ``acceptance``
 import it eagerly, and ``cli`` imports ``iteration`` only inside the run
 pipeline, so ``import mppa.cli`` and the integer oracle suites run
-without it.
+without it.  ``cli`` imports ``oracle`` only for ``mppa oracle``, and
+``acceptance`` for ``mppa verify``.
 """
 
 __version__ = "0.1.0"

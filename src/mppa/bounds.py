@@ -12,11 +12,11 @@ bit for bit, including which stage a budget marker names:
 * every loop ticks the call counter once per step and aborts to the marker
   up front when the remaining allowance is provably smaller than the loop
   length, which is the same outcome the literal loop would reach;
-* a loop that skips steps in closed form (theta with a constant
-  counterfunction, proj with an f of slope 0 or 1) skips to the first step
-  that can trip a cap, charges the ticks of the skipped steps (`_skip`) and
-  runs the literal loop from there, so it raises where the literal loop
-  raises.
+* theta and proj skip steps in closed form whenever their function has an
+  affine form (slope s, offset b): the loop variable after j steps is a
+  geometric sum, so each skips to the first step that can trip a cap,
+  charges the ticks of the skipped steps (`_skip`) and runs the literal
+  loop from there, so it raises where the literal loop raises.
 
 Each formula is written once, as a body `_name(state, ...)` that bodies of
 later formulas call with the state they share.  Its public entry point
@@ -55,14 +55,38 @@ def _entry(body):
     return entry
 
 
-def _skip(state: EvalState, steps: int, ticks: int, *limits: int) -> int:
+def _skip(state: EvalState, steps: int, ticks: int, limit: int) -> int:
     """Charge the calls of the steps a loop can skip, and return their
     count: at most `steps`, no more than the calls left pay for at 1 + ticks
-    calls a step, and no more than any of `limits`, each the first step
-    that can trip a magnitude check."""
-    skip = min(steps, state.remaining() // (1 + ticks), *limits)
+    calls a step, and no more than `limit`, the first step that can trip a
+    magnitude check."""
+    skip = min(steps, state.remaining() // (1 + ticks), limit)
     state.calls += skip * (1 + ticks)
     return skip
+
+
+def _geometric(q: int, j: int) -> int:
+    """1 + q + ... + q**(j-1), the sum a loop v -> q v + b from v = 0
+    multiplies b by after j steps."""
+    return j if q == 1 else (q ** j - 1) // (q - 1)
+
+
+def _last_within(state: EvalState, steps: int, q: int,
+                 value: Callable[[int], int]) -> int:
+    """The largest j <= steps with value(j) at most the magnitude cap, for
+    value nondecreasing in j, value(0) = 0 and value(j) >= q**(j-1) with
+    q >= 2: a binary search over the j with q**(j-1) <= cap, at most
+    magnitude_bits + 1 of them."""
+    cap = 1 << state.magnitude_bits
+    lo = 0
+    hi = min(steps, state.magnitude_bits // (q.bit_length() - 1) + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if value(mid) <= cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 # --- fixed points of nearby resolvents --------------------------------------
@@ -148,17 +172,30 @@ def _theta(state: EvalState, k: int, m_start: int, t: int, n_cells: int,
         cap = 1 << state.magnitude_bits
         skip = r = 0
         form = f.affine_form()
-        if form is not None and form[0] == 0 and form[1] <= cap:
-            # f is constant at c, so step j (r = j (t+c) on entry) charges
-            # 1 + ticks calls and checks M + P t + j c and (j+1)(t+c).  Each
-            # term of the min is the first step that can trip one cap: skip
-            # the steps before them all and run the literal loop from there.
-            _, c, ticks = form
+        if form is not None:
+            # f is m -> s m + b.  Step j charges 1 + ticks calls, checks
+            # M + (P-j) t + r_j, f's value and r_(j+1), and leaves
+            # r_(j+1) = q r_j + base + t - s j t with q = 1 + s and
+            # base = b + s (M + P t), so r_j = base (1 + q + ... + q^(j-1))
+            # + j t.  Skip the steps before the first that can trip a cap and
+            # run the literal loop from there.
+            s, b, ticks = form
+            q = 1 + s
             first_arg = m_start + p_steps * t
-            skip = _skip(state, p_steps, ticks, cap // (t + c),
-                         0 if first_arg > cap
-                         else (cap - first_arg) // c + 1 if c else p_steps)
-            r = skip * (t + c)
+            base = b + s * first_arg
+            if s == 0:
+                # r_j = j (t + b), and the arg M + P t + j b need not stay
+                # below r: the first step whose arg or r passes the cap
+                limit = min(cap // (t + b), 0 if first_arg > cap
+                            else (cap - first_arg) // b + 1 if b else p_steps)
+            else:
+                # every check of step j is at most r_(j+1), so the safe
+                # steps are those before the first j with r_j over the cap,
+                # and r_j >= q^(j-1) since base >= 1
+                limit = _last_within(state, p_steps, q,
+                                     lambda j: base * _geometric(q, j) + j * t)
+            skip = _skip(state, p_steps, ticks, limit)
+            r = base * _geometric(q, skip) + skip * t
         for i in range(p_steps - skip - 1, -1, -1):
             state.tick()
             arg = state.check(m_start + (i + 1) * t + r)
@@ -194,13 +231,22 @@ def _proj_bound(state: EvalState, k: int, f: CountFn, n: int) -> int:
         cap = 1 << state.magnitude_bits
         skip = v = 0
         form = f.affine_form()
-        if form is not None and form[0] <= 1 and form[1] <= cap:
-            # f is v -> slope v + b, so step j (from v = 0) charges
-            # 1 + ticks calls and leaves b for slope 0, j b for slope 1:
-            # only a slope-1 step past cap // b can trip the magnitude cap
-            slope, b, ticks = form
-            skip = _skip(state, r, ticks, cap // b if slope and b else r)
-            v = skip * b if slope else (b if skip else 0)
+        if form is not None and form[1] <= cap:
+            # f is v -> s v + b, so step j (from v = 0) charges 1 + ticks
+            # calls and checks only the value it leaves, v_(j+1), where
+            # v_j = b (1 + s + ... + s^(j-1)): b for s = 0 and j b for
+            # s = 1.  Skip the steps before the first with v_(j+1) over the
+            # cap (none for b = 0 or s = 0); v_j >= s^(j-1) for b >= 1.
+            s, b, ticks = form
+            if not b or not s:
+                limit = r
+            elif s == 1:
+                limit = cap // b
+            else:
+                limit = _last_within(state, r, s,
+                                     lambda j: b * _geometric(s, j))
+            skip = _skip(state, r, ticks, limit)
+            v = b * _geometric(s, skip) if b else 0
         for _ in range(r - skip):
             state.tick()
             v = f(v, state)

@@ -219,7 +219,7 @@ def test_theta_matches_brute_force(k, m_start, t, n_cells, f):
         assert got.value == brute_theta(k, m_start, t, n_cells, f)
 
 
-# --- theta's closed form for a constant counterfunction ----------------------
+# --- theta's closed form for an affine counterfunction -----------------------
 
 
 def both_ways(formula, *args, budget):
@@ -248,8 +248,17 @@ def constant_fns(draw):
     return g
 
 
+@st.composite
+def slope_fns(draw):
+    """A constant function as constant_fns draws it, id, or affine s b with
+    s from 1 to 3: every affine form theta and proj skip ahead on."""
+    offset = draw(st.integers(0, 40) | st.integers(0, 2 ** 14))
+    return draw(constant_fns() | st.sampled_from(
+        (Identity(), Affine(1, offset), Affine(2, offset), Affine(3, offset))))
+
+
 @given(st.integers(0, 3), st.integers(0, 40) | st.integers(0, 2 ** 15),
-       st.integers(1, 4), st.integers(1, 6), constant_fns(),
+       st.integers(1, 4), st.integers(1, 6), slope_fns(),
        st.builds(Budget, st.integers(4, 14), st.integers(0, 150)))
 @settings(max_examples=400, deadline=None)
 def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
@@ -271,9 +280,17 @@ def test_theta_closed_form_is_the_literal_loop(k, m_start, t, n_cells, g,
     (Const(0), 0, 20, 1, 3, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 2),
     (Const(5), 0, 0, 1, 4, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 7),
     (Const(0), 0, 0, 1, 3, Budget(4, 3), "BUDGET_EXCEEDED(theta)", 1),
+    (Identity(), 0, 0, 1, 3, Budget(8, 100), "26", 7),
+    (Affine(3, 1), 0, 0, 1, 5, Budget(6, 100), "BUDGET_EXCEEDED(theta)", 5),
+    (Affine(2, 0), 0, 0, 1, 5, Budget(6, 100), "BUDGET_EXCEEDED(theta)", 7),
+    (Identity(), 0, 20, 1, 3, Budget(4, 100), "BUDGET_EXCEEDED(theta)", 2),
+    (Affine(2, 1), 0, 0, 1, 3, Budget(8, 5), "BUDGET_EXCEEDED(theta)", 6),
+    (Affine(2, 1), 0, 0, 1, 3, Budget(8, 4), "BUDGET_EXCEEDED(theta)", 5),
 ], ids=["exact", "exact-shifted", "cap-at-loop-tick", "cap-in-g",
         "cap-in-nested-g", "arg-check", "arg-check-at-step-0", "r-check",
-        "refused-up-front"])
+        "refused-up-front", "exact-slope-1", "slope-3-r-check",
+        "slope-2-trips-in-g", "slope-1-arg-check-at-step-0",
+        "slope-2-cap-at-loop-tick", "slope-2-cap-in-g"])
 def test_theta_closed_form_events(g, k, m_start, t, n_cells, budget, render,
                                   calls):
     fast, literal = both_ways(bounds.theta, k, m_start, t, n_cells, g,
@@ -281,16 +298,7 @@ def test_theta_closed_form_events(g, k, m_start, t, n_cells, budget, render,
     assert fast == literal == (render, calls)
 
 
-# --- proj's closed form for an f of slope 0 or 1 ---------------------------
-
-
-@st.composite
-def slope_fns(draw):
-    """A constant function as constant_fns draws it, id, or affine 1 b;
-    now and then affine 2 b, which proj runs literally."""
-    offset = draw(st.integers(0, 40) | st.integers(0, 2 ** 14))
-    return draw(constant_fns() | st.sampled_from(
-        (Identity(), Affine(1, offset), Affine(2, offset))))
+# --- proj's closed form for an affine f --------------------------------------
 
 
 @given(st.integers(0, 5), st.integers(1, 5), slope_fns(),
@@ -313,9 +321,18 @@ def test_proj_closed_form_is_the_literal_loop(k, n, f, budget):
     (Affine(1, 3), 0, 2, Budget(3, 100), "BUDGET_EXCEEDED(proj)", 7),
     (Affine(1, 1), 0, 2, Budget(8, 4), "BUDGET_EXCEEDED(proj)", 1),
     (Const(20), 0, 1, Budget(4, 100), "BUDGET_EXCEEDED(proj)", 3),
+    (Affine(2, 0), 1, 2, Budget(8, 100), "0", 17),
+    (Affine(2, 1), 1, 2, Budget(8, 100), "255", 17),
+    (Affine(2, 1), 2, 2, Budget(8, 100), "BUDGET_EXCEEDED(proj)", 19),
+    (Affine(3, 2), 2, 2, Budget(8, 100), "BUDGET_EXCEEDED(proj)", 13),
+    (Affine(2, 1), 1, 2, Budget(8, 11), "BUDGET_EXCEEDED(proj)", 12),
+    (Affine(2, 1), 1, 2, Budget(8, 10), "BUDGET_EXCEEDED(proj)", 11),
 ], ids=["exact", "exact-slope-1", "cap-at-loop-tick", "cap-in-f",
         "cap-in-nested-f", "slope-1-passes-magnitude", "refused-up-front",
-        "one-step-const-over-cap"])
+        "one-step-const-over-cap", "exact-slope-2-offset-0",
+        "exact-slope-2-at-cap-minus-1", "slope-2-passes-magnitude",
+        "slope-3-passes-magnitude", "slope-2-cap-at-loop-tick",
+        "slope-2-cap-in-f"])
 def test_proj_closed_form_events(f, k, n, budget, render, calls):
     fast, literal = both_ways(bounds.proj_bound, k, f, n, budget=budget)
     assert fast == literal == (render, calls)

@@ -16,8 +16,8 @@ import pytest
 
 from mppa import bounds, refeval
 from mppa.acceptance import _T1
-from mppa.cli import (_NEEDS_F, BOUND_NAMES, _check_rows, _property_rows,
-                      _Watched, main)
+from mppa.cli import (_NEEDS_F, BOUND_NAMES, LEMMAS, _check_rows,
+                      _property_rows, _Watched, main)
 from mppa.config import count_fn, parse_config, parse_fspec, render_fspec
 from mppa.countfn import Affine, BoundValue, ExpCeil, evaluate
 from mppa.iteration import run
@@ -713,6 +713,32 @@ def test_bound_residual_rates_match_reference(tmp_path, capsys, name, k,
         f"name,k,f_spec,value\n{name},{k},{fspec},{want.render()}\n"
 
 
+@pytest.mark.parametrize("name, k, flags, shape", [
+    ("theta", 321, ["--t", "1"], 1233),
+    ("theta", 322, ["--t", "1"], "BUDGET_EXCEEDED(theta)"),
+    ("proj", 63, [], str(2 ** 4096 - 1)),
+    ("proj", 64, [], "BUDGET_EXCEEDED(proj)"),
+], ids=["theta-last-exact", "theta-first-marker", "proj-last-exact",
+        "proj-first-marker"])
+def test_slope_2_meets_the_magnitude_cap_where_the_literal_loop_does(
+        capsys, name, k, flags, shape):
+    # experiment A has N = 8, so proj iterates 2m + 1 64 (k+1) times from 0
+    # and theta runs 8 (k+1) steps of r -> 3 r + ...: the last k with an
+    # exact value and the first with a marker, against refeval's literal loop
+    path = _CONFIGS / "experiment_a.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    budget = cfg.budget()
+    assert main(["bound", str(path), name, "--k", str(k), *flags,
+                 "--fspec", "affine 2 1"]) == 0
+    want = refeval.ref_bound(name, k=k, t=1,
+                             n_arg=derive_constants(cfg.moduli).N,
+                             f=("affine", 2, 1), bits=budget.magnitude_bits,
+                             calls=budget.max_calls).render()
+    assert capsys.readouterr().out == \
+        f"name,k,f_spec,value\n{name},{k},affine 2 1,{want}\n"
+    assert len(want) == shape if isinstance(shape, int) else want == shape
+
+
 def test_bound_names_are_what_the_command_line_supplies(tmp_path, capsys):
     # the config supplies the moduli, N, D and a, --fspec supplies f; no
     # flag supplies a nu rate or l
@@ -773,6 +799,13 @@ def test_oracle_negative_trials(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_the_parser_offers_every_oracle_suite():
+    # cli spells the names out, so that its parser loads no oracle
+    from mppa import oracle
+
+    assert LEMMAS == tuple(oracle.SUITES)
+
+
 # --- verify / entry ----------------------------------------------------------------
 
 
@@ -794,12 +827,13 @@ def test_help_exits_cleanly(capsys):
 
 
 # Imports mppa.cli, runs the command in argv if any, and writes to stderr
-# which of numpy and mppa.iteration the process has imported.
+# which of numpy, mppa.iteration and mppa.oracle the process has imported.
 _IMPORTS_PROBE = """
 import sys
 import mppa.cli
 rc = mppa.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(*sorted({"numpy", "mppa.iteration"} & set(sys.modules)), file=sys.stderr)
+print(*sorted({"numpy", "mppa.iteration", "mppa.oracle"} & set(sys.modules)),
+      file=sys.stderr)
 sys.exit(rc)
 """
 
@@ -809,10 +843,10 @@ _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("argv, rc, out, err", [
     ([], 0, "", ""),
     *((["oracle", "--lemma", lemma, "--trials", "5"], 0,
-       f"lemma,trials,passes,status\n{lemma},5,5,PASS\n", "")
+       f"lemma,trials,passes,status\n{lemma},5,5,PASS\n", "mppa.oracle")
       for lemma in ("ratap", "limsup2", "xu")),
     (["oracle", "--lemma", "suzuki1", "--trials", "5"], 0,
-     "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "numpy"),
+     "lemma,trials,passes,status\nsuzuki1,5,5,PASS\n", "mppa.oracle numpy"),
     # quadratic_prox, rotation2d, box_projection and ball_projection decide
     # their witness on floats, and const and harmonic schedules are checked
     # at their ends
@@ -830,9 +864,12 @@ _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     (["bound", "psd.cfg", "nu"], 0, "name,k,f_spec,value\nnu,0,,32\n", ""),
     (["bound", "psd-refused.cfg", "nu"], 2, "",
      "config error: problem: declared zero is not in the kernel\n"),
+    # a run steps arrays, and loads no oracle either
+    (["run", str(_CONFIGS / "experiment_b.cfg"), "--out", "out"], 0, "",
+     "mppa.iteration numpy"),
 ], ids=["import", "ratap", "limsup2", "xu", "suzuki1", "bound",
         "bound-rotation2d", "bound-box", "bound-ball", "bound-refusal",
-        "bound-linear_psd", "bound-linear_psd-refusal"])
+        "bound-linear_psd", "bound-linear_psd-refusal", "run"])
 def test_only_the_commands_that_build_arrays_load_numpy(tmp_path, argv, rc,
                                                         out, err):
     write_cfg(tmp_path, t1_config(), "t1.cfg")
@@ -895,4 +932,4 @@ def test_readme_examples(monkeypatch, capsys):
         assert main(argv) == 0, line
         assert capsys.readouterr().out.splitlines() == shown, line
         commands.append(argv[0])
-    assert commands == ["bound"] * 4 + ["oracle"] * 2
+    assert commands == ["bound"] * 5 + ["oracle"] * 2
